@@ -19,8 +19,6 @@ from .errors import (InternalInconsistency, NotChordal, NotPsd,
                      PatternViolation, TooManyCliques)
 from .linalg import DEFAULT_TOL, _semidef_cholesky, is_psd
 
-PATTERN_TOL = 1e-12
-
 CLIQUE_GUARD = 10 ** 6
 
 
@@ -136,16 +134,6 @@ def clique_complex(g: Graph, guard: int = CLIQUE_GUARD) -> SimplicialComplex:
     return SimplicialComplex.from_facets(g.m, cliques)
 
 
-def _check_pattern(sigma: SymmetricMatrix, g: Graph):
-    thr = PATTERN_TOL * sigma.scale()
-    for i in range(sigma.m):
-        for j in range(i + 1, sigma.m):
-            if abs(sigma.a[i, j]) > thr and not g.has_edge(i, j):
-                raise PatternViolation(
-                    f"entry ({i},{j})={sigma.a[i, j]:.3e} nonzero at a non-edge"
-                )
-
-
 def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> FactorParams:
     """A preimage of sigma under the clique-complex parametrization of a chordal graph.
 
@@ -159,7 +147,8 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) ->
     ok, info = is_chordal(g)
     if not ok:
         raise NotChordal(f"graph has chordless cycle {tuple(v + 1 for v in info)}")
-    _check_pattern(sigma, g)
+    if not sigma.respects_pattern(g):
+        raise PatternViolation("matrix has a nonzero entry at a non-edge of the graph")
     report = is_psd(sigma, tol)
     if not report.is_psd:
         raise NotPsd(f"min eigenvalue {report.min_eigenvalue:.3e}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -257,12 +258,8 @@ def cmd_membership(args) -> int:
         out = verdict.to_json_dict()
         out["vertex_order"] = [v + 1 for v in order]
         if not verdict.member:
-            worst = int(np.argmin(verdict.flip_determinants))
-            out["violated"] = {
-                "edge": [order[worst] + 1, order[(worst + 1) % g.m] + 1],
-                "flip_determinant": verdict.flip_determinants[worst],
-                "det": verdict.det,
-            }
+            out["violated"] = {"flip_determinant": verdict.flip_determinant,
+                               "det": verdict.det}
             _print_json(out)
             return 1
         try:
@@ -294,7 +291,7 @@ def cmd_membership(args) -> int:
 
 def cmd_selftest(args) -> int:
     names = args.suite if args.suite else None
-    ok, lines = selftest.run_suites(names, n=args.n, seed=args.seed, inject=args.inject)
+    ok, lines = selftest.run_suites(names, n=args.n, seed=args.seed)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -379,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--suite", action="append",
                    help="restrict to a suite (repeatable): " + ", ".join(selftest.SUITES))
-    p.add_argument("--inject", choices=sorted(selftest.SUITES),
-                   help="test hook: perturb one suite so it must fail")
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -389,11 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except PsdConeError as exc:
-        return _error_json(_code_for(exc), str(exc))
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        return _error_json(_code_for(exc), str(exc))
+        try:
+            rc = args.func(args)
+        except BrokenPipeError:
+            raise
+        except PsdConeError as exc:
+            rc = _error_json(_code_for(exc), str(exc))
+        except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+            rc = _error_json(_code_for(exc), str(exc))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`psdcone ... | head`), so no error JSON can
+        # reach it.  Point the descriptor at devnull so that the interpreter's
+        # flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return rc
 
 
 if __name__ == "__main__":

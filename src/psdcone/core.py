@@ -22,6 +22,9 @@ Face = tuple[int, ...]
 
 ASYMMETRY_RTOL = 1e-12
 
+# Off-pattern entries up to this fraction of the matrix scale count as zeros.
+PATTERN_TOL = 1e-12
+
 
 def face_key(face: Iterable[int]) -> tuple[int, Face]:
     """Sort key realizing the canonical face order: size first, then lexicographic."""
@@ -247,14 +250,14 @@ class SymmetricMatrix:
         idx = sorted(set(subset))
         return SymmetricMatrix(self.a[np.ix_(idx, idx)])
 
-    def pattern_graph(self, tol: float = 1e-12) -> Graph:
+    def pattern_graph(self, tol: float = PATTERN_TOL) -> Graph:
         """Graph of off-diagonal entries exceeding tol relative to the matrix scale."""
         thr = tol * self.scale()
         edges = [(i, j) for i in range(self.m) for j in range(i + 1, self.m)
                  if abs(self.a[i, j]) > thr]
         return Graph.from_edges(self.m, edges)
 
-    def respects_pattern(self, g: Graph, tol: float = 1e-12) -> bool:
+    def respects_pattern(self, g: Graph, tol: float = PATTERN_TOL) -> bool:
         thr = tol * self.scale()
         for i in range(self.m):
             for j in range(i + 1, self.m):

@@ -14,20 +14,20 @@ Vertex convention: 0-based; edge k joins vertices k and (k+1) mod m, and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FactorParams, SimplicialComplex, SymmetricMatrix, as_face,
-                   cycle_graph, edge_complex)
+from .core import (PATTERN_TOL, FactorParams, SimplicialComplex,
+                   SymmetricMatrix, as_face, cycle_graph, edge_complex)
 from .errors import (Degenerate, InternalInconsistency, NotMember, NotPsd,
                      PatternViolation)
-from .linalg import DEFAULT_TOL, is_psd, tridiagonal_det
-
-PATTERN_TOL = 1e-12
+from .linalg import DEFAULT_TOL, is_psd, path_det, sign_flip
 
 
+@functools.lru_cache(maxsize=64)  # one entry per documented size m <= 64
 def cycle_edge_complex(m: int) -> SimplicialComplex:
     """The complex whose facets are the m cycle edges."""
     return edge_complex(cycle_graph(m))
@@ -78,15 +78,9 @@ class CycleMatrix:
         m = sigma.m
         if m < 3:
             raise ValueError("cycle pattern needs m >= 3")
-        thr = tol * sigma.scale()
+        if not sigma.respects_pattern(cycle_graph(m), tol):
+            raise PatternViolation("matrix has a nonzero entry off the cycle pattern")
         a = sigma.a
-        for i in range(m):
-            for j in range(i + 1, m):
-                on_cycle = (j == i + 1) or (i == 0 and j == m - 1)
-                if not on_cycle and abs(a[i, j]) > thr:
-                    raise PatternViolation(
-                        f"entry ({i},{j})={a[i, j]:.3e} off the cycle pattern"
-                    )
         cyc = [float(a[k, (k + 1) % m]) for k in range(m)]
         return cls(tuple(float(a[i, i]) for i in range(m)), tuple(cyc))
 
@@ -104,11 +98,11 @@ def matching_sum(sigma: CycleMatrix) -> float:
     interior path.
     """
     d = np.asarray(sigma.diag)
-    c = np.asarray(sigma.cyc)
+    w = [c ** 2 for c in sigma.cyc]
     m = sigma.m
-    full_path = tridiagonal_det(d, c[: m - 1])
-    interior = tridiagonal_det(d[1: m - 1], c[1: m - 2])
-    return float(full_path - c[m - 1] ** 2 * interior)
+    full_path = path_det(d, w[: m - 1])
+    interior = path_det(d[1: m - 1], w[1: m - 2])
+    return float(full_path - w[m - 1] * interior)
 
 
 def cycle_determinant(sigma: CycleMatrix) -> float:
@@ -125,40 +119,29 @@ class MembershipVerdict:
     boundary: bool
     slack: float
     det: float
-    flip_determinants: tuple[float, ...] = ()
-    certificate: FactorParams | None = None
-    method: str = "cycle"
+    flip_determinant: float
+    # PSD check margin, reused by cycle_fiber; not part of the JSON form
+    min_eigenvalue: float
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "member": self.member,
             "boundary": self.boundary,
             "slack": self.slack,
             "det": self.det,
-            "method": self.method,
+            "flip_determinant": self.flip_determinant,
+            "method": "cycle",
         }
-        if self.flip_determinants:
-            out["flip_determinants"] = list(self.flip_determinants)
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json_dict()
-        return out
-
-
-def _dense_flip_det(sigma: CycleMatrix, k: int) -> float:
-    arr = sigma.to_symmetric().a.copy()
-    i, j = k, (k + 1) % sigma.m
-    arr[i, j] = -arr[i, j]
-    arr[j, i] = -arr[j, i]
-    return float(np.linalg.det(arr))
 
 
 def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Membership of a PSD cycle-patterned matrix in the image cone.
 
-    Operational test: min(det, det with one cycle edge negated) >= -tol, by
-    dense determinants.  The matching-expansion inequality is evaluated
-    independently and must agree; ties within tolerance resolve to member
-    with the boundary flag set.
+    Operational test: min(det, det with edge 0 negated) >= -tol, by dense
+    determinants.  Negating any other edge gives the same determinant (it
+    only flips the sign of the cyclic product), so one flip suffices.  The
+    matching-expansion inequality is evaluated independently and must agree;
+    ties within tolerance resolve to member with the boundary flag set.
     """
     m = sigma.m
     dense = sigma.to_symmetric()
@@ -174,8 +157,8 @@ def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> Membership
     slack_matching = msum - 2.0 * absprod
 
     det_sigma = float(np.linalg.det(dense.a))
-    flip_dets = tuple(_dense_flip_det(sigma, k) for k in range(m))
-    slack_op = min(det_sigma, flip_dets[0])
+    flip_det = float(np.linalg.det(sign_flip(dense, 0, 1).a))
+    slack_op = min(det_sigma, flip_det)
 
     denom = max(det_scale, abs(slack_matching), abs(slack_op))
     if abs(slack_matching - slack_op) > np.sqrt(tol) * denom:
@@ -193,7 +176,8 @@ def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> Membership
         boundary=abs(slack_op) <= band,
         slack=slack_op,
         det=det_sigma,
-        flip_determinants=flip_dets,
+        flip_determinant=flip_det,
+        min_eigenvalue=report.min_eigenvalue,
     )
 
 
@@ -212,10 +196,6 @@ def counterexample_det(m: int, rho: float) -> float:
     return (1.0 / 2 ** m) * ((m + 1) + (m - 1) * rho) * (1.0 - rho)
 
 
-def _tridet_chain(diag, off) -> float:
-    return tridiagonal_det(np.asarray(diag, dtype=float), np.asarray(off, dtype=float))
-
-
 def quartic_coefficients(sigma: CycleMatrix) -> tuple[float, float, float]:
     """Coefficients (a, b, c) of the quartic a*g^4 + b*g^2 + c = 0 satisfied by
     the parameter of vertex 0 on edge {0,1}, for a matrix in the image.
@@ -226,18 +206,19 @@ def quartic_coefficients(sigma: CycleMatrix) -> tuple[float, float, float]:
     """
     d = list(sigma.diag)
     c = list(sigma.cyc)
+    w = [x ** 2 for x in c]
     m = sigma.m
     det_full = cycle_determinant(sigma)
     # delete vertex 0: path 1 - 2 - ... - m-1
-    det_no0 = _tridet_chain(d[1:], c[1: m - 1])
+    det_no0 = path_det(d[1:], w[1: m - 1])
     # delete vertex 1: path 0 - (m-1) - (m-2) - ... - 2
-    det_no1 = _tridet_chain([d[0]] + d[:1:-1], c[:1:-1])
+    det_no1 = path_det([d[0]] + d[:1:-1], w[:1:-1])
     # delete vertices 0 and 1: path 2 - 3 - ... - m-1
-    det_no01 = _tridet_chain(d[2:], c[2: m - 1])
+    det_no01 = path_det(d[2:], w[2: m - 1])
     sign = 1.0 if m % 2 == 0 else -1.0  # (-1)**m
     a = -det_no0
-    b = det_full + 2.0 * c[0] ** 2 * det_no01 + sign * 2.0 * float(np.prod(c))
-    cc = -(c[0] ** 2) * det_no1
+    b = det_full + 2.0 * w[0] * det_no01 + sign * 2.0 * float(np.prod(c))
+    cc = -w[0] * det_no1
     return float(a), float(b), float(cc)
 
 
@@ -306,36 +287,6 @@ def _propagate_forward(d, c, tol):
     return pairs
 
 
-def _propagate_backward(d, c, tol):
-    """Zero branch with the vertex-0 parameter of edge 0 set to zero (dual walk)."""
-    m = len(d)
-    scale = max(1.0, max(abs(x) for x in d), max(abs(x) for x in c))
-    pairs = [None] * m
-    prev = 0.0  # parameter of vertex i+1 on edge i+1
-    for i in range(m - 1, 0, -1):
-        t = d[(i + 1) % m] - prev * prev
-        if t < 0:
-            if t < -np.sqrt(tol) * scale:
-                raise Degenerate(f"negative propagated square {t:.3e} at vertex {(i + 1) % m}")
-            t = 0.0
-        q = np.sqrt(t)
-        if c[i] == 0.0:
-            p = 0.0
-        else:
-            if q == 0.0:
-                raise Degenerate(f"zero divisor while propagating at edge {i}")
-            p = c[i] / q
-        pairs[i] = (p, q)
-        prev = p
-    t1 = d[1] - prev * prev
-    if t1 < 0:
-        if t1 < -np.sqrt(tol) * scale:
-            raise Degenerate(f"negative closing square {t1:.3e}")
-        t1 = 0.0
-    pairs[0] = (0.0, np.sqrt(t1))
-    return pairs
-
-
 def _propagate_root(d, c, t0, tol):
     """Quartic branch: all cycle entries nonzero; propagate squared magnitudes."""
     m = len(d)
@@ -370,11 +321,9 @@ def cycle_fiber(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> CycleFiber:
     verdict = cycle_membership(sigma, tol)
     if not verdict.member:
         raise NotMember(f"slack {verdict.slack!r} negative")
-    dense = sigma.to_symmetric()
-    report = is_psd(dense, tol)
-    if report.min_eigenvalue <= tol * dense.scale():
+    if verdict.min_eigenvalue <= tol * sigma.scale():
         raise Degenerate(
-            f"fiber solving needs positive definite input; min eigenvalue {report.min_eigenvalue:.3e}"
+            f"fiber solving needs positive definite input; min eigenvalue {verdict.min_eigenvalue:.3e}"
         )
 
     d = list(sigma.diag)
@@ -384,10 +333,14 @@ def cycle_fiber(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> CycleFiber:
         r = zeros[0]
         dr = [d[(i + r) % m] for i in range(m)]
         cr = [c[(i + r) % m] for i in range(m)]
-        reps = [
-            _pairs_to_params(m, _propagate_forward(dr, cr, tol), rotation=r),
-            _pairs_to_params(m, _propagate_backward(dr, cr, tol), rotation=r),
-        ]
+        forward = _propagate_forward(dr, cr, tol)
+        # The other branch zeroes the vertex-0 parameter of edge 0: it is the
+        # forward walk on the reversed cycle, whose vertex j is vertex 1 - j
+        # here and whose edge k is edge -k with its endpoints swapped.
+        reverse = _propagate_forward([dr[(1 - j) % m] for j in range(m)],
+                                     [cr[-k % m] for k in range(m)], tol)
+        backward = [reverse[-k % m][::-1] for k in range(m)]
+        reps = [_pairs_to_params(m, pairs, rotation=r) for pairs in (forward, backward)]
         return CycleFiber(m, reps, 2 ** (m + 1))
 
     a, b, cc = quartic_coefficients(sigma)

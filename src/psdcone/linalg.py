@@ -122,19 +122,37 @@ def sign_flip(sigma: SymmetricMatrix, i: int, j: int) -> SymmetricMatrix:
     return SymmetricMatrix(arr)
 
 
+def tridiagonal_minors(diag, off2):
+    """Yield the leading principal minors of symmetric tridiagonal matrices.
+
+    Batch-first: ``diag`` has shape (..., n) and ``off2`` shape (..., n-1)
+    holding the *squared* off-diagonal entries; minor k+1 is
+    ``diag[..., k] * minor_k - off2[..., k-1] * minor_(k-1)`` with minor_0 = 1.
+    Minors are streamed, not stored, and the weights may have either sign.
+    """
+    a = np.asarray(diag, dtype=float)
+    w = np.asarray(off2, dtype=float)
+    n = a.shape[-1]
+    if w.shape[-1] != max(n - 1, 0):
+        raise ValueError(f"need {max(n - 1, 0)} off-diagonal entries, got {w.shape[-1]}")
+    prev, cur = 0.0, 1.0
+    for k in range(n):
+        prev, cur = cur, a[..., k] * cur - (w[..., k - 1] * prev if k else 0.0)
+        yield cur
+
+
+def path_det(diag, off2):
+    """Last of ``tridiagonal_minors`` (the determinant); 1 for the empty matrix."""
+    det = 1.0
+    for det in tridiagonal_minors(diag, off2):
+        pass
+    return det
+
+
 def tridiagonal_det(diagonal, offdiagonal) -> float:
     """Determinant of the symmetric tridiagonal matrix with the given bands.
 
     Three-term recurrence d_k = a_k d_{k-1} - b_{k-1}^2 d_{k-2}; the empty
     matrix has determinant 1.
     """
-    a = np.asarray(diagonal, dtype=float)
-    b = np.asarray(offdiagonal, dtype=float)
-    n = a.shape[0]
-    if b.shape[0] != max(n - 1, 0):
-        raise ValueError(f"need {max(n - 1, 0)} off-diagonal entries, got {b.shape[0]}")
-    dm2, dm1 = 0.0, 1.0
-    for k in range(n):
-        off2 = b[k - 1] ** 2 if k > 0 else 0.0
-        dm2, dm1 = dm1, a[k] * dm1 - off2 * dm2
-    return float(dm1)
+    return float(path_det(diagonal, [b ** 2 for b in np.asarray(offdiagonal, dtype=float)]))

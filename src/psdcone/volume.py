@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import path_det, tridiagonal_minors
+
 DEFAULT_BATCH = 100_000
 
 
@@ -57,24 +59,15 @@ def _batch_masks(diag: np.ndarray, cyc: np.ndarray) -> tuple[np.ndarray, np.ndar
     the matching expansion), so everything reduces to three-term
     recurrences over the batch.
     """
-    n, m = diag.shape
-    t_prev = np.ones(n)
-    t = diag[:, 0].copy()
-    pd = t > 0
-    for k in range(2, m + 1):
-        t, t_prev = diag[:, k - 1] * t - cyc[:, k - 2] ** 2 * t_prev, t
-        if k <= m - 1:
-            pd &= t > 0
-    full_path = t
-    if m >= 4:
-        t_prev = np.ones(n)
-        t = diag[:, 1].copy()
-        for k in range(2, m - 1):
-            t, t_prev = diag[:, k] * t - cyc[:, k - 1] ** 2 * t_prev, t
-        interior = t
-    else:
-        interior = diag[:, 1]
-    msum = full_path - cyc[:, m - 1] ** 2 * interior
+    m = diag.shape[1]
+    sq = cyc ** 2
+    pd = np.ones(diag.shape[0], dtype=bool)
+    # path minors 1..m-1 are leading minors of the cycle; minor m is the full path
+    for k, full_path in enumerate(tridiagonal_minors(diag, sq[:, : m - 1]), 1):
+        if k < m:
+            pd &= full_path > 0
+    interior = path_det(diag[:, 1: m - 1], sq[:, 1: m - 2])
+    msum = full_path - sq[:, m - 1] * interior
     cycprod = np.prod(cyc, axis=1)
     sign = 1.0 if m % 2 == 1 else -1.0
     det = msum + sign * 2.0 * cycprod
@@ -84,7 +77,7 @@ def _batch_masks(diag: np.ndarray, cyc: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _count_stream(m: int, quota: int, seed_seq: np.random.SeedSequence,
-                  batch: int, member_mask_fn=None, progress=False) -> tuple[int, int]:
+                  batch: int, progress=False) -> tuple[int, int]:
     """Consume one RNG stream until `quota` PSD samples are taken, in stream order."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     taken = 0
@@ -94,8 +87,6 @@ def _count_stream(m: int, quota: int, seed_seq: np.random.SeedSequence,
         diag = np.abs(rng.standard_normal((batch, m)))
         cyc = rng.standard_normal((batch, m))
         pd, member = _batch_masks(diag, cyc)
-        if member_mask_fn is not None:
-            member = member_mask_fn(diag, cyc)
         idx = np.nonzero(pd)[0][: quota - taken]
         taken += idx.size
         members += int(member[idx].sum())
@@ -113,8 +104,7 @@ def _worker(args):
 
 
 def estimate_volume(m: int, n_samples: int, seed: int, workers: int = 1,
-                    batch: int = DEFAULT_BATCH, member_mask_fn=None,
-                    progress: bool = False) -> VolumeEstimate:
+                    batch: int = DEFAULT_BATCH, progress: bool = False) -> VolumeEstimate:
     """Estimate the spherical volume fraction of the image cone for the m-cycle.
 
     Deterministic for fixed (m, n_samples, seed, workers): worker streams are
@@ -130,11 +120,8 @@ def estimate_volume(m: int, n_samples: int, seed: int, workers: int = 1,
     quotas = [q for q in quotas if q > 0]
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(quotas))
-    if len(quotas) == 1 or member_mask_fn is not None:
-        counts = [
-            _count_stream(m, q, ss, batch, member_mask_fn, progress)
-            for q, ss in zip(quotas, children)
-        ]
+    if len(quotas) == 1:
+        counts = [_count_stream(m, quotas[0], children[0], batch, progress)]
     else:
         jobs = [(m, q, (ss.entropy, ss.spawn_key), batch)
                 for q, ss in zip(quotas, children)]

@@ -3,12 +3,14 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from psdcone import selftest
 from psdcone.cli import main
 
 
@@ -63,6 +65,18 @@ def test_fiber_requires_chordal_flag(files):
     assert json.loads(out)["error"]["code"] == "invalid_input"
 
 
+def _assert_flip_determinant(flip_det, matrix):
+    """flip_determinant is the determinant with any one cycle edge negated."""
+    arr = np.array(matrix["entries"])
+    m = arr.shape[0]
+    for k in range(m):
+        i, j = k, (k + 1) % m
+        flipped = arr.copy()
+        flipped[i, j] = flipped[j, i] = -arr[i, j]
+        dense = np.linalg.det(flipped)
+        assert abs(flip_det - dense) <= 1e-10 * abs(dense), (k, flip_det, dense)
+
+
 def test_cycle_check_exit_codes(files):
     member = files("i4.json", {"m": 4, "entries": np.eye(4).tolist()})
     rc, out = run_cli(["cycle-check", "--matrix", member])
@@ -78,7 +92,7 @@ def test_cycle_check_exit_codes(files):
     assert rc == 1
     v = json.loads(out)
     assert v["member"] is False and v["slack"] < 0
-    assert len(v["flip_determinants"]) == 4
+    _assert_flip_determinant(v["flip_determinant"], cex)
 
 
 def test_cycle_fiber_and_certificate(files):
@@ -117,12 +131,13 @@ def test_membership_dispatch(files):
 
     # edge complex of the triangle dispatches to the cycle test
     e3 = files("e3.json", {"m": 3, "facets": [[1, 2], [1, 3], [2, 3]]})
-    hot = files("hot.json", {"m": 3, "entries": [[1.0, 0.9, 0.9],
-                                                 [0.9, 1.0, 0.9],
-                                                 [0.9, 0.9, 1.0]]})
+    hot_matrix = {"m": 3, "entries": [[1.0, 0.9, 0.9],
+                                      [0.9, 1.0, 0.9],
+                                      [0.9, 0.9, 1.0]]}
+    hot = files("hot.json", hot_matrix)
     rc, out = run_cli(["membership", "--matrix", hot, "--graph", e3])
     assert rc == 1
-    assert json.loads(out)["violated"]["edge"]
+    _assert_flip_determinant(json.loads(out)["violated"]["flip_determinant"], hot_matrix)
 
     # neither chordal nor a cycle: C_5 plus one chord
     chord = files("chord.json", {"m": 5, "edges": [[1, 2], [2, 3], [3, 4],
@@ -227,7 +242,7 @@ def test_simulate_command(files):
     assert mat["entries"][0][1] == pytest.approx(1.0, abs=0.05)
 
 
-def test_selftest_quick():
+def test_selftest_quick(monkeypatch):
     rc, out = run_cli(["selftest", "--n", "3"])
     assert rc == 0
     assert out.count("PASS") == 6
@@ -236,9 +251,26 @@ def test_selftest_quick():
     assert rc == 0
     assert out.strip() == "suite cycle: PASS (3 instances)"
 
-    rc, out = run_cli(["selftest", "--n", "3", "--inject", "determinant"])
+    def failing(rng, n):
+        raise AssertionError("instance 0: planted failure")
+
+    monkeypatch.setitem(selftest.SUITES, "determinant", failing)
+    rc, out = run_cli(["selftest", "--n", "3"])
     assert rc == 1
-    assert "suite determinant: FAIL" in out
+    assert "suite determinant: FAIL (instance 0: planted failure)" in out
+    assert out.count("PASS") == 5
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # like `psdcone selftest --n 3 | head -0`: the reader is gone before any output
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "psdcone.cli", "selftest", "--n", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 2
 
 
 def test_malformed_json(tmp_path):

@@ -280,6 +280,29 @@ class TestCycleFiber:
                 err = np.abs(phi(fib.complex, rep).a - dense.a).max()
                 assert err <= 1e-9 * dense.scale()
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_zero_edge_at_every_rotation(self, m):
+        rng = np.random.default_rng(250 + m)
+        base, _ = random_cycle_member(rng, m, zero_edges=(0,))
+        base_reps = cycle_fiber(base).representatives
+        for r in range(m):
+            # vertex i of the base is vertex i + r here, so the zero sits on edge r
+            sig = CycleMatrix.from_arrays(np.roll(base.diag, r), np.roll(base.cyc, r))
+            fib = cycle_fiber(sig)
+            dense = sig.to_symmetric()
+            u, v = r, (r + 1) % m
+            forward, backward = fib.representatives
+            assert forward.gamma_edge(v, u) == 0.0 and forward.gamma_edge(u, v) != 0.0
+            assert backward.gamma_edge(u, v) == 0.0 and backward.gamma_edge(v, u) != 0.0
+            for rep, base_rep in zip(fib.representatives, base_reps):
+                err = np.abs(phi(fib.complex, rep).a - dense.a).max()
+                assert err <= 1e-9 * dense.scale()
+                for k in range(m):
+                    a, b = k, (k + 1) % m
+                    shifted = ((a + r) % m, (b + r) % m)
+                    assert rep.gamma_edge(*shifted) == base_rep.gamma_edge(a, b)
+                    assert rep.gamma_edge(*shifted[::-1]) == base_rep.gamma_edge(b, a)
+
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_sign_expansion_count(self, m):
         rng = np.random.default_rng(300 + m)

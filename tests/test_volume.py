@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from psdcone import volume
 from psdcone.cycle import CycleMatrix, cycle_membership
 from psdcone.volume import (VolumeEstimate, _batch_masks, estimate_volume,
                             format_table, volume_table)
@@ -19,11 +20,16 @@ class TestEstimateVolume:
         b = estimate_volume(4, 5000, seed=12)
         assert a.members != b.members or a.fraction != b.fraction
 
-    def test_always_true_predicate_gives_one(self):
-        est = estimate_volume(
-            5, 2000, seed=0,
-            member_mask_fn=lambda diag, cyc: np.ones(diag.shape[0], dtype=bool),
-        )
+    def test_member_counts_pinned(self):
+        # any change to the draws or to the masks moves these counts
+        got = [estimate_volume(m, 5000, seed=11).members for m in range(3, 8)]
+        assert got == [3922, 4542, 4754, 4857, 4934]
+
+    def test_always_true_predicate_gives_one(self, monkeypatch):
+        masks = volume._batch_masks
+        monkeypatch.setattr(volume, "_batch_masks", lambda diag, cyc: (
+            masks(diag, cyc)[0], np.ones(diag.shape[0], dtype=bool)))
+        est = estimate_volume(5, 2000, seed=0)
         assert est.fraction == 1.0
         assert est.members == est.samples_psd == 2000
 
