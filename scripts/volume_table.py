@@ -37,6 +37,9 @@ def main() -> int:
     print(format_table(estimates))
     print(f"# {args.samples} PSD samples per m, seed {args.seed}, "
           f"{args.workers} worker(s), {elapsed:.1f}s", file=sys.stderr)
+    for est in estimates:
+        print(f"# m={est.m}: {est.draws} draws, acceptance {est.acceptance_rate:.3g}",
+              file=sys.stderr)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump([e.to_json_dict() for e in estimates], fh, indent=2)

@@ -7,13 +7,16 @@ scale invariant, so normalization is immaterial to the counts).  Draws are
 rejected until the requested number of PSD samples is collected and the
 membership fraction among them is returned.
 
-Two exact accelerations keep the rejection affordable: diagonal coordinates
+Three exact accelerations keep the rejection affordable: diagonal coordinates
 are drawn half-normal (PSD forces a nonnegative diagonal, and conditioning
-factorizes over independent coordinates), and positive definiteness is
-decided by the leading-principal-minor recurrences of the cycle pattern
-instead of an eigendecomposition.  Both leave the conditional law of the
-accepted samples unchanged; the complement of PD within PSD has measure
-zero.
+factorizes over independent coordinates); positive definiteness is decided
+by the leading-principal-minor recurrences of the cycle pattern instead of
+an eigendecomposition; and coordinates are drawn in leading-minor order, so
+a candidate is dropped at its first non-positive minor before its later
+coordinates are drawn.  None of them changes the conditional law of the
+accepted samples: the coordinates are independent, and a failed leading
+minor rejects a candidate whatever its later coordinates are.  The
+complement of PD within PSD has measure zero.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import numpy as np
 from .linalg import path_det, tridiagonal_minors
 
 DEFAULT_BATCH = 100_000
+# Each worker is one process; a larger request fails before any is started.
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,12 @@ class VolumeEstimate:
     fraction: float
     std_error: float
     seed: int
+    draws: int = 0  # candidates drawn up to the last PSD sample taken, over all workers
+
+    @property
+    def acceptance_rate(self) -> float:
+        """PSD samples per candidate drawn."""
+        return self.samples_psd / self.draws if self.draws else float("nan")
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,25 +87,71 @@ def _batch_masks(diag: np.ndarray, cyc: np.ndarray) -> tuple[np.ndarray, np.ndar
     return pd, member
 
 
+def _staged_candidates(draw, n: int, m: int):
+    """Candidates among `n` whose leading minors 1..m-1 are positive, in stream order.
+
+    ``draw(j, rows)`` returns coordinate ``j`` of the candidates ``rows``
+    (ascending row numbers), with ``j < m`` the diagonal entry ``d_j`` before
+    its absolute value is taken and ``j >= m`` the cycle entry ``c_(j-m)``.
+    ``d_0``, ``d_1`` and ``c_0`` are drawn for all candidates, then
+    ``(d_k, c_(k-1))`` only for those whose minors 1..k are positive, and the
+    last diagonal entry and the last two cycle entries (which enter no
+    leading minor below m) only for the survivors.  Returns their row numbers
+    and their full ``(len(rows), m)`` diagonal and cycle coordinates.
+    """
+    stages = []  # (rows, coordinate numbers, values) of each stage's draws
+
+    def stage(rows, *js):
+        xs = [np.abs(draw(j, rows)) if j < m else draw(j, rows) for j in js]
+        stages.append((rows, js, xs))
+        return xs
+
+    rows = np.arange(n)
+    d0, d1, c0 = stage(rows, 0, 1, m)
+    # The two latest leading minors, by the recurrence of linalg.tridiagonal_minors.
+    # Minor 1 is d_0 >= 0, and minor 2 = d_0 d_1 - c_0^2 is positive only where it is.
+    prev, cur = d0, d0 * d1 - np.square(c0)
+    for k in range(2, m - 1):
+        live = np.flatnonzero(cur > 0)
+        rows, prev, cur = rows[live], prev[live], cur[live]
+        d, c = stage(rows, k, m + k - 1)
+        prev, cur = cur, d * cur - np.square(c) * prev
+    rows = rows[cur > 0]
+    stage(rows, m - 1, 2 * m - 2, 2 * m - 1)
+    coords = np.empty((rows.size, 2 * m))
+    for at, js, xs in stages:
+        pos = np.searchsorted(at, rows)
+        for j, x in zip(js, xs):
+            coords[:, j] = x[pos]
+    return rows, coords[:, :m], coords[:, m:]
+
+
 def _count_stream(m: int, quota: int, seed_seq: np.random.SeedSequence,
-                  batch: int, progress=False) -> tuple[int, int]:
-    """Consume one RNG stream until `quota` PSD samples are taken, in stream order."""
+                  batch: int, progress=False) -> tuple[int, int, int]:
+    """Consume one RNG stream until `quota` PSD samples are taken, in stream order.
+
+    Returns (PSD samples taken, members among them, candidates drawn up to
+    the last sample taken).
+    """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
+
+    def draw(j, rows):
+        return rng.standard_normal(rows.size)
+
     taken = 0
     members = 0
     drawn = 0
     while taken < quota:
-        diag = np.abs(rng.standard_normal((batch, m)))
-        cyc = rng.standard_normal((batch, m))
+        rows, diag, cyc = _staged_candidates(draw, batch, m)
         pd, member = _batch_masks(diag, cyc)
-        idx = np.nonzero(pd)[0][: quota - taken]
+        idx = np.flatnonzero(pd)[: quota - taken]
         taken += idx.size
         members += int(member[idx].sum())
-        drawn += batch
+        drawn += batch if taken < quota else int(rows[idx[-1]]) + 1
         if progress and drawn % (10 * batch) == 0:
-            print(f"[volume m={m}] {taken}/{quota} psd samples after {drawn} draws",
-                  file=sys.stderr)
-    return taken, members
+            print(f"[volume m={m}] {taken}/{quota} psd samples after {drawn} draws "
+                  f"(acceptance {taken / drawn:.3g})", file=sys.stderr)
+    return taken, members, drawn
 
 
 def _worker(args):
@@ -115,6 +172,8 @@ def estimate_volume(m: int, n_samples: int, seed: int, workers: int = 1,
     if n_samples < 1:
         raise ValueError("need at least one sample")
     workers = max(1, int(workers))
+    if workers > MAX_WORKERS:
+        raise ValueError(f"at most {MAX_WORKERS} workers, got {workers}")
     quotas = [n_samples // workers + (1 if w < n_samples % workers else 0)
               for w in range(workers)]
     quotas = [q for q in quotas if q > 0]
@@ -129,9 +188,10 @@ def estimate_volume(m: int, n_samples: int, seed: int, workers: int = 1,
             counts = list(pool.map(_worker, jobs))
     taken = sum(c[0] for c in counts)
     members = sum(c[1] for c in counts)
+    draws = sum(c[2] for c in counts)
     frac = members / taken
     se = float(np.sqrt(frac * (1.0 - frac) / taken))
-    return VolumeEstimate(m, taken, members, frac, se, seed)
+    return VolumeEstimate(m, taken, members, frac, se, seed, draws)
 
 
 def volume_table(n_samples: int, seed: int, ms=(3, 4, 5, 6, 7),

@@ -214,6 +214,12 @@ def test_volume_command():
     assert 0.7 <= est["fraction"] <= 0.85
 
 
+def test_volume_rejects_too_many_workers():
+    rc, out = run_cli(["volume", "--m", "3", "--samples", "10", "--workers", "100000"])
+    assert rc == 2
+    assert json.loads(out)["error"]["code"] == "invalid_input"
+
+
 def test_volume_table_text():
     rc, out = run_cli(["volume", "--table", "--samples", "500", "--seed", "1"])
     assert rc == 0
