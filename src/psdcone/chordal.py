@@ -8,6 +8,7 @@ ordering: each factor column is then supported on a clique.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -31,17 +32,26 @@ class EliminationOrdering:
 
 
 def maximum_cardinality_search(g: Graph) -> list[int]:
-    """MCS visit order; ties broken by smallest vertex index."""
+    """MCS visit order; ties broken by smallest vertex index.
+
+    A heap of (-weight, vertex) pops the largest weight, then the smallest
+    index.  Raising a weight pushes a fresh entry; the stale ones are skipped
+    when they surface (Tarjan & Yannakakis 1984 give the bucket form).
+    """
     weight = [0] * g.m
     visited = [False] * g.m
+    heap = [(0, v) for v in range(g.m)]
     order = []
-    for _ in range(g.m):
-        v = max(range(g.m), key=lambda u: (not visited[u], weight[u], -u))
+    while heap:
+        neg, v = heapq.heappop(heap)
+        if visited[v] or -neg != weight[v]:
+            continue
         visited[v] = True
         order.append(v)
         for w in g.neighbors(v):
             if not visited[w]:
                 weight[w] += 1
+                heapq.heappush(heap, (-weight[w], w))
     return order
 
 
@@ -154,13 +164,10 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) ->
         raise NotPsd(f"min eigenvalue {report.min_eigenvalue:.3e}")
 
     perm = list(info.order)
-    arr = np.array(sigma.a[np.ix_(perm, perm)])
+    ix = np.ix_(perm, perm)
+    arr = np.array(sigma.a[ix])
     # exact zeros off the pattern make the factor's clique structure exact
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if not g.has_edge(perm[a], perm[b]):
-                arr[a, b] = 0.0
-                arr[b, a] = 0.0
+    arr[~g.pattern_mask[ix]] = 0.0
     ell = _semidef_cholesky(arr, tol)
 
     delta = clique_complex(g)

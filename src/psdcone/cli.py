@@ -263,7 +263,7 @@ def cmd_membership(args) -> int:
             _print_json(out)
             return 1
         try:
-            fib = cycle_fiber(cyc, tol=args.tol)
+            fib = cycle_fiber(cyc, tol=args.tol, verdict=verdict)
         except (Degenerate, NotMember):
             out["certificate"] = None
         else:
@@ -381,8 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Filled by the first main() call and reused by every later one: building the
+# parser costs far more than parsing, and parse_args keeps no state between calls.
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         try:
             rc = args.func(args)

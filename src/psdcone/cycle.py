@@ -309,16 +309,20 @@ def _propagate_root(d, c, t0, tol):
     return pairs
 
 
-def cycle_fiber(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> CycleFiber:
+def cycle_fiber(sigma: CycleMatrix, tol: float = DEFAULT_TOL,
+                verdict: MembershipVerdict | None = None) -> CycleFiber:
     """Solve for the fiber over a positive definite member (diagonal parameters zero).
 
     With every cycle entry nonzero, the squared edge-0 parameter satisfies a
     quartic whose two nonnegative roots both propagate to full solutions.
     With a zero entry (rotated to edge 0), one of that edge's two parameters
     must vanish and each choice determines the rest of the cycle walk.
+    ``verdict`` is ``cycle_membership(sigma, tol)`` when the caller already
+    holds it; it is computed here otherwise.
     """
     m = sigma.m
-    verdict = cycle_membership(sigma, tol)
+    if verdict is None:
+        verdict = cycle_membership(sigma, tol)
     if not verdict.member:
         raise NotMember(f"slack {verdict.slack!r} negative")
     if verdict.min_eigenvalue <= tol * sigma.scale():

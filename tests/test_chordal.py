@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdcone.chordal import (EliminationOrdering, chordal_fiber,
                              clique_complex, is_chordal,
@@ -25,7 +27,40 @@ def assert_chordless_cycle(g, cyc):
         assert g.has_edge(cyc[i], cyc[j]) == adjacent_on_cycle
 
 
+def mcs_scan(g):
+    """Oracle: maximum cardinality search by a full scan per step, O(m^2)."""
+    weight = [0] * g.m
+    visited = [False] * g.m
+    order = []
+    for _ in range(g.m):
+        v = max(range(g.m), key=lambda u: (not visited[u], weight[u], -u))
+        visited[v] = True
+        order.append(v)
+        for w in g.neighbors(v):
+            if not visited[w]:
+                weight[w] += 1
+    return order
+
+
+def random_graph(rng, kind, m):
+    if kind == "chordal":
+        return random_chordal_graph(rng, m)
+    if kind == "cycle" and m >= 3:
+        perm = rng.permutation(m)
+        return Graph.from_edges(m, [(int(perm[k]), int(perm[(k + 1) % m])) for k in range(m)])
+    density = 0.9 if kind == "dense" else rng.random()
+    return Graph.from_edges(m, [(i, j) for i, j in itertools.combinations(range(m), 2)
+                                if rng.random() < density])
+
+
 class TestIsChordal:
+    @given(st.integers(1, 64), st.sampled_from(["random", "chordal", "cycle", "dense"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_mcs_matches_scan(self, m, kind, seed):
+        g = random_graph(np.random.default_rng(seed), kind, m)
+        assert maximum_cardinality_search(g) == mcs_scan(g)
+
     def test_path(self):
         ok, ordering = is_chordal(path_graph(3))
         assert ok and isinstance(ordering, EliminationOrdering) and ordering.is_perfect

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from psdcone import selftest
+from psdcone import cli, selftest
 from psdcone.cli import main
 
 
@@ -265,6 +265,61 @@ def test_selftest_quick(monkeypatch):
     assert rc == 1
     assert "suite determinant: FAIL (instance 0: planted failure)" in out
     assert out.count("PASS") == 5
+
+
+def outcome(argv, fresh=False):
+    """(exit code, stdout, stderr) of main(argv), or of a parser built for this
+    call alone when fresh; SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            if fresh:
+                args = cli.build_parser().parse_args(argv)
+                rc = args.func(args)
+            else:
+                rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_parser_reuse_carries_no_state(files):
+    i5 = files("i5.json", {"m": 5, "entries": np.eye(5).tolist()})
+    c5 = files("c5.json", {"m": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]})
+    sequence = [
+        ["selftest", "--suite", "determinant", "--n", "3"],
+        ["selftest", "--n", "3"],
+        ["selftest", "--suite", "cycle", "--suite", "determinant", "--n", "3"],
+        ["selftest", "--suite", "cycle", "--n", "3"],
+        ["volume", "--m", "3", "--samples", "50"],
+        ["volume", "--table", "--json", "--samples", "20"],
+        ["volume", "--table", "--samples", "20"],
+        ["volume", "--m", "3", "--samples", "50", "--seed", "2"],
+        ["membership", "--matrix", i5, "--graph", c5, "--tol", "1e-6"],
+        ["phi", "--complex", c5],
+        ["membership", "--matrix", i5, "--graph", c5],
+    ]
+    main(["selftest", "--n", "1"])
+    shared = cli._parser
+    for argv in sequence:
+        assert outcome(argv) == outcome(argv, fresh=True), argv
+        assert cli._parser is shared
+    assert outcome(["phi", "--complex", c5])[0] == 2
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+
+    def counting(original=cli.build_parser):
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["selftest", "--n", "1"], ["counterexample", "--m", "4", "--rho", "0.5"],
+                 ["selftest", "--n", "1", "--suite", "cycle"]):
+        assert outcome(argv)[0] == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

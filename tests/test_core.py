@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdcone.core import (FactorParams, Graph, SimplicialComplex,
+from psdcone.core import (PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
                           SymmetricMatrix, complete_graph, cycle_graph,
                           edge_complex, face_key, induced_subcomplex,
                           induced_vertex_map, path_graph, underlying_graph)
@@ -30,7 +30,25 @@ def graphs(max_m=7):
     return build()
 
 
+def respects_pattern_loop(sigma, g, tol=PATTERN_TOL):
+    """Oracle: the entrywise scan over the upper triangle."""
+    thr = tol * sigma.scale()
+    for i in range(sigma.m):
+        for j in range(i + 1, sigma.m):
+            if abs(sigma.a[i, j]) > thr and not g.has_edge(i, j):
+                return False
+    return True
+
+
 class TestGraph:
+    @given(graphs(12))
+    @settings(max_examples=60, deadline=None)
+    def test_pattern_mask(self, g):
+        mask = g.pattern_mask
+        assert not mask.flags.writeable
+        for i, j in itertools.product(range(g.m), repeat=2):
+            assert mask[i, j] == (i == j or g.has_edge(i, j))
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 1)])
@@ -144,6 +162,36 @@ class TestSymmetricMatrix:
         sig = SymmetricMatrix(np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         assert sig.respects_pattern(path_graph(3))
         assert sig.pattern_graph() == Graph.from_edges(3, [(0, 1)])
+
+    def test_pattern_threshold_is_strict(self):
+        thr = PATTERN_TOL * 4.0
+        for off, ok in ((thr, True), (-thr, True), (thr * (1 - 1e-15), True),
+                        (thr * (1 + 1e-15), False), (-thr * (1 + 1e-15), False)):
+            arr = np.diag([4.0, 1.0, 1.0])
+            arr[0, 2] = arr[2, 0] = off
+            assert SymmetricMatrix(arr).respects_pattern(path_graph(3)) is ok
+
+    def test_pattern_size_mismatch(self):
+        with pytest.raises(ValueError):
+            SymmetricMatrix(np.eye(3)).respects_pattern(path_graph(4))
+
+    @given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 0.002, 0.05, 0.5]), st.sampled_from([0.5, 1.0, 37.0, 1e4]))
+    @settings(max_examples=80, deadline=None)
+    def test_respects_pattern_matches_loop(self, m, seed, p_off, top):
+        """Off-pattern entries sit at +-thr and +-thr*(1 +- 1e-15), either side of the cut."""
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((m, m)) < rng.random(), 1)
+        g = Graph.from_edges(m, zip(*np.nonzero(upper)))
+        thr = PATTERN_TOL * max(1.0, top)
+        arr = np.where(upper | upper.T, rng.uniform(-top, top, (m, m)), 0.0)
+        near = thr * rng.choice([1.0, 1 - 1e-15, 1 + 1e-15], (m, m)) * rng.choice([-1, 1], (m, m))
+        arr = np.where(~(upper | upper.T) & (rng.random((m, m)) < p_off), near, arr)
+        arr = np.triu(arr, 1) + np.triu(arr, 1).T
+        np.fill_diagonal(arr, top)
+        sig = SymmetricMatrix(arr)
+        assert sig.scale() == max(1.0, top)
+        assert sig.respects_pattern(g) == respects_pattern_loop(sig, g)
 
     def test_json_round_trip(self):
         sig = SymmetricMatrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))

@@ -334,6 +334,25 @@ class TestCycleFiber:
         with pytest.raises(NotMember):
             cycle_fiber(counterexample_sigma(4, -1.4))
 
+    @pytest.mark.parametrize("m", [3, 5, 8, 16])
+    def test_passed_verdict_gives_bitwise_equal_fiber(self, m):
+        rng = np.random.default_rng(400 + m)
+        for zero_edges in ((), (int(rng.integers(0, m)),)) * 5:
+            sig, _ = random_cycle_member(rng, m, zero_edges=zero_edges)
+            own = cycle_fiber(sig)
+            passed = cycle_fiber(sig, verdict=cycle_membership(sig))
+            assert own.count_total == passed.count_total
+            assert [{k: v.hex() for k, v in rep.values.items()} for rep in own.representatives] \
+                == [{k: v.hex() for k, v in rep.values.items()} for rep in passed.representatives]
+
+    def test_passed_verdict_is_checked(self):
+        nonmember = counterexample_sigma(4, -1.4)
+        with pytest.raises(NotMember):
+            cycle_fiber(nonmember, verdict=cycle_membership(nonmember))
+        singular = CycleMatrix.from_arrays([2.0, 2.0, 2.0], [1.0, -1.0, 1.0])
+        with pytest.raises(Degenerate):
+            cycle_fiber(singular, verdict=cycle_membership(singular))
+
     def test_singular_member_raises_degenerate(self):
         # image of (g12, g21, g23, g32, g31, g13) = (1, 1, 1, -1, 1, 1): rank 2
         sig = CycleMatrix.from_arrays([2.0, 2.0, 2.0], [1.0, -1.0, 1.0])
