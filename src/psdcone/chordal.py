@@ -88,14 +88,9 @@ def _chordless_cycle_through(g: Graph, v: int, x: int, y: int):
     return None
 
 
-def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
-    """Some induced cycle of length >= 4, or None if the graph is chordal."""
-    order = maximum_cardinality_search(g)
-    bad = _perfect_check(g, order[::-1])
-    if bad is None:
-        return None
-    v, x, y = bad
-    cyc = _chordless_cycle_through(g, v, x, y)
+def _chordless_cycle_from(g: Graph, bad) -> tuple[int, ...]:
+    """A chordless cycle of length >= 4 from a violating triple of an ordering."""
+    cyc = _chordless_cycle_through(g, *bad)
     if cyc is None:
         # the PEO violation guarantees some non-adjacent neighbor pair works
         for v in range(g.m):
@@ -110,16 +105,24 @@ def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
     return cyc
 
 
+def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
+    """Some induced cycle of length >= 4, or None if the graph is chordal."""
+    ok, info = is_chordal(g)
+    return None if ok else info
+
+
 def is_chordal(g: Graph):
     """(True, EliminationOrdering) or (False, chordless-cycle witness of length >= 4).
 
-    The candidate ordering is the reverse of a maximum cardinality search.
+    The candidate ordering is the reverse of a maximum cardinality search;
+    its first violating triple seeds the witness search.
     """
     order = tuple(maximum_cardinality_search(g)[::-1])
-    if _perfect_check(g, list(order)) is None:
+    bad = _perfect_check(g, list(order))
+    if bad is None:
         return True, EliminationOrdering(order, True)
-    witness = find_chordless_cycle(g)
-    if witness is None or len(witness) < 4:
+    witness = _chordless_cycle_from(g, bad)
+    if len(witness) < 4:
         raise InternalInconsistency("MCS ordering imperfect on a chordal graph")
     return False, witness
 
@@ -144,17 +147,31 @@ def clique_complex(g: Graph, guard: int = CLIQUE_GUARD) -> SimplicialComplex:
     return SimplicialComplex.from_facets(g.m, cliques)
 
 
-def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> FactorParams:
+def ordering_clique_complex(g: Graph, ordering: EliminationOrdering) -> SimplicialComplex:
+    """Clique complex of a chordal graph from a perfect elimination ordering.
+
+    Each maximal clique is a vertex together with its later neighbors
+    (Vandenberghe & Andersen 2015), so from_facets on those m sets keeps
+    exactly the maximal cliques, without a clique search.
+    """
+    pos = {v: k for k, v in enumerate(ordering.order)}
+    return SimplicialComplex.from_facets(
+        g.m, ([v, *(w for w in g.neighbors(v) if pos[w] > pos[v])] for v in range(g.m)))
+
+
+def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL,
+                  chordality: tuple | None = None) -> FactorParams:
     """A preimage of sigma under the clique-complex parametrization of a chordal graph.
 
     Permute by a perfect elimination ordering, factor, and assign each factor
     column to the clique given by its support.  Supports of distinct nonzero
     columns are distinct (each contains its own pivot as least element), so
-    every column lands on its own face.
+    every column lands on its own face.  ``chordality`` is ``is_chordal(g)``
+    when the caller already holds it; it is computed here otherwise.
     """
     if sigma.m != g.m:
         raise ValueError("matrix and graph sizes differ")
-    ok, info = is_chordal(g)
+    ok, info = is_chordal(g) if chordality is None else chordality
     if not ok:
         raise NotChordal(f"graph has chordless cycle {tuple(v + 1 for v in info)}")
     if not sigma.respects_pattern(g):
@@ -170,7 +187,7 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) ->
     arr[~g.pattern_mask[ix]] = 0.0
     ell = _semidef_cholesky(arr, tol)
 
-    delta = clique_complex(g)
+    delta = ordering_clique_complex(g, info)
     values: dict = {}
     for k in range(g.m):
         col = ell[:, k]
@@ -178,7 +195,7 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) ->
         if supp.size == 0:
             continue
         clique = as_face(perm[i] for i in supp)
-        if not g.is_clique(clique):
+        if not delta.has_face(clique):
             raise InternalInconsistency(
                 f"factor column support {clique} is not a clique"
             )
@@ -190,7 +207,5 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) ->
 def is_surjective(delta: SimplicialComplex) -> bool:
     """True iff the underlying graph is chordal and delta is its clique complex."""
     g = underlying_graph(delta)
-    ok, _ = is_chordal(g)
-    if not ok:
-        return False
-    return clique_complex(g).facets == delta.facets
+    ok, info = is_chordal(g)
+    return ok and ordering_clique_complex(g, info) == delta

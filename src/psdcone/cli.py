@@ -16,7 +16,10 @@ import sys
 import numpy as np
 
 from . import selftest
-from .chordal import chordal_fiber, clique_complex, is_chordal
+# clique_complex is not called here; it stays importable from this module
+# because perfbench/spans.py wraps it by this name.
+from .chordal import (chordal_fiber, clique_complex, is_chordal,  # noqa: F401
+                      ordering_clique_complex)
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    edge_complex, load_json, underlying_graph)
 from .cycle import (CycleMatrix, counterexample_det, counterexample_sigma,
@@ -230,10 +233,11 @@ def cmd_membership(args) -> int:
         return _error_json("pattern_violation",
                            "matrix has a nonzero entry at a non-edge of the graph")
 
-    chordal_ok, _ = is_chordal(g)
-    if chordal_ok and (delta is None or delta == clique_complex(g)):
+    chordality = is_chordal(g)
+    chordal_ok, ordering = chordality
+    if chordal_ok and (delta is None or delta == ordering_clique_complex(g, ordering)):
         try:
-            gamma = chordal_fiber(g, sigma, tol=args.tol)
+            gamma = chordal_fiber(g, sigma, tol=args.tol, chordality=chordality)
         except NotPsd as exc:
             _print_json({"member": False, "method": "chordal",
                          "reason": "not_psd", "message": str(exc)})

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -24,6 +26,12 @@ ASYMMETRY_RTOL = 1e-12
 
 # Off-pattern entries up to this fraction of the matrix scale count as zeros.
 PATTERN_TOL = 1e-12
+
+
+def tolerance_scale(values) -> float:
+    """max(1, largest absolute entry), 1 for no entries: the reference magnitude for tolerances."""
+    arr = np.asarray(values, dtype=float)
+    return max(1.0, float(np.abs(arr).max())) if arr.size else 1.0
 
 
 def face_key(face: Iterable[int]) -> tuple[int, Face]:
@@ -131,7 +139,6 @@ class SimplicialComplex:
             raise ValueError("ground set must be nonempty")
         seen = set()
         covered = set()
-        fsets = [frozenset(f) for f in self.facets]
         for f in self.facets:
             if not f or tuple(sorted(f)) != f or len(set(f)) != len(f):
                 raise ValueError(f"facet {f} must be a sorted duplicate-free tuple")
@@ -141,9 +148,8 @@ class SimplicialComplex:
                 raise ValueError(f"duplicate facet {f}")
             seen.add(f)
             covered.update(f)
-        for a, b in itertools.permutations(fsets, 2):
-            if a < b:
-                raise ValueError("facets must be inclusion-maximal")
+        if _dominated(self.facets, self.facets_of):
+            raise ValueError("facets must be inclusion-maximal")
         if covered != set(range(self.m)):
             missing = sorted(set(range(self.m)) - covered)
             raise ValueError(f"vertices {missing} not covered by any facet")
@@ -157,7 +163,9 @@ class SimplicialComplex:
         fsets = {frozenset(t) for t in tuples if t}
         covered = set().union(*fsets) if fsets else set()
         fsets |= {frozenset([v]) for v in range(m) if v not in covered}
-        maximal = [f for f in fsets if not any(f < g for g in fsets)]
+        sets = list(fsets)
+        dominated = set(_dominated(sets, _vertex_bitsets(sets)))
+        maximal = [f for k, f in enumerate(sets) if k not in dominated]
         canon = tuple(sorted((as_face(f) for f in maximal), key=face_key))
         return cls(m, canon)
 
@@ -174,11 +182,27 @@ class SimplicialComplex:
     def face_index(self) -> dict[Face, int]:
         return {f: k for k, f in enumerate(self.faces)}
 
+    @cached_property
+    def facets_of(self) -> tuple[int, ...]:
+        """Per vertex v, an int whose bit k is set when facets[k] contains v."""
+        bits = _vertex_bitsets(self.facets)
+        return tuple(bits[v] for v in range(self.m))
+
+    def facets_containing(self, face: Iterable[int]) -> int:
+        """Bitset of the facets containing every vertex of face, in O(|face|).
+
+        0 when face is empty or has a vertex outside 0..m-1.
+        """
+        bits = self.facets_of
+        common = -1
+        for v in face:
+            if not 0 <= v < self.m:
+                return 0
+            common &= bits[v]
+        return max(common, 0)
+
     def has_face(self, face: Iterable[int]) -> bool:
-        fs = frozenset(face)
-        if not fs:
-            return False
-        return any(fs <= frozenset(facet) for facet in self.facets)
+        return self.facets_containing(face) != 0
 
     def incidences(self):
         """Iterate (face, vertex) pairs: every face with each of its vertices."""
@@ -195,6 +219,33 @@ class SimplicialComplex:
         return cls.from_facets(m, ([int(v) - 1 for v in f] for f in d["facets"]))
 
 
+def _vertex_bitsets(sets) -> defaultdict:
+    """vertex -> int whose bit k is set when sets[k] contains the vertex."""
+    bits = defaultdict(int)
+    for k, s in enumerate(sets):
+        bit = 1 << k
+        for v in s:
+            bits[v] |= bit
+    return bits
+
+
+def _dominated(sets, bits) -> list[int]:
+    """Positions k where sets[k] lies inside another set, in O(sum of sizes).
+
+    The sets must be distinct and nonempty; ``bits`` is their vertex bitsets.
+    The AND of the bitsets over the vertices of a set marks every set
+    containing it, the set itself included.
+    """
+    out = []
+    for k, s in enumerate(sets):
+        common = ~(1 << k)
+        for v in s:
+            common &= bits[v]
+        if common:
+            out.append(k)
+    return out
+
+
 def edge_complex(g: Graph) -> SimplicialComplex:
     """The complex whose facets are the edges of g (plus isolated singletons)."""
     return SimplicialComplex.from_facets(g.m, g.edges)
@@ -202,7 +253,8 @@ def edge_complex(g: Graph) -> SimplicialComplex:
 
 def underlying_graph(delta: SimplicialComplex) -> Graph:
     """Graph on the ground set whose edges are exactly the 2-element faces."""
-    return Graph.from_edges(delta.m, (f for f in delta.faces if len(f) == 2))
+    return Graph.from_edges(
+        delta.m, (e for f in delta.facets for e in itertools.combinations(f, 2)))
 
 
 def induced_vertex_map(subset: Iterable[int]) -> dict[int, int]:
@@ -253,8 +305,8 @@ class SymmetricMatrix:
         return float(self.a[i, j])
 
     def scale(self) -> float:
-        """max(1, largest absolute entry); the reference magnitude for tolerances."""
-        return max(1.0, float(np.abs(self.a).max()))
+        """tolerance_scale of the entries."""
+        return tolerance_scale(self.a)
 
     def submatrix(self, subset: Iterable[int]) -> "SymmetricMatrix":
         idx = sorted(set(subset))
@@ -298,17 +350,25 @@ class FactorParams:
     """Parameter vector gamma indexed by (face, vertex-in-face) incidences.
 
     Storage is sparse: missing valid incidences read as 0.  Invalid keys
-    (face not in the complex, or vertex outside the face) are rejected.
+    (a face that is not a sorted duplicate-free tuple, a face not in the
+    complex, or a vertex outside the face) are rejected.
     """
 
     complex: SimplicialComplex
     values: dict[tuple[Face, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
+        valid = set()
         for (face, i), v in self.values.items():
-            if i not in face or not self.complex.has_face(face):
+            if face not in valid:
+                # canonical: the sorted duplicate-free tuple as_face returns
+                if not (isinstance(face, tuple) and face == tuple(sorted(set(face)))
+                        and self.complex.has_face(face)):
+                    raise ValueError(f"invalid incidence ({face}, {i})")
+                valid.add(face)
+            if i not in face:
                 raise ValueError(f"invalid incidence ({face}, {i})")
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"non-finite parameter at ({face}, {i})")
 
     @classmethod

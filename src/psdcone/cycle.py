@@ -15,13 +15,13 @@ Vertex convention: 0-based; edge k joins vertices k and (k+1) mod m, and
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (PATTERN_TOL, FactorParams, SimplicialComplex,
-                   SymmetricMatrix, as_face, cycle_graph, edge_complex)
+                   SymmetricMatrix, as_face, cycle_graph, edge_complex,
+                   tolerance_scale)
 from .errors import (Degenerate, InternalInconsistency, NotMember, NotPsd,
                      PatternViolation)
 from .linalg import DEFAULT_TOL, is_psd, path_det, sign_flip
@@ -51,7 +51,7 @@ class CycleMatrix:
         return len(self.diag)
 
     def scale(self) -> float:
-        return max(1.0, max(abs(v) for v in self.diag + self.cyc))
+        return tolerance_scale(self.diag + self.cyc)
 
     def entry(self, i: int, j: int) -> float:
         m = self.m
@@ -260,7 +260,7 @@ def _propagate_forward(d, c, tol):
     and the product equations for partners, then closes at vertex 0.
     """
     m = len(d)
-    scale = max(1.0, max(abs(x) for x in d), max(abs(x) for x in c))
+    scale = tolerance_scale(d + c)
     pairs = [None] * m
     prev = 0.0  # parameter of vertex i on edge i-1
     for i in range(1, m):
@@ -290,7 +290,7 @@ def _propagate_forward(d, c, tol):
 def _propagate_root(d, c, t0, tol):
     """Quartic branch: all cycle entries nonzero; propagate squared magnitudes."""
     m = len(d)
-    scale = max(1.0, max(abs(x) for x in d), max(abs(x) for x in c))
+    scale = tolerance_scale(d + c)
     t = [0.0] * m
     t[0] = t0
     for i in range(1, m):
@@ -370,32 +370,3 @@ def cycle_fiber(sigma: CycleMatrix, tol: float = DEFAULT_TOL,
     if len(reps) == 1 and len(roots) == 2:
         raise InternalInconsistency("only one quartic root propagated for an interior member")
     return CycleFiber(m, reps, 2 ** (m + 1))
-
-
-def expand_edge_signs(gamma: FactorParams) -> list[FactorParams]:
-    """All parameter vectors obtained by flipping the sign of both parameters
-    on any subset of edges; these have the same image."""
-    delta = gamma.complex
-    m = delta.m
-    edges = [as_face((k, (k + 1) % m)) for k in range(m)]
-    out = []
-    for signs in itertools.product((1.0, -1.0), repeat=m):
-        vals = {}
-        for (face, i), v in gamma.values.items():
-            s = signs[edges.index(face)]
-            vals[(face, i)] = s * v
-        out.append(FactorParams(delta, vals))
-    return out
-
-
-def closure_mobius_coefficients(diag, off_sq) -> tuple[float, float, float, float]:
-    """Coefficients (a, b, c, d) such that after propagating the squared-parameter
-    recurrence once around the cycle, x^2 must satisfy x^2 = (a x^2 + b)/(c x^2 + d).
-
-    off_sq entries are the *squared* cycle entries and may be negative, which
-    exercises the recurrence with formally complex data.
-    """
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for dk, sk in zip(diag, off_sq):
-        a, b, c, d = dk * a - sk * c, dk * b - sk * d, a, b
-    return a, b, c, d

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SymmetricMatrix
+from .core import SymmetricMatrix, tolerance_scale
 from .errors import NotPsd, SingularBlock
 
 DEFAULT_TOL = 1e-9
 
 COND_LIMIT = 1e12
-
-
-def _scale(arr: np.ndarray) -> float:
-    return max(1.0, float(np.abs(arr).max())) if arr.size else 1.0
 
 
 class PsdReport:
@@ -48,7 +44,7 @@ def is_psd(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     lo = min_eigenvalue(arr)
-    return PsdReport(lo >= -tol * _scale(arr), lo, tol)
+    return PsdReport(lo >= -tol * tolerance_scale(arr), lo, tol)
 
 
 def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL,
@@ -60,7 +56,7 @@ def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL,
     ~zero pivot sitting on top of a non-negligible residual column.
     """
     n = arr.shape[0]
-    scale = _scale(arr)
+    scale = tolerance_scale(arr)
     zthr = tol if zero_threshold is None else zero_threshold
     work = np.array(arr, dtype=float)
     ell = np.zeros((n, n))

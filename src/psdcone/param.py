@@ -142,7 +142,10 @@ def extreme_decomposition(delta: SimplicialComplex, gamma: FactorParams) -> list
     scale = 1.0
     for face, col in _nonzero_columns(gamma):
         scale = max(scale, float(np.abs(col).max()))
-        home = next(f for f in delta.facets if set(face) <= set(f))
+        containing = delta.facets_containing(face)
+        if not containing:
+            raise ValueError(f"column support {face} is not a face")
+        home = delta.facets[(containing & -containing).bit_length() - 1]
         groups.setdefault(home, []).append(col)
     terms: list[RankOneTerm] = []
     for facet in sorted(groups, key=face_key):

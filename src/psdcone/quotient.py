@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
-                   as_face, face_key, induced_vertex_map)
+                   as_face, face_key, induced_vertex_map, tolerance_scale)
 from .errors import ZeroDiagonal
 from .linalg import DEFAULT_TOL
 from .param import _combine_columns, _nonzero_columns, phi
@@ -68,36 +68,6 @@ def _single_vertex_quotient_faces(faces: set[frozenset], u: int) -> set[frozense
     return out
 
 
-def chain_quotient_faces(delta: SimplicialComplex, block) -> set[frozenset]:
-    """Reference implementation of the quotient by chains: a kept set A is a
-    face iff it is one already, or distinct eliminated vertices u_1..u_k and
-    distinct faces F_1..F_{k+1} exist with u_i in F_i and F_{i+1}, and A is
-    the union of the F_i minus the eliminated block.
-
-    Exponential; meant as an oracle on small instances.
-    """
-    u = set(block)
-    faces = [frozenset(f) for f in delta.faces]
-    out = {f for f in faces if not (f & u)}
-    through = [f for f in faces if f & u]
-
-    def extend(used_u: frozenset, used_f: tuple, union: frozenset, last: frozenset):
-        kept = union - u
-        if kept:
-            out.add(kept)
-        for uu in sorted(last & u):
-            if uu in used_u:
-                continue
-            for nxt in through:
-                if nxt in used_f or uu not in nxt:
-                    continue
-                extend(used_u | {uu}, used_f + (nxt,), union | nxt, nxt)
-
-    for f in through:
-        extend(frozenset(), (f,), f, f)
-    return {f for f in out if f}
-
-
 def complex_quotient(delta: SimplicialComplex, block) -> SimplicialComplex:
     """Quotient complex on the kept vertices, relabeled in sorted order.
 
@@ -148,7 +118,7 @@ def schur_witness(delta: SimplicialComplex, gamma: FactorParams, u: int,
     m = delta.m
     cols = dict(_nonzero_columns(gamma))
     sigma_uu = sum(col[u] ** 2 for col in cols.values())
-    scale = max(1.0, max((float(np.abs(c).max()) for c in cols.values()), default=1.0)) ** 2
+    scale = tolerance_scale(list(cols.values())) ** 2
     if sigma_uu <= tol * scale:
         raise ZeroDiagonal(f"diagonal value {sigma_uu!r} at vertex {u} too small")
     root = np.sqrt(sigma_uu)

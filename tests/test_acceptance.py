@@ -13,8 +13,8 @@ from psdcone.chordal import chordal_fiber, clique_complex, is_surjective
 from psdcone.core import SymmetricMatrix, complete_graph, edge_complex
 from psdcone.cycle import (CycleMatrix, counterexample_det,
                            counterexample_sigma, cycle_determinant,
-                           cycle_fiber, cycle_membership, expand_edge_signs,
-                           matching_sum, quartic_coefficients)
+                           cycle_fiber, cycle_membership, matching_sum,
+                           quartic_coefficients)
 from psdcone.errors import SingularBlock
 from psdcone.instances import (random_chordal_graph, random_complex,
                                random_cycle_member,
@@ -27,6 +27,8 @@ from psdcone.param import cone_add, extreme_decomposition, phi
 from psdcone.quotient import schur_witness
 from psdcone.selftest import _abs_expansion_bound
 from psdcone.volume import _batch_masks, volume_table
+
+from oracles import expand_edge_signs
 
 TOL = 1e-9
 

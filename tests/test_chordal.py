@@ -8,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdcone.chordal import (EliminationOrdering, chordal_fiber,
-                             clique_complex, is_chordal,
-                             maximum_cardinality_search, is_surjective)
-from psdcone.core import (Graph, SymmetricMatrix, complete_graph,
-                          cycle_graph, edge_complex, path_graph)
+                             clique_complex, find_chordless_cycle, is_chordal,
+                             maximum_cardinality_search, is_surjective,
+                             ordering_clique_complex)
+from psdcone.core import (Graph, SimplicialComplex, SymmetricMatrix,
+                          complete_graph, cycle_graph, edge_complex,
+                          path_graph)
 from psdcone.cycle import CycleMatrix, counterexample_sigma, cycle_membership
 from psdcone.errors import NotChordal, NotPsd, PatternViolation
 from psdcone.instances import random_chordal_graph, random_params, random_tree
 from psdcone.param import phi
+
+from oracles import chordless_cycle_from_mcs
 
 
 def assert_chordless_cycle(g, cyc):
@@ -101,6 +105,18 @@ class TestIsChordal:
             ok, _ = is_chordal(g)
             assert ok
 
+    @given(st.integers(4, 64), st.sampled_from(["random", "cycle", "dense"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_witness_matches_fresh_search(self, m, kind, seed):
+        g = random_graph(np.random.default_rng(seed), kind, m)
+        ok, info = is_chordal(g)
+        if ok:
+            assert find_chordless_cycle(g) is None is chordless_cycle_from_mcs(g)
+        else:
+            assert info == find_chordless_cycle(g) == chordless_cycle_from_mcs(g)
+            assert_chordless_cycle(g, info)
+
     def test_mcs_tie_break_smallest_vertex(self):
         assert maximum_cardinality_search(path_graph(3))[0] == 0
 
@@ -115,6 +131,23 @@ class TestCliqueComplex:
 
     def test_three_chain(self):
         assert clique_complex(path_graph(3)).facets == ((0, 1), (1, 2))
+
+    @given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_ordering_complex_matches_clique_search(self, m, seed):
+        """The {v} + later-neighbor sets of the MCS ordering give the
+        Bron-Kerbosch complex, for the graph and for a relabelled copy."""
+        rng = np.random.default_rng(seed)
+        g = random_chordal_graph(rng, m)
+        perm = [int(p) for p in rng.permutation(m)]
+        h = Graph.from_edges(m, ((perm[i], perm[j]) for i, j in g.edges))
+        for graph in (g, h):
+            ok, ordering = is_chordal(graph)
+            assert ok
+            assert ordering_clique_complex(graph, ordering) == clique_complex(graph)
+        relabelled = SimplicialComplex.from_facets(
+            m, ([perm[v] for v in f] for f in clique_complex(g).facets))
+        assert ordering_clique_complex(h, is_chordal(h)[1]) == relabelled
 
 
 class TestChordalFiber:
@@ -151,6 +184,22 @@ class TestChordalFiber:
     def test_rejects_non_chordal(self):
         with pytest.raises(NotChordal):
             chordal_fiber(cycle_graph(4), SymmetricMatrix(np.eye(4)))
+        with pytest.raises(NotChordal):
+            chordal_fiber(cycle_graph(4), SymmetricMatrix(np.eye(4)),
+                          chordality=is_chordal(cycle_graph(4)))
+
+    @pytest.mark.parametrize("m", [2, 9, 33, 64])
+    def test_passed_chordality_gives_bitwise_equal_fiber(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            g = random_chordal_graph(rng, m)
+            delta = clique_complex(g)
+            sig = phi(delta, random_params(rng, delta, density=0.7))
+            fresh = chordal_fiber(g, sig)
+            passed = chordal_fiber(g, sig, chordality=is_chordal(g))
+            assert passed.complex == fresh.complex == delta
+            assert [(k, v.hex()) for k, v in passed.values.items()] == \
+                [(k, v.hex()) for k, v in fresh.values.items()]
 
     def test_rejects_pattern_violation(self):
         arr = np.eye(3)

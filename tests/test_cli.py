@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from psdcone import cli, selftest
+from psdcone.core import SimplicialComplex
 from psdcone.cli import main
 
 
@@ -175,6 +176,31 @@ def test_membership_certificate_reproduces_input(files):
     cert = FactorParams.from_json_dict(delta, v["certificate"])
     image = phi(delta, cert)
     assert np.abs(image.a - sig.to_symmetric().a).max() <= 1e-8 * sig.scale()
+
+
+@pytest.mark.parametrize("kind", ["graph", "complex"])
+def test_large_clique_never_enumerates_faces(files, monkeypatch, kind):
+    """A 40-vertex clique (2^40 - 1 faces) is decided from its facets alone."""
+    m = 42
+    edges = [[i + 1, j + 1] for i in range(40) for j in range(i + 1, 40)] + [[40, 41], [41, 42]]
+    arr = np.eye(m) * 2.0
+    for i, j in edges:
+        arr[i - 1, j - 1] = arr[j - 1, i - 1] = 1.0 / 40
+    mpath = files("sigma.json", {"m": m, "entries": arr.tolist()})
+    if kind == "graph":
+        gpath = files("g.json", {"m": m, "edges": edges})
+    else:
+        gpath = files("c.json", {"m": m, "facets": [list(range(1, 41)), [40, 41], [41, 42]]})
+    built = []
+    post_init = SimplicialComplex.__post_init__
+    monkeypatch.setattr(SimplicialComplex, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    rc, out = run_cli(["membership", "--matrix", mpath, "--graph", gpath])
+    assert rc == 0 and json.loads(out)["member"] is True
+    rc, out = run_cli(["fiber", "--chordal", "--matrix", mpath, "--graph", gpath])
+    assert rc == 0 and json.loads(out)["values"]
+    assert any(len(f) == 40 for delta in built for f in delta.facets)
+    assert all("faces" not in delta.__dict__ for delta in built)
 
 
 def test_quotient_command(files):

@@ -9,11 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdcone.core import (PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
-                          SymmetricMatrix, complete_graph, cycle_graph,
-                          edge_complex, face_key, induced_subcomplex,
-                          induced_vertex_map, path_graph, underlying_graph)
+                          SymmetricMatrix, as_face, complete_graph,
+                          cycle_graph, edge_complex, face_key,
+                          induced_subcomplex, induced_vertex_map, path_graph,
+                          tolerance_scale, underlying_graph)
 from psdcone.chordal import clique_complex
+from psdcone.cycle import CycleMatrix
 from psdcone.errors import AsymmetricInput
+
+from oracles import dominated_scan, has_face_scan
 
 
 def graphs(max_m=7):
@@ -28,6 +32,14 @@ def graphs(max_m=7):
         return Graph.from_edges(m, edges)
 
     return build()
+
+
+@st.composite
+def vertex_sets(draw, max_m=64):
+    """(m, list of vertex sets), sizes skewed small so that some sets nest."""
+    m = draw(st.integers(1, max_m))
+    sets = draw(st.lists(st.sets(st.integers(0, m - 1), max_size=min(m, 8)), max_size=24))
+    return m, sets
 
 
 def respects_pattern_loop(sigma, g, tol=PATTERN_TOL):
@@ -94,6 +106,50 @@ class TestSimplicialComplex:
         delta = SimplicialComplex.from_facets(4, [[0, 1, 2], [2, 3]])
         again = SimplicialComplex.from_json_dict(delta.to_json_dict())
         assert again == delta
+
+    @given(vertex_sets(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_has_face_matches_scan(self, ms, data):
+        """Faces of facets, random sets, and empty, repeated, out-of-range,
+        negative and numpy-int vertices all get the frozenset scan's answer."""
+        m, sets = ms
+        delta = SimplicialComplex.from_facets(m, sets)
+        vertex = st.one_of(st.integers(-3, m + 3), st.integers(0, m - 1).map(np.int64))
+        queries = data.draw(st.lists(st.lists(vertex, max_size=6), max_size=20))
+        for facet in delta.facets:
+            k = data.draw(st.integers(0, len(facet)))
+            queries.append(list(facet[:k]) + list(facet[:1]))
+        for q in queries + [[], [0, 0], [m], [-1]]:
+            assert delta.has_face(q) == has_face_scan(delta, q), q
+            assert delta.has_face(iter(q)) == has_face_scan(delta, q), q
+
+    def test_facets_of(self):
+        delta = SimplicialComplex.from_facets(4, [[0, 1, 2], [2, 3]])
+        assert delta.facets == ((2, 3), (0, 1, 2))
+        assert delta.facets_of == (0b10, 0b10, 0b11, 0b01)
+        assert delta.facets_containing((2,)) == 0b11
+        assert delta.facets_containing((1, 2)) == 0b10
+        assert delta.facets_containing((1, 3)) == 0
+        assert delta.facets_containing(()) == 0
+
+    @given(vertex_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_dominated_sets_match_scan(self, ms):
+        """from_facets keeps the sets no other set contains; the strict
+        constructor rejects a facet list exactly when one set lies in another."""
+        m, sets = ms
+        nonempty = {frozenset(s) for s in sets if s}
+        covered = set().union(*nonempty)
+        candidates = nonempty | {frozenset([v]) for v in range(m) if v not in covered}
+        dominated = dominated_scan(candidates)
+        expected = sorted((as_face(s) for s in candidates - dominated), key=face_key)
+        assert SimplicialComplex.from_facets(m, sets).facets == tuple(expected)
+        facets = tuple(sorted((as_face(s) for s in candidates), key=face_key))
+        if dominated:
+            with pytest.raises(ValueError, match="inclusion-maximal"):
+                SimplicialComplex(m, facets)
+        else:
+            assert SimplicialComplex(m, facets).facets == facets
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
@@ -193,6 +249,18 @@ class TestSymmetricMatrix:
         assert sig.scale() == max(1.0, top)
         assert sig.respects_pattern(g) == respects_pattern_loop(sig, g)
 
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_tolerance_scale(self, xs):
+        """One helper gives the scalar loops' values bitwise, and 1 for no entries."""
+        assert tolerance_scale(xs) == max(1.0, max(abs(x) for x in xs))
+        m = len(xs) // 2
+        cyc = CycleMatrix.from_arrays(xs[:m], xs[m:2 * m])
+        assert cyc.scale() == max(1.0, max(abs(v) for v in cyc.diag + cyc.cyc))
+        arr = np.diag(xs)
+        assert SymmetricMatrix(arr).scale() == max(1.0, float(np.abs(arr).max()))
+        assert tolerance_scale([]) == tolerance_scale(np.zeros((0, 0))) == 1.0
+
     def test_json_round_trip(self):
         sig = SymmetricMatrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))
         blob = json.dumps(sig.to_json_dict())
@@ -207,6 +275,23 @@ class TestFactorParams:
             FactorParams(delta, {((0, 2), 0): 1.0})
         with pytest.raises(ValueError):
             FactorParams(delta, {((0, 1), 2): 1.0})
+
+    def test_rejects_non_canonical_faces(self):
+        """Keys must be the sorted duplicate-free tuples as_face returns."""
+        delta = edge_complex(path_graph(2))
+        for values in ({((1, 0), 0): 1.0, ((1, 0), 1): 2.0}, {((0, 0, 1), 0): 1.0},
+                       {(frozenset({0, 1}), 0): 1.0}, {((0, 1), 0): 1.0, ((1, 0), 1): 2.0}):
+            with pytest.raises(ValueError, match="invalid incidence"):
+                FactorParams(delta, values)
+
+    def test_checks_each_face_once(self, monkeypatch):
+        delta = SimplicialComplex.from_facets(3, [[0, 1, 2]])
+        queried = []
+        has_face = SimplicialComplex.has_face
+        monkeypatch.setattr(SimplicialComplex, "has_face",
+                            lambda self, f: queried.append(f) or has_face(self, f))
+        FactorParams(delta, {((0, 1, 2), i): 1.0 for i in range(3)} | {((0,), 0): 2.0})
+        assert sorted(queried) == [(0,), (0, 1, 2)]
 
     def test_shorthand_accessors(self):
         delta = SimplicialComplex.from_facets(3, [[0, 1], [1, 2]])

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from psdcone.core import SymmetricMatrix
-from psdcone.cycle import (CycleFiber, CycleMatrix, closure_mobius_coefficients,
-                           counterexample_det, counterexample_sigma,
-                           cycle_determinant, cycle_fiber, cycle_membership,
-                           expand_edge_signs, matching_sum,
+from psdcone.cycle import (CycleFiber, CycleMatrix, counterexample_det,
+                           counterexample_sigma, cycle_determinant,
+                           cycle_fiber, cycle_membership, matching_sum,
                            quartic_coefficients)
 from psdcone.errors import Degenerate, NotMember, NotPsd, PatternViolation
 from psdcone.instances import (random_cycle_member, random_cycle_pattern_matrix,
                                random_psd_cycle_matrix)
 from psdcone.linalg import is_psd, sign_flip, tridiagonal_det
 from psdcone.param import phi
+
+from oracles import closure_mobius_coefficients, expand_edge_signs
 
 
 def identity_cycle(m):
