@@ -23,7 +23,7 @@ from .chordal import (chordal_fiber, clique_complex, is_chordal,  # noqa: F401
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    edge_complex, load_json, underlying_graph)
 from .cycle import (CycleMatrix, counterexample_det, counterexample_sigma,
-                    cycle_fiber, cycle_membership)
+                    cycle_certificate, cycle_fiber, cycle_membership)
 from .errors import (AsymmetricInput, Degenerate, InternalInconsistency,
                      NotChordal, NotMember, NotPsd, PatternViolation,
                      PsdConeError, TooManyCliques, ZeroDiagonal,
@@ -108,9 +108,39 @@ def _cycle_order(g: Graph) -> list[int]:
     return order
 
 
-def _relabeled_cycle_matrix(sigma: SymmetricMatrix, order: list[int]) -> CycleMatrix:
+def _decide_cycle(sigma: SymmetricMatrix, g: Graph, delta, tol: float) -> int:
+    """The membership verdict on a chordless cycle g, whose pattern sigma respects."""
+    order = _cycle_order(g)
     idx = np.array(order)
-    return CycleMatrix.from_symmetric(SymmetricMatrix(sigma.a[np.ix_(idx, idx)]))
+    cyc = CycleMatrix(tuple(sigma.a[idx, idx].tolist()),
+                      tuple(sigma.a[idx, np.roll(idx, -1)].tolist()))
+    try:
+        verdict = cycle_membership(cyc, tol=tol)
+    except NotPsd as exc:
+        _print_json({"member": False, "method": "cycle",
+                     "reason": "not_psd", "message": str(exc)})
+        return 1
+    out = verdict.to_json_dict()
+    out["vertex_order"] = [v + 1 for v in order]
+    if not verdict.member:
+        out["violated"] = {"flip_determinant": verdict.flip_determinant,
+                           "det": verdict.det}
+        _print_json(out)
+        return 1
+    if delta is None:
+        delta = edge_complex(g)
+    try:
+        cert = cycle_certificate(cyc, delta, order, tol=tol, verdict=verdict)
+    except (Degenerate, NotMember):
+        out["certificate"] = None
+    else:
+        image = phi(delta, cert)
+        if np.abs(image.a - sigma.a).max() > 1e-8 * sigma.scale():
+            raise InternalInconsistency("certificate does not reproduce the input")
+        out["certificate"] = cert.to_json_dict()
+        out["complex"] = delta.to_json_dict()
+    _print_json(out)
+    return 0
 
 
 def cmd_phi(args) -> int:
@@ -233,59 +263,28 @@ def cmd_membership(args) -> int:
         return _error_json("pattern_violation",
                            "matrix has a nonzero entry at a non-edge of the graph")
 
-    chordality = is_chordal(g)
-    chordal_ok, ordering = chordality
-    if chordal_ok and (delta is None or delta == ordering_clique_complex(g, ordering)):
-        try:
-            gamma = chordal_fiber(g, sigma, tol=args.tol, chordality=chordality)
-        except NotPsd as exc:
-            _print_json({"member": False, "method": "chordal",
-                         "reason": "not_psd", "message": str(exc)})
-            return 1
-        image = phi(gamma.complex, gamma)
-        if np.abs(image.a - sigma.a).max() > 1e-8 * sigma.scale():
-            raise InternalInconsistency("certificate does not reproduce the input")
-        _print_json({"member": True, "boundary": False, "method": "chordal",
-                     "certificate": gamma.to_json_dict(),
-                     "complex": gamma.complex.to_json_dict()})
-        return 0
-
-    if _is_cycle_graph(g) and (delta is None or delta == edge_complex(g)):
-        order = _cycle_order(g)
-        cyc = _relabeled_cycle_matrix(sigma, order)
-        try:
-            verdict = cycle_membership(cyc, tol=args.tol)
-        except NotPsd as exc:
-            _print_json({"member": False, "method": "cycle",
-                         "reason": "not_psd", "message": str(exc)})
-            return 1
-        out = verdict.to_json_dict()
-        out["vertex_order"] = [v + 1 for v in order]
-        if not verdict.member:
-            out["violated"] = {"flip_determinant": verdict.flip_determinant,
-                               "det": verdict.det}
-            _print_json(out)
-            return 1
-        try:
-            fib = cycle_fiber(cyc, tol=args.tol, verdict=verdict)
-        except (Degenerate, NotMember):
-            out["certificate"] = None
-        else:
-            # map the representative back to the original vertex labels
-            rep = fib.representatives[0]
-            delta_orig = edge_complex(g)
-            values = {}
-            for (face, i), v in rep.values.items():
-                orig_face = tuple(sorted(order[w] for w in face))
-                values[(orig_face, order[i])] = v
-            cert = FactorParams(delta_orig, values)
-            image = phi(delta_orig, cert)
+    cycle = _is_cycle_graph(g)
+    # a chordless cycle of length >= 4 is never chordal
+    if not (cycle and g.m >= 4):
+        chordality = is_chordal(g)
+        chordal_ok, ordering = chordality
+        if chordal_ok and (delta is None or delta == ordering_clique_complex(g, ordering)):
+            try:
+                gamma = chordal_fiber(g, sigma, tol=args.tol, chordality=chordality)
+            except NotPsd as exc:
+                _print_json({"member": False, "method": "chordal",
+                             "reason": "not_psd", "message": str(exc)})
+                return 1
+            image = phi(gamma.complex, gamma)
             if np.abs(image.a - sigma.a).max() > 1e-8 * sigma.scale():
                 raise InternalInconsistency("certificate does not reproduce the input")
-            out["certificate"] = cert.to_json_dict()
-            out["complex"] = delta_orig.to_json_dict()
-        _print_json(out)
-        return 0
+            _print_json({"member": True, "boundary": False, "method": "chordal",
+                         "certificate": gamma.to_json_dict(),
+                         "complex": gamma.complex.to_json_dict()})
+            return 0
+
+    if cycle and (delta is None or delta == edge_complex(g)):
+        return _decide_cycle(sigma, g, delta, args.tol)
 
     return _error_json(
         "undecidable",

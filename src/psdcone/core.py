@@ -372,6 +372,15 @@ class FactorParams:
                 raise ValueError(f"non-finite parameter at ({face}, {i})")
 
     @classmethod
+    def _prevalidated(cls, delta: SimplicialComplex, values: dict) -> "FactorParams":
+        """Skip the checks of __post_init__: for finite values whose keys the
+        caller built as canonical incidences of delta."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "complex", delta)
+        object.__setattr__(params, "values", values)
+        return params
+
+    @classmethod
     def zeros(cls, delta: SimplicialComplex) -> "FactorParams":
         return cls(delta, {})
 
@@ -381,6 +390,11 @@ class FactorParams:
         return cls(delta, vals)
 
     def get(self, face: Iterable[int], vertex: int) -> float:
+        if type(face) is tuple:
+            # a stored key was validated at construction
+            value = self.values.get((face, vertex))
+            if value is not None:
+                return value
         f = as_face(face)
         if vertex not in f or not self.complex.has_face(f):
             raise KeyError(f"invalid incidence ({f}, {vertex})")
@@ -391,7 +405,9 @@ class FactorParams:
 
     def gamma_edge(self, i: int, j: int) -> float:
         """gamma_{i,{i,j}}: the parameter of vertex i on edge {i,j}."""
-        return self.get((i, j), i)
+        face = (i, j) if i < j else (j, i)
+        value = self.values.get((face, i))
+        return self.get(face, i) if value is None else value
 
     def items(self):
         """Nonzero incidences in canonical order."""

@@ -8,6 +8,12 @@ squared parameter at one edge to a root of a quartic determines everything
 else by propagation around the cycle, giving two solutions up to per-edge
 sign flips (2^(m+1) points in total).
 
+The image is invariant under positive diagonal congruence, since
+``D Gamma Gamma^T D = (D Gamma)(D Gamma)^T`` keeps every support.  Decisions
+and fibers therefore work on the correlation form ``D^-1/2 Sigma D^-1/2``
+(unit diagonal, ``r_k = c_k / sqrt(d_k d_(k+1))``) with one dimensionless
+tolerance, in O(m) Python float arithmetic.
+
 Vertex convention: 0-based; edge k joins vertices k and (k+1) mod m, and
 ``cyc[k]`` holds that entry, so ``cyc[m-1]`` is the wrap-around entry.
 """
@@ -15,22 +21,30 @@ Vertex convention: 0-based; edge k joins vertices k and (k+1) mod m, and
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PATTERN_TOL, FactorParams, SimplicialComplex,
-                   SymmetricMatrix, as_face, cycle_graph, edge_complex,
-                   tolerance_scale)
+from .core import (PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
+                   SymmetricMatrix, cycle_graph, edge_complex, tolerance_scale)
 from .errors import (Degenerate, InternalInconsistency, NotMember, NotPsd,
                      PatternViolation)
-from .linalg import DEFAULT_TOL, is_psd, path_det, sign_flip
+# is_psd is not called here; it stays importable from this module because
+# perfbench/spans.py wraps it by this name.
+from .linalg import DEFAULT_TOL, is_psd, path_det  # noqa: F401
 
 
 @functools.lru_cache(maxsize=64)  # one entry per documented size m <= 64
+def _cycle_pattern(m: int) -> Graph:
+    """The m-cycle graph 0 - 1 - ... - (m-1) - 0."""
+    return cycle_graph(m)
+
+
+@functools.lru_cache(maxsize=64)
 def cycle_edge_complex(m: int) -> SimplicialComplex:
     """The complex whose facets are the m cycle edges."""
-    return edge_complex(cycle_graph(m))
+    return edge_complex(_cycle_pattern(m))
 
 
 @dataclass(frozen=True)
@@ -43,7 +57,7 @@ class CycleMatrix:
     def __post_init__(self):
         if len(self.diag) < 3 or len(self.cyc) != len(self.diag):
             raise ValueError("need m >= 3 diagonal entries and m cycle entries")
-        if not all(np.isfinite(self.diag)) or not all(np.isfinite(self.cyc)):
+        if not all(map(math.isfinite, self.diag + self.cyc)):
             raise ValueError("entries must be finite")
 
     @property
@@ -64,29 +78,32 @@ class CycleMatrix:
             return self.cyc[m - 1]
         return 0.0
 
-    def to_symmetric(self) -> SymmetricMatrix:
+    def to_array(self) -> np.ndarray:
         m = self.m
         arr = np.diag(np.asarray(self.diag, dtype=float))
         for k in range(m):
             i, j = k, (k + 1) % m
             arr[i, j] = self.cyc[k]
             arr[j, i] = self.cyc[k]
-        return SymmetricMatrix(arr)
+        return arr
+
+    def to_symmetric(self) -> SymmetricMatrix:
+        return SymmetricMatrix(self.to_array())
 
     @classmethod
     def from_symmetric(cls, sigma: SymmetricMatrix, tol: float = PATTERN_TOL) -> "CycleMatrix":
         m = sigma.m
         if m < 3:
             raise ValueError("cycle pattern needs m >= 3")
-        if not sigma.respects_pattern(cycle_graph(m), tol):
+        if not sigma.respects_pattern(_cycle_pattern(m), tol):
             raise PatternViolation("matrix has a nonzero entry off the cycle pattern")
         a = sigma.a
-        cyc = [float(a[k, (k + 1) % m]) for k in range(m)]
-        return cls(tuple(float(a[i, i]) for i in range(m)), tuple(cyc))
+        return cls(tuple(a.diagonal().tolist()),
+                   tuple(a[k, (k + 1) % m].item() for k in range(m)))
 
     @classmethod
     def from_arrays(cls, diag, cyc) -> "CycleMatrix":
-        return cls(tuple(float(x) for x in diag), tuple(float(x) for x in cyc))
+        return cls(tuple(map(float, diag)), tuple(map(float, cyc)))
 
 
 def matching_sum(sigma: CycleMatrix) -> float:
@@ -97,8 +114,8 @@ def matching_sum(sigma: CycleMatrix) -> float:
     determinants suffice: the full path minus the wrap weight times the
     interior path.
     """
-    d = np.asarray(sigma.diag)
-    w = [c ** 2 for c in sigma.cyc]
+    d = sigma.diag
+    w = [c * c for c in sigma.cyc]
     m = sigma.m
     full_path = path_det(d, w[: m - 1])
     interior = path_det(d[1: m - 1], w[1: m - 2])
@@ -108,20 +125,25 @@ def matching_sum(sigma: CycleMatrix) -> float:
 def cycle_determinant(sigma: CycleMatrix) -> float:
     """det via the expansion: matching sum plus (-1)^(m+1) * 2 * cyclic product."""
     sign = 1.0 if sigma.m % 2 == 1 else -1.0
-    return matching_sum(sigma) + sign * 2.0 * float(np.prod(sigma.cyc))
+    return matching_sum(sigma) + sign * 2.0 * math.prod(sigma.cyc)
 
 
 @dataclass(frozen=True)
 class MembershipVerdict:
-    """Decision for membership in the image cone, with supporting numbers."""
+    """Decision for membership in the image cone, with supporting numbers.
+
+    ``slack``, ``det`` and ``flip_determinant`` are determinants of the input:
+    the correlation-form values times the product of the diagonal.
+    """
 
     member: bool
     boundary: bool
     slack: float
     det: float
     flip_determinant: float
-    # PSD check margin, reused by cycle_fiber; not part of the JSON form
-    min_eigenvalue: float
+    # smallest LDL^T pivot of the correlation form, reused by cycle_fiber;
+    # not part of the JSON form
+    min_pivot: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,50 +156,118 @@ class MembershipVerdict:
         }
 
 
-def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Membership of a PSD cycle-patterned matrix in the image cone.
+def _correlation(sigma: CycleMatrix, tol: float) -> tuple[list, list, list]:
+    """(sqrt of the diagonal, correlation diagonal, correlation cycle entries).
 
-    Operational test: min(det, det with edge 0 negated) >= -tol, by dense
-    determinants.  Negating any other edge gives the same determinant (it
-    only flips the sign of the cyclic product), so one flip suffices.  The
-    matching-expansion inequality is evaluated independently and must agree;
-    ties within tolerance resolve to member with the boundary flag set.
+    A vertex with zero diagonal stays in place with correlation diagonal 0; PSD
+    forces its two cycle entries to vanish exactly, and its zero row then
+    drops out of every pivot.  A negative diagonal, a nonzero entry next to a
+    zero diagonal, or a correlation above 1 + tol in magnitude (a negative
+    2x2 principal minor) raises NotPsd.
     """
-    m = sigma.m
-    dense = sigma.to_symmetric()
-    report = is_psd(dense, tol)
-    if not report.is_psd:
-        raise NotPsd(f"min eigenvalue {report.min_eigenvalue:.3e}")
+    d, c = sigma.diag, sigma.cyc
+    m = len(d)
+    if min(d) < 0.0:
+        raise NotPsd(f"negative diagonal entry {min(d)!r}")
+    s = [math.sqrt(x) for x in d]
+    r = [0.0] * m
+    for k in range(m):
+        k1 = k + 1 if k + 1 < m else 0
+        if c[k] == 0.0:
+            continue
+        if d[k] == 0.0 or d[k1] == 0.0:
+            raise NotPsd(f"nonzero entry on edge {k} at a zero diagonal")
+        r[k] = c[k] / s[k] / s[k1]
+        if abs(r[k]) > 1.0 + tol:
+            raise NotPsd(f"correlation {r[k]!r} on edge {k} exceeds 1 in magnitude")
+    return s, [1.0 if x > 0.0 else 0.0 for x in d], r
 
-    det_scale = sigma.scale() ** m
-    band = tol * det_scale
 
-    msum = matching_sum(sigma)
-    absprod = float(np.prod(np.abs(sigma.cyc)))
-    slack_matching = msum - 2.0 * absprod
+def _bordered_ldl(e, r, tol: float) -> tuple[float, float, float]:
+    """(smallest pivot, det, flip det) of the correlation form by LDL^T in vertex order.
 
-    det_sigma = float(np.linalg.det(dense.a))
-    flip_det = float(np.linalg.det(sign_flip(dense, 0, 1).a))
-    slack_op = min(det_sigma, flip_det)
+    ``e`` is the unit (or zero) diagonal and ``r`` the cycle entries.
+    Eliminating vertex k < m - 2 touches only vertex k + 1 and the last row
+    (the bordered tridiagonal), whose fill ``f`` carries the wrap entry along
+    the path.  Negating the wrap entry negates every fill and leaves the
+    pivots of vertices 0..m-2 unchanged, so the flip determinant differs
+    only in the closing 2x2 block.  Pivots follow the semidefinite Cholesky
+    rule: below -tol raises NotPsd; at most tol gives a zero column, which
+    needs the residual row within 10 sqrt(tol) and contributes 0 to the
+    determinants.
+    """
+    m = len(r)
+    resid_tol = 10.0 * math.sqrt(max(tol, 1e-14))
+    p = e[0]
+    f = r[m - 1]        # entry (k, m-1) of the active block, before r[m-2]
+    corner = e[m - 1]   # entry (m-1, m-1) of the active block
+    lead = 1.0          # product of the pivots of vertices 0..k-1
+    lo = math.inf
+    for k in range(m - 2):
+        a = r[k]
+        lo = min(lo, p)
+        if p <= tol:
+            if p < -tol:
+                raise NotPsd(f"pivot {p:.3e} at vertex {k} below -{tol:.0e}")
+            if abs(a) > resid_tol or abs(f) > resid_tol:
+                raise NotPsd(f"zero pivot at vertex {k} with residual row "
+                             f"{max(abs(a), abs(f)):.3e}")
+            lead = 0.0
+            p, f = e[k + 1], 0.0
+        else:
+            lead *= p
+            corner -= f * f / p
+            p, f = e[k + 1] - a * a / p, -a * f / p
+    g, g_flip = r[m - 2] + f, r[m - 2] - f
+    det2 = p * corner - g * g
+    flip2 = p * corner - g_flip * g_flip
+    if p <= tol:
+        if p < -tol:
+            raise NotPsd(f"pivot {p:.3e} at vertex {m - 2} below -{tol:.0e}")
+        if abs(g) > resid_tol:
+            raise NotPsd(f"zero pivot at vertex {m - 2} with residual row {abs(g):.3e}")
+        last = corner
+    else:
+        last = det2 / p
+    if last < -tol:
+        raise NotPsd(f"pivot {last:.3e} at vertex {m - 1} below -{tol:.0e}")
+    return min(lo, p, last), lead * det2, lead * flip2
 
-    denom = max(det_scale, abs(slack_matching), abs(slack_op))
-    if abs(slack_matching - slack_op) > np.sqrt(tol) * denom:
+
+def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> MembershipVerdict:
+    """Membership of a PSD cycle-patterned matrix in the image cone, in O(m).
+
+    Operational test on the correlation form R: min(det R, det R with the
+    wrap edge negated) >= -tol, from one bordered-tridiagonal LDL^T.
+    Negating any other edge gives the same determinant (it only flips the
+    sign of the cyclic product), so one flip suffices.  The matching
+    expansion of R is evaluated independently and must agree; ties within
+    tolerance resolve to member with the boundary flag set.
+    """
+    _, e, r = _correlation(sigma, tol)
+    min_pivot, det_r, flip_r = _bordered_ldl(e, r, tol)
+    slack_r = min(det_r, flip_r)
+
+    slack_matching = matching_sum(CycleMatrix(tuple(e), tuple(r))) - 2.0 * abs(math.prod(r))
+    if abs(slack_matching - slack_r) > math.sqrt(tol) * max(1.0, abs(slack_matching),
+                                                            abs(slack_r)):
         raise InternalInconsistency(
-            f"matching expansion {slack_matching!r} vs dense minimum {slack_op!r}"
+            f"matching expansion {slack_matching!r} vs pivot product {slack_r!r}"
         )
-    member = slack_op >= -band
-    member_matching = slack_matching >= -band
-    if member != member_matching and abs(slack_matching) > 2 * band and abs(slack_op) > 2 * band:
+    member = slack_r >= -tol
+    if member != (slack_matching >= -tol) and min(abs(slack_matching), abs(slack_r)) > 2 * tol:
         raise InternalInconsistency(
-            f"membership forms disagree: {slack_op!r} vs {slack_matching!r}"
+            f"membership forms disagree: {slack_r!r} vs {slack_matching!r}"
         )
+    # back to determinants of the input; a zero stays zero (no 0 * inf)
+    unit = math.prod(sigma.diag)
     return MembershipVerdict(
         member=member,
-        boundary=abs(slack_op) <= band,
-        slack=slack_op,
-        det=det_sigma,
-        flip_determinant=flip_det,
-        min_eigenvalue=report.min_eigenvalue,
+        boundary=abs(slack_r) <= tol,
+        slack=slack_r and slack_r * unit,
+        det=det_r and det_r * unit,
+        flip_determinant=flip_r and flip_r * unit,
+        min_pivot=min_pivot,
     )
 
 
@@ -206,7 +296,7 @@ def quartic_coefficients(sigma: CycleMatrix) -> tuple[float, float, float]:
     """
     d = list(sigma.diag)
     c = list(sigma.cyc)
-    w = [x ** 2 for x in c]
+    w = [x * x for x in c]
     m = sigma.m
     det_full = cycle_determinant(sigma)
     # delete vertex 0: path 1 - 2 - ... - m-1
@@ -217,7 +307,7 @@ def quartic_coefficients(sigma: CycleMatrix) -> tuple[float, float, float]:
     det_no01 = path_det(d[2:], w[2: m - 1])
     sign = 1.0 if m % 2 == 0 else -1.0  # (-1)**m
     a = -det_no0
-    b = det_full + 2.0 * w[0] * det_no01 + sign * 2.0 * float(np.prod(c))
+    b = det_full + 2.0 * w[0] * det_no01 + sign * 2.0 * math.prod(c)
     cc = -w[0] * det_no1
     return float(a), float(b), float(cc)
 
@@ -240,17 +330,21 @@ class CycleFiber:
         return cycle_edge_complex(self.m)
 
 
-def _pairs_to_params(m: int, pairs, rotation: int = 0) -> FactorParams:
-    """pairs[k] = (value at vertex k, value at vertex k+1) on rotated edge k."""
-    delta = cycle_edge_complex(m)
+def _edge_params(delta: SimplicialComplex, tails, heads, labels=None) -> FactorParams:
+    """Parameters with tails[k] at vertex k and heads[k] at vertex k+1 of edge k;
+    vertex k of the cycle is vertex ``labels[k]`` of ``delta`` (k by default).
+
+    ``delta`` is the edge complex of that cycle and the values are finite, so
+    every key is a valid incidence by construction.
+    """
+    m = len(tails)
     values = {}
-    for k, (p, q) in enumerate(pairs):
-        u = (k + rotation) % m
-        v = (u + 1) % m
-        face = as_face((u, v))
-        values[(face, u)] = float(p)
-        values[(face, v)] = float(q)
-    return FactorParams(delta, values)
+    for k in range(m):
+        u, v = (k, (k + 1) % m) if labels is None else (labels[k], labels[(k + 1) % m])
+        face = (u, v) if u < v else (v, u)
+        values[(face, u)] = tails[k]
+        values[(face, v)] = heads[k]
+    return FactorParams._prevalidated(delta, values)
 
 
 def _propagate_forward(d, c, tol):
@@ -258,18 +352,18 @@ def _propagate_forward(d, c, tol):
 
     Walks edges 1, 2, ..., m-1 using the diagonal equations for magnitudes
     and the product equations for partners, then closes at vertex 0.
+    ``d`` and ``c`` are a correlation form, so the tolerance is absolute.
     """
     m = len(d)
-    scale = tolerance_scale(d + c)
     pairs = [None] * m
     prev = 0.0  # parameter of vertex i on edge i-1
     for i in range(1, m):
         t = d[i] - prev * prev
         if t < 0:
-            if t < -np.sqrt(tol) * scale:
+            if t < -math.sqrt(tol):
                 raise Degenerate(f"negative propagated square {t:.3e} at vertex {i}")
             t = 0.0
-        p = np.sqrt(t)
+        p = math.sqrt(t)
         if c[i] == 0.0:
             q = 0.0
         else:
@@ -280,33 +374,119 @@ def _propagate_forward(d, c, tol):
         prev = q
     t0 = d[0] - prev * prev
     if t0 < 0:
-        if t0 < -np.sqrt(tol) * scale:
+        if t0 < -math.sqrt(tol):
             raise Degenerate(f"negative closing square {t0:.3e}")
         t0 = 0.0
-    pairs[0] = (np.sqrt(t0), 0.0)
+    pairs[0] = (math.sqrt(t0), 0.0)
     return pairs
 
 
 def _propagate_root(d, c, t0, tol):
-    """Quartic branch: all cycle entries nonzero; propagate squared magnitudes."""
+    """Quartic branch: all cycle entries nonzero; propagate squared magnitudes.
+
+    ``d`` and ``c`` are a correlation form, so the closure tolerance is absolute.
+    """
     m = len(d)
-    scale = tolerance_scale(d + c)
     t = [0.0] * m
     t[0] = t0
     for i in range(1, m):
         if t[i - 1] <= 0.0:
             return None
-        t[i] = d[i] - c[i - 1] ** 2 / t[i - 1]
+        t[i] = d[i] - c[i - 1] * c[i - 1] / t[i - 1]
         if t[i] <= 0.0:
             return None
-    closure = abs(d[0] - c[m - 1] ** 2 / t[m - 1] - t[0])
-    if closure > np.sqrt(tol) * scale:
+    closure = abs(d[0] - c[m - 1] * c[m - 1] / t[m - 1] - t[0])
+    if closure > math.sqrt(tol):
         return None
     pairs = []
     for k in range(m):
-        p = np.sqrt(t[k])
+        p = math.sqrt(t[k])
         pairs.append((p, c[k] / p))
     return pairs
+
+
+def _reversed(d, c):
+    """The cycle walked backwards: its vertex j is vertex 1 - j, and its edge k
+    is edge -k with the endpoints swapped, so edge 0 stays edge 0."""
+    m = len(d)
+    return [d[(1 - j) % m] for j in range(m)], [c[-k % m] for k in range(m)]
+
+
+def _unreversed(pairs):
+    """Pairs of the reversed cycle back in the labels of the original."""
+    m = len(pairs)
+    return [pairs[-k % m][::-1] for k in range(m)]
+
+
+def _fiber_edges(sigma: CycleMatrix, tol: float,
+                 verdict: MembershipVerdict | None) -> list[tuple[list, list]]:
+    """The fiber representatives as (tails, heads) lists, as in _edge_params.
+
+    Solved on the correlation form R and mapped back by gamma -> D^1/2 gamma,
+    which is exact because the supports do not change.
+    """
+    m = sigma.m
+    if verdict is None:
+        verdict = cycle_membership(sigma, tol)
+    if not verdict.member:
+        raise NotMember(f"slack {verdict.slack!r} negative")
+    if verdict.min_pivot <= tol:
+        raise Degenerate(
+            f"fiber solving needs positive definite input; smallest pivot {verdict.min_pivot:.3e}"
+        )
+
+    s, d, c = _correlation(sigma, tol)
+    zeros = [k for k in range(m) if c[k] == 0.0]
+    if zeros:
+        r = zeros[0]
+        dr = [d[(i + r) % m] for i in range(m)]
+        cr = [c[(i + r) % m] for i in range(m)]
+        forward = _propagate_forward(dr, cr, tol)
+        # the other branch zeroes the vertex-0 parameter of edge 0: the forward
+        # walk on the reversed cycle
+        backward = _unreversed(_propagate_forward(*_reversed(dr, cr), tol))
+        solutions = [(forward, r), (backward, r)]
+    else:
+        a, b, cc = quartic_coefficients(CycleMatrix(tuple(d), tuple(c)))
+        if a >= 0.0 or b <= 0.0:
+            raise InternalInconsistency(
+                f"quartic coefficients a={a!r}, b={b!r} violate the definite-member signs"
+            )
+        disc = b * b - 4.0 * a * cc
+        if disc < 0.0:
+            if disc < -math.sqrt(tol) * max(1.0, b * b):
+                raise InternalInconsistency(f"negative discriminant {disc!r} for a member")
+            disc = 0.0
+        q = -0.5 * (b + math.sqrt(disc))
+        roots = sorted({t for t in (q / a, cc / q) if t > 0.0}, reverse=True)
+        solutions = []
+        for n, t0 in enumerate(roots):
+            # A walk around the cycle is an increasing concave map of t0: it
+            # pulls rounding errors towards the larger root and amplifies them
+            # at the smaller one, the more so the longer the cycle.  The
+            # reversed walk, started at vertex 1's parameter on edge 0, pulls
+            # towards the smaller root.
+            if n == 0:
+                pairs = _propagate_root(d, c, t0, tol)
+            else:
+                pairs = _propagate_root(*_reversed(d, c), c[0] * c[0] / t0, tol)
+                pairs = pairs and _unreversed(pairs)
+            if pairs is not None:
+                solutions.append((pairs, 0))
+        if not solutions:
+            raise Degenerate("no quartic root propagated to a consistent solution")
+        if len(solutions) == 1 and len(roots) == 2:
+            raise InternalInconsistency("only one quartic root propagated for an interior member")
+
+    reps = []
+    for pairs, rotation in solutions:
+        tails, heads = [0.0] * m, [0.0] * m
+        for k, (p, q) in enumerate(pairs):
+            u = (k + rotation) % m
+            tails[u] = p * s[u]
+            heads[u] = q * s[(u + 1) % m]
+        reps.append((tails, heads))
+    return reps
 
 
 def cycle_fiber(sigma: CycleMatrix, tol: float = DEFAULT_TOL,
@@ -317,56 +497,21 @@ def cycle_fiber(sigma: CycleMatrix, tol: float = DEFAULT_TOL,
     quartic whose two nonnegative roots both propagate to full solutions.
     With a zero entry (rotated to edge 0), one of that edge's two parameters
     must vanish and each choice determines the rest of the cycle walk.
-    ``verdict`` is ``cycle_membership(sigma, tol)`` when the caller already
-    holds it; it is computed here otherwise.
+    Both are solved on the correlation form.  ``verdict`` is
+    ``cycle_membership(sigma, tol)`` when the caller already holds it; it is
+    computed here otherwise.  Raises Degenerate when the smallest pivot of
+    the verdict is at most tol.
     """
-    m = sigma.m
-    if verdict is None:
-        verdict = cycle_membership(sigma, tol)
-    if not verdict.member:
-        raise NotMember(f"slack {verdict.slack!r} negative")
-    if verdict.min_eigenvalue <= tol * sigma.scale():
-        raise Degenerate(
-            f"fiber solving needs positive definite input; min eigenvalue {verdict.min_eigenvalue:.3e}"
-        )
+    delta = cycle_edge_complex(sigma.m)
+    reps = [_edge_params(delta, tails, heads)
+            for tails, heads in _fiber_edges(sigma, tol, verdict)]
+    return CycleFiber(sigma.m, reps, 2 ** (sigma.m + 1))
 
-    d = list(sigma.diag)
-    c = list(sigma.cyc)
-    zeros = [k for k in range(m) if c[k] == 0.0]
-    if zeros:
-        r = zeros[0]
-        dr = [d[(i + r) % m] for i in range(m)]
-        cr = [c[(i + r) % m] for i in range(m)]
-        forward = _propagate_forward(dr, cr, tol)
-        # The other branch zeroes the vertex-0 parameter of edge 0: it is the
-        # forward walk on the reversed cycle, whose vertex j is vertex 1 - j
-        # here and whose edge k is edge -k with its endpoints swapped.
-        reverse = _propagate_forward([dr[(1 - j) % m] for j in range(m)],
-                                     [cr[-k % m] for k in range(m)], tol)
-        backward = [reverse[-k % m][::-1] for k in range(m)]
-        reps = [_pairs_to_params(m, pairs, rotation=r) for pairs in (forward, backward)]
-        return CycleFiber(m, reps, 2 ** (m + 1))
 
-    a, b, cc = quartic_coefficients(sigma)
-    scale = sigma.scale() ** m
-    if a >= 0.0 or b <= 0.0:
-        raise InternalInconsistency(
-            f"quartic coefficients a={a!r}, b={b!r} violate the definite-member signs"
-        )
-    disc = b * b - 4.0 * a * cc
-    if disc < 0.0:
-        if disc < -np.sqrt(tol) * max(scale * scale, b * b):
-            raise InternalInconsistency(f"negative discriminant {disc!r} for a member")
-        disc = 0.0
-    q = -0.5 * (b + np.sqrt(disc))
-    roots = sorted({r for r in (q / a, cc / q) if r > 0.0}, reverse=True)
-    reps = []
-    for t0 in roots:
-        pairs = _propagate_root(d, c, t0, tol)
-        if pairs is not None:
-            reps.append(_pairs_to_params(m, pairs))
-    if not reps:
-        raise Degenerate("no quartic root propagated to a consistent solution")
-    if len(reps) == 1 and len(roots) == 2:
-        raise InternalInconsistency("only one quartic root propagated for an interior member")
-    return CycleFiber(m, reps, 2 ** (m + 1))
+def cycle_certificate(sigma: CycleMatrix, delta: SimplicialComplex, labels,
+                      tol: float = DEFAULT_TOL,
+                      verdict: MembershipVerdict | None = None) -> FactorParams:
+    """The first representative of ``cycle_fiber(sigma, tol, verdict)``, built once
+    on ``delta``: the edge complex of a cycle whose vertex k is ``labels[k]``."""
+    tails, heads = _fiber_edges(sigma, tol, verdict)[0]
+    return _edge_params(delta, tails, heads, labels)

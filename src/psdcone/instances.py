@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FactorParams, Graph, SimplicialComplex, SymmetricMatrix
-from .cycle import CycleMatrix, cycle_edge_complex
+from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
+                   tolerance_scale)
+from .cycle import CycleMatrix, _edge_params, cycle_edge_complex
 
 
 def random_chordal_graph(rng: np.random.Generator, m: int) -> Graph:
@@ -57,6 +58,9 @@ def random_psd_matrix(rng: np.random.Generator, m: int, rank: int | None = None)
     return SymmetricMatrix(b @ b.T / r)
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def random_cycle_member(rng: np.random.Generator, m: int,
                         zero_edges: tuple[int, ...] = ()) -> tuple[CycleMatrix, FactorParams]:
     """A positive definite member of the cycle image with its generating
@@ -66,25 +70,21 @@ def random_cycle_member(rng: np.random.Generator, m: int,
     """
     delta = cycle_edge_complex(m)
     while True:
-        values = {}
+        tails, heads = [], []  # parameters of vertices k and k+1 on edge k
         for k in range(m):
-            u, v = k, (k + 1) % m
-            face = tuple(sorted((u, v)))
-            pu = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
-            pv = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+            pu = float(rng.choice(_SIGNS) * rng.uniform(0.5, 2.0))
+            pv = float(rng.choice(_SIGNS) * rng.uniform(0.5, 2.0))
             if k in zero_edges:
                 pu = 0.0
-            values[(face, u)] = pu
-            values[(face, v)] = pv
-        gamma = FactorParams(delta, values)
-        diag = [sum(gamma.gamma_edge(i, j) ** 2 for j in ((i - 1) % m, (i + 1) % m))
-                for i in range(m)]
-        cyc = [gamma.gamma_edge(k, (k + 1) % m) * gamma.gamma_edge((k + 1) % m, k)
-               for k in range(m)]
+            tails.append(pu)
+            heads.append(pv)
+        # vertex i carries heads[i-1] on edge i-1 and tails[i] on edge i
+        diag = [sum((heads[i - 1] ** 2, tails[i] ** 2)) for i in range(m)]
+        cyc = [tails[k] * heads[k] for k in range(m)]
         sigma = CycleMatrix.from_arrays(diag, cyc)
-        arr = sigma.to_symmetric()
-        if np.linalg.eigvalsh(arr.a)[0] > 1e-6 * arr.scale():
-            return sigma, gamma
+        arr = sigma.to_array()
+        if np.linalg.eigvalsh(arr)[0] > 1e-6 * tolerance_scale(arr):
+            return sigma, _edge_params(delta, tails, heads)
 
 
 def random_psd_cycle_matrix(rng: np.random.Generator, m: int) -> CycleMatrix:

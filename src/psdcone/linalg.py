@@ -138,11 +138,25 @@ def tridiagonal_minors(diag, off2):
 
 
 def path_det(diag, off2):
-    """Last of ``tridiagonal_minors`` (the determinant); 1 for the empty matrix."""
-    det = 1.0
-    for det in tridiagonal_minors(diag, off2):
-        pass
-    return det
+    """Last of ``tridiagonal_minors`` (the determinant); 1 for the empty matrix.
+
+    A batch (a ``diag`` array of two or more dimensions) goes through
+    ``tridiagonal_minors``.  A single matrix runs the same recurrence on
+    Python floats, which avoids numpy's per-element overhead; every step is
+    the same IEEE operation, so it equals the batch form's row bitwise.
+    """
+    if getattr(diag, "ndim", 1) > 1:
+        det = 1.0
+        for det in tridiagonal_minors(diag, off2):
+            pass
+        return det
+    n = len(diag)
+    if len(off2) != max(n - 1, 0):
+        raise ValueError(f"need {max(n - 1, 0)} off-diagonal entries, got {len(off2)}")
+    prev, cur = 0.0, 1.0
+    for k in range(n):
+        prev, cur = cur, diag[k] * cur - (off2[k - 1] * prev if k else 0.0)
+    return cur
 
 
 def tridiagonal_det(diagonal, offdiagonal) -> float:
@@ -151,4 +165,4 @@ def tridiagonal_det(diagonal, offdiagonal) -> float:
     Three-term recurrence d_k = a_k d_{k-1} - b_{k-1}^2 d_{k-2}; the empty
     matrix has determinant 1.
     """
-    return float(path_det(diagonal, [b ** 2 for b in np.asarray(offdiagonal, dtype=float)]))
+    return float(path_det(diagonal, [b * b for b in np.asarray(offdiagonal, dtype=float)]))

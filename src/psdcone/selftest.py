@@ -108,10 +108,15 @@ def suite_cycle(rng, n):
         m = int(rng.integers(3, 7))
         sig = random_psd_cycle_matrix(rng, m)
         verdict = cycle_membership(sig)
+        dense = sig.to_symmetric()
+        flipped = sign_flip(dense, 0, 1)
+        for got, arr in ((verdict.det, dense.a), (verdict.flip_determinant, flipped.a)):
+            if abs(got - float(np.linalg.det(arr))) > 1e-9 * max(1.0, float(np.prod(sig.diag))):
+                raise AssertionError(f"instance {k}: pivot determinant {got!r} vs dense")
         if verdict.boundary:
             continue
         flips_psd = all(
-            is_psd(sign_flip(sig.to_symmetric(), e, (e + 1) % m)).is_psd
+            is_psd(sign_flip(dense, e, (e + 1) % m)).is_psd
             for e in range(m)
         )
         if verdict.member != flips_psd:

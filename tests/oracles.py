@@ -6,9 +6,12 @@ library computes faster; tests compare the two on small instances.
 
 import itertools
 
+import numpy as np
+
 from psdcone.chordal import (_chordless_cycle_through, _perfect_check,
                              maximum_cardinality_search)
 from psdcone.core import FactorParams, SimplicialComplex, as_face
+from psdcone.cycle import CycleMatrix, cycle_edge_complex
 
 
 def has_face_scan(delta: SimplicialComplex, face) -> bool:
@@ -88,3 +91,30 @@ def closure_mobius_coefficients(diag, off_sq) -> tuple[float, float, float, floa
     for dk, sk in zip(diag, off_sq):
         a, b, c, d = dk * a - sk * c, dk * b - sk * d, a, b
     return a, b, c, d
+
+
+def random_cycle_member_via_params(rng, m: int, zero_edges=()):
+    """``instances.random_cycle_member`` as it read its entries back through
+    ``FactorParams.gamma_edge`` and built the dense matrix with ``to_symmetric``;
+    the library version must draw the same stream and return equal values."""
+    delta = cycle_edge_complex(m)
+    while True:
+        values = {}
+        for k in range(m):
+            u, v = k, (k + 1) % m
+            face = tuple(sorted((u, v)))
+            pu = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+            pv = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+            if k in zero_edges:
+                pu = 0.0
+            values[(face, u)] = pu
+            values[(face, v)] = pv
+        gamma = FactorParams(delta, values)
+        diag = [sum(gamma.gamma_edge(i, j) ** 2 for j in ((i - 1) % m, (i + 1) % m))
+                for i in range(m)]
+        cyc = [gamma.gamma_edge(k, (k + 1) % m) * gamma.gamma_edge((k + 1) % m, k)
+               for k in range(m)]
+        sigma = CycleMatrix.from_arrays(diag, cyc)
+        arr = sigma.to_symmetric()
+        if np.linalg.eigvalsh(arr.a)[0] > 1e-6 * arr.scale():
+            return sigma, gamma

@@ -6,13 +6,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdcone import cli, selftest
-from psdcone.core import SimplicialComplex
+from psdcone.core import FactorParams, SimplicialComplex
 from psdcone.cli import main
+from psdcone.param import phi
+
+from test_cycle_congruence import cycle_case
 
 
 def run_cli(args):
@@ -384,3 +390,79 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["m"] == 3
+
+
+def _membership_run(directory, a, edges):
+    """Exit code and JSON of `membership` on matrix a and the 0-based edge list."""
+    m = a.shape[0]
+    mpath, gpath = os.path.join(directory, "a.json"), os.path.join(directory, "g.json")
+    with open(mpath, "w") as fh:
+        json.dump({"m": m, "entries": a.tolist()}, fh)
+    with open(gpath, "w") as fh:
+        json.dump({"m": m, "edges": [[int(i) + 1, int(j) + 1] for i, j in edges]}, fh)
+    rc, out = run_cli(["membership", "--matrix", mpath, "--graph", gpath])
+    return rc, json.loads(out)
+
+
+@given(st.integers(4, 32), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["member", "zero_edge", "psd", "nonmember", "not_psd"]))
+@settings(max_examples=40, deadline=None)
+def test_membership_invariant_under_congruence_and_relabelling(m, seed, kind):
+    """D S P sigma P^T S D, with D in 10^+-6, signs S and a relabelling P of the
+    graph file, gets the same exit code unless both verdicts are boundary ones,
+    and a certificate that reproduces it."""
+    if kind == "nonmember" and m > 24:
+        kind = "psd"  # the counterexample's slack halves with m: -1.3e-7 at m = 24
+    a = cycle_case(m, seed, kind).to_array()
+    rng = np.random.default_rng(seed + 3)
+    d = 10.0 ** rng.uniform(-6, 6, m) * rng.choice([-1.0, 1.0], m)
+    perm = rng.permutation(m)
+    b = np.empty_like(a)
+    b[np.ix_(perm, perm)] = d[:, None] * a * d[None, :]
+    cycle = [(k, (k + 1) % m) for k in range(m)]
+    with tempfile.TemporaryDirectory() as directory:
+        rc1, out1 = _membership_run(directory, a, cycle)
+        rc2, out2 = _membership_run(directory, b, [(perm[i], perm[j]) for i, j in cycle])
+    assert rc1 in (0, 1) and rc2 in (0, 1)
+    if not (out1.get("boundary") and out2.get("boundary")):
+        assert rc1 == rc2 and out1.get("reason") == out2.get("reason")
+    for rc, out, matrix in ((rc1, out1, a), (rc2, out2, b)):
+        assert out["method"] == "cycle"
+        if rc == 0 and out["certificate"] is not None:
+            delta = SimplicialComplex.from_json_dict(out["complex"])
+            image = phi(delta, FactorParams.from_json_dict(delta, out["certificate"])).a
+            ref = np.sqrt(np.outer(np.diag(matrix), np.diag(matrix)))
+            assert np.all(np.abs(image - matrix) <= 1e-8 * ref)
+
+
+def test_scaled_non_member_exits_one(files):
+    """diag(30, 1/30, 1, 1) congruence of a clear non-member (slack -0.1075)."""
+    d = np.array([30.0, 1 / 30, 1.0, 1.0])
+    a = np.eye(4)
+    for k, c in enumerate([0.5, 0.5, 0.5, -0.6]):
+        a[k, (k + 1) % 4] = a[(k + 1) % 4, k] = c
+    mpath = files("scaled.json", {"m": 4, "entries": (d[:, None] * a * d[None, :]).tolist()})
+    c4 = files("c4.json", {"m": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]})
+    rc, out = run_cli(["membership", "--matrix", mpath, "--graph", c4])
+    v = json.loads(out)
+    assert rc == 1 and v["member"] is False and v["boundary"] is False
+    assert v["slack"] == pytest.approx(-0.1075, rel=1e-12)
+    rc, out = run_cli(["cycle-check", "--matrix", mpath])
+    assert rc == 1 and json.loads(out)["member"] is False
+
+
+def test_long_cycles_skip_the_chordality_test(files, monkeypatch):
+    """A chordless cycle of length >= 4 is never chordal; a triangle is."""
+    def refuse(g):
+        raise AssertionError("is_chordal called on a long cycle")
+
+    i5 = files("i5.json", {"m": 5, "entries": np.eye(5).tolist()})
+    c5 = files("c5.json", {"m": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]})
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "is_chordal", refuse)
+        rc, out = run_cli(["membership", "--matrix", i5, "--graph", c5])
+    assert rc == 0 and json.loads(out)["method"] == "cycle"
+    i3 = files("i3.json", {"m": 3, "entries": np.eye(3).tolist()})
+    c3 = files("c3.json", {"m": 3, "edges": [[1, 2], [2, 3], [1, 3]]})
+    rc, out = run_cli(["membership", "--matrix", i3, "--graph", c3])
+    assert rc == 0 and json.loads(out)["method"] == "chordal"

@@ -300,6 +300,21 @@ class TestFactorParams:
         assert g.gamma_edge(1, 0) == -3.0
         assert g.gamma_edge(0, 1) == 0.0  # unset incidences read as zero
 
+    def test_get_reads_stored_keys_and_checks_the_rest(self, monkeypatch):
+        delta = SimplicialComplex.from_facets(3, [[0, 1], [1, 2]])
+        g = FactorParams(delta, {((0, 1), 1): -3.0, ((1, 2), 2): 0.5})
+        queried = []
+        has_face = SimplicialComplex.has_face
+        monkeypatch.setattr(SimplicialComplex, "has_face",
+                            lambda self, f: queried.append(f) or has_face(self, f))
+        assert g.get((0, 1), 1) == -3.0 and g.gamma_edge(2, 1) == 0.5
+        assert queried == []  # stored keys were checked at construction
+        assert g.get([1, 0], 1) == -3.0 and g.get((1, 0), 1) == -3.0
+        assert g.get((0, 1), 0) == 0.0 and g.gamma_edge(0, 1) == 0.0
+        for face, vertex in (((0, 2), 0), ((0, 1), 2), ((0, 1, 2), 1), ((3,), 3)):
+            with pytest.raises(KeyError):
+                g.get(face, vertex)
+
     def test_json_round_trip(self):
         delta = SimplicialComplex.from_facets(3, [[0, 1], [1, 2]])
         g = FactorParams(delta, {((0, 1), 0): 1.5, ((1,), 1): -0.25})
