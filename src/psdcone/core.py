@@ -285,9 +285,10 @@ class SymmetricMatrix:
         arr = np.asarray(array, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
+        # the largest magnitude is inf or NaN exactly when some entry is
         amax = float(np.abs(arr).max()) if arr.size else 0.0
+        if not math.isfinite(amax):
+            raise ValueError("matrix entries must be finite")
         skew = float(np.abs(arr - arr.T).max())
         if skew > ASYMMETRY_RTOL * max(amax, 1e-300):
             raise AsymmetricInput(
@@ -372,15 +373,6 @@ class FactorParams:
                 raise ValueError(f"non-finite parameter at ({face}, {i})")
 
     @classmethod
-    def _prevalidated(cls, delta: SimplicialComplex, values: dict) -> "FactorParams":
-        """Skip the checks of __post_init__: for finite values whose keys the
-        caller built as canonical incidences of delta."""
-        params = object.__new__(cls)
-        object.__setattr__(params, "complex", delta)
-        object.__setattr__(params, "values", values)
-        return params
-
-    @classmethod
     def zeros(cls, delta: SimplicialComplex) -> "FactorParams":
         return cls(delta, {})
 
@@ -405,9 +397,7 @@ class FactorParams:
 
     def gamma_edge(self, i: int, j: int) -> float:
         """gamma_{i,{i,j}}: the parameter of vertex i on edge {i,j}."""
-        face = (i, j) if i < j else (j, i)
-        value = self.values.get((face, i))
-        return self.get(face, i) if value is None else value
+        return self.get((i, j) if i < j else (j, i), i)
 
     def items(self):
         """Nonzero incidences in canonical order."""

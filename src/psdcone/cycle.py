@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,18 +133,31 @@ def cycle_determinant(sigma: CycleMatrix) -> float:
 class MembershipVerdict:
     """Decision for membership in the image cone, with supporting numbers.
 
-    ``slack``, ``det`` and ``flip_determinant`` are determinants of the input:
-    the correlation-form values times the product of the diagonal.
+    The ``_r`` fields belong to the correlation form R = D^-1/2 Sigma D^-1/2;
+    ``slack``, ``det`` and ``flip_determinant`` are determinants of the input,
+    those values times ``diag_product``, the product of the input diagonal.
     """
 
     member: bool
     boundary: bool
-    slack: float
-    det: float
-    flip_determinant: float
-    # smallest LDL^T pivot of the correlation form, reused by cycle_fiber;
-    # not part of the JSON form
+    slack_r: float
+    det_r: float
+    flip_r: float
+    # smallest LDL^T pivot of R, reused by cycle_fiber; not part of the JSON form
     min_pivot: float
+    diag_product: float
+
+    @property
+    def slack(self) -> float:
+        return _input_determinant(self.slack_r, self.diag_product)
+
+    @property
+    def det(self) -> float:
+        return _input_determinant(self.det_r, self.diag_product)
+
+    @property
+    def flip_determinant(self) -> float:
+        return _input_determinant(self.flip_r, self.diag_product)
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,6 +168,22 @@ class MembershipVerdict:
             "flip_determinant": self.flip_determinant,
             "method": "cycle",
         }
+
+
+def _input_determinant(x: float, diag_product: float) -> float:
+    """x, a determinant of the correlation form, times ``diag_product``.
+
+    A zero stays zero (no 0 * inf).  Raises ValueError when a nonzero result
+    is not a normal float, i.e. it overflows or loses precision to underflow;
+    the verdict itself does not depend on it.
+    """
+    if x == 0.0:
+        return x
+    v = x * diag_product
+    if not sys.float_info.min <= abs(v) < math.inf:
+        raise ValueError(f"determinant {x!r} of the correlation form times the diagonal "
+                         f"product {diag_product!r} is outside the normal float range")
+    return v
 
 
 def _correlation(sigma: CycleMatrix, tol: float) -> tuple[list, list, list]:
@@ -191,13 +221,13 @@ def _bordered_ldl(e, r, tol: float) -> tuple[float, float, float]:
     (the bordered tridiagonal), whose fill ``f`` carries the wrap entry along
     the path.  Negating the wrap entry negates every fill and leaves the
     pivots of vertices 0..m-2 unchanged, so the flip determinant differs
-    only in the closing 2x2 block.  Pivots follow the semidefinite Cholesky
-    rule: below -tol raises NotPsd; at most tol gives a zero column, which
-    needs the residual row within 10 sqrt(tol) and contributes 0 to the
-    determinants.
+    only in the closing 2x2 block.  A pivot below -tol raises NotPsd.  A
+    pivot p in [-tol, tol] gives a zero column, which contributes 0 to the
+    determinants.  In a PSD active block every 2x2 minor p q - v_j^2 through
+    it is nonnegative, and q <= 1 in the correlation form, so the rest of
+    its row v needs |v|^2 <= p; beyond p + tol the input is not PSD.
     """
     m = len(r)
-    resid_tol = 10.0 * math.sqrt(max(tol, 1e-14))
     p = e[0]
     f = r[m - 1]        # entry (k, m-1) of the active block, before r[m-2]
     corner = e[m - 1]   # entry (m-1, m-1) of the active block
@@ -209,9 +239,9 @@ def _bordered_ldl(e, r, tol: float) -> tuple[float, float, float]:
         if p <= tol:
             if p < -tol:
                 raise NotPsd(f"pivot {p:.3e} at vertex {k} below -{tol:.0e}")
-            if abs(a) > resid_tol or abs(f) > resid_tol:
-                raise NotPsd(f"zero pivot at vertex {k} with residual row "
-                             f"{max(abs(a), abs(f)):.3e}")
+            if a * a + f * f > p + tol:
+                raise NotPsd(f"zero pivot {p:.3e} at vertex {k} with squared residual "
+                             f"row {a * a + f * f:.3e}, above pivot + {tol:.0e}")
             lead = 0.0
             p, f = e[k + 1], 0.0
         else:
@@ -224,8 +254,9 @@ def _bordered_ldl(e, r, tol: float) -> tuple[float, float, float]:
     if p <= tol:
         if p < -tol:
             raise NotPsd(f"pivot {p:.3e} at vertex {m - 2} below -{tol:.0e}")
-        if abs(g) > resid_tol:
-            raise NotPsd(f"zero pivot at vertex {m - 2} with residual row {abs(g):.3e}")
+        if g * g > p + tol:
+            raise NotPsd(f"zero pivot {p:.3e} at vertex {m - 2} with squared residual "
+                         f"row {g * g:.3e}, above pivot + {tol:.0e}")
         last = corner
     else:
         last = det2 / p
@@ -259,15 +290,14 @@ def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> Membership
         raise InternalInconsistency(
             f"membership forms disagree: {slack_r!r} vs {slack_matching!r}"
         )
-    # back to determinants of the input; a zero stays zero (no 0 * inf)
-    unit = math.prod(sigma.diag)
     return MembershipVerdict(
         member=member,
         boundary=abs(slack_r) <= tol,
-        slack=slack_r and slack_r * unit,
-        det=det_r and det_r * unit,
-        flip_determinant=flip_r and flip_r * unit,
+        slack_r=slack_r,
+        det_r=det_r,
+        flip_r=flip_r,
         min_pivot=min_pivot,
+        diag_product=math.prod(sigma.diag),
     )
 
 
@@ -334,8 +364,7 @@ def _edge_params(delta: SimplicialComplex, tails, heads, labels=None) -> FactorP
     """Parameters with tails[k] at vertex k and heads[k] at vertex k+1 of edge k;
     vertex k of the cycle is vertex ``labels[k]`` of ``delta`` (k by default).
 
-    ``delta`` is the edge complex of that cycle and the values are finite, so
-    every key is a valid incidence by construction.
+    ``delta`` is the edge complex of that cycle.
     """
     m = len(tails)
     values = {}
@@ -344,7 +373,7 @@ def _edge_params(delta: SimplicialComplex, tails, heads, labels=None) -> FactorP
         face = (u, v) if u < v else (v, u)
         values[(face, u)] = tails[k]
         values[(face, v)] = heads[k]
-    return FactorParams._prevalidated(delta, values)
+    return FactorParams(delta, values)
 
 
 def _propagate_forward(d, c, tol):
@@ -429,7 +458,7 @@ def _fiber_edges(sigma: CycleMatrix, tol: float,
     if verdict is None:
         verdict = cycle_membership(sigma, tol)
     if not verdict.member:
-        raise NotMember(f"slack {verdict.slack!r} negative")
+        raise NotMember(f"correlation-form slack {verdict.slack_r!r} negative")
     if verdict.min_pivot <= tol:
         raise Degenerate(
             f"fiber solving needs positive definite input; smallest pivot {verdict.min_pivot:.3e}"

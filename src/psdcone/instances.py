@@ -58,9 +58,6 @@ def random_psd_matrix(rng: np.random.Generator, m: int, rank: int | None = None)
     return SymmetricMatrix(b @ b.T / r)
 
 
-_SIGNS = np.array([-1.0, 1.0])
-
-
 def random_cycle_member(rng: np.random.Generator, m: int,
                         zero_edges: tuple[int, ...] = ()) -> tuple[CycleMatrix, FactorParams]:
     """A positive definite member of the cycle image with its generating
@@ -72,8 +69,10 @@ def random_cycle_member(rng: np.random.Generator, m: int,
     while True:
         tails, heads = [], []  # parameters of vertices k and k+1 on edge k
         for k in range(m):
-            pu = float(rng.choice(_SIGNS) * rng.uniform(0.5, 2.0))
-            pv = float(rng.choice(_SIGNS) * rng.uniform(0.5, 2.0))
+            # each sign is the draw rng.choice([-1.0, 1.0]) makes internally,
+            # rng.integers(0, 2), at a quarter of the cost: same stream, same values
+            pu = rng.uniform(0.5, 2.0) if rng.integers(0, 2) else -rng.uniform(0.5, 2.0)
+            pv = rng.uniform(0.5, 2.0) if rng.integers(0, 2) else -rng.uniform(0.5, 2.0)
             if k in zero_edges:
                 pu = 0.0
             tails.append(pu)

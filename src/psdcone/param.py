@@ -46,7 +46,7 @@ def phi(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricMatrix:
         raise ValueError("parameters belong to a different complex")
     out = np.zeros((delta.m, delta.m))
     for face, col in _nonzero_columns(gamma):
-        out += np.outer(col, col)
+        out += col[:, None] * col  # np.outer(col, col) without its wrapper
     return SymmetricMatrix((out + out.T) / 2.0)
 
 

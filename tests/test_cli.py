@@ -466,3 +466,23 @@ def test_long_cycles_skip_the_chordality_test(files, monkeypatch):
     c3 = files("c3.json", {"m": 3, "edges": [[1, 2], [2, 3], [1, 3]]})
     rc, out = run_cli(["membership", "--matrix", i3, "--graph", c3])
     assert rc == 0 and json.loads(out)["method"] == "chordal"
+
+
+@pytest.mark.parametrize("d, c", [(1e7, 1e6), (1e-7, -4e-8)])
+def test_unrepresentable_determinants_exit_two(files, d, c):
+    """An m = 64 cycle whose determinant overflows or underflows gets a strict
+    JSON error and exit code 2, not Infinity or a spurious zero."""
+    def strict(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    m = 64
+    a = np.diag([d] * m)
+    for k in range(m):
+        a[k, (k + 1) % m] = a[(k + 1) % m, k] = c
+    mpath = files("long.json", {"m": m, "entries": a.tolist()})
+    gpath = files("c64.json", {"m": m, "edges": [[k + 1, (k + 1) % m + 1] for k in range(m)]})
+    for argv in (["membership", "--matrix", mpath, "--graph", gpath],
+                 ["cycle-check", "--matrix", mpath]):
+        rc, out = run_cli(argv)
+        err = json.loads(out, parse_constant=strict)["error"]
+        assert rc == 2 and "outside the normal float range" in err["message"]

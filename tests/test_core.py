@@ -14,7 +14,7 @@ from psdcone.core import (PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
                           induced_subcomplex, induced_vertex_map, path_graph,
                           tolerance_scale, underlying_graph)
 from psdcone.chordal import clique_complex
-from psdcone.cycle import CycleMatrix
+from psdcone.cycle import CycleMatrix, _edge_params, cycle_edge_complex
 from psdcone.errors import AsymmetricInput
 
 from oracles import dominated_scan, has_face_scan
@@ -211,8 +211,10 @@ class TestSymmetricMatrix:
             SymmetricMatrix(np.array([[1.0, 0.5], [0.1, 2.0]]))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SymmetricMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            for arr in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+                with pytest.raises(ValueError, match="finite"):
+                    SymmetricMatrix(np.array(arr))
 
     def test_pattern(self):
         sig = SymmetricMatrix(np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]))
@@ -283,6 +285,15 @@ class TestFactorParams:
                        {(frozenset({0, 1}), 0): 1.0}, {((0, 1), 0): 1.0, ((1, 0), 1): 2.0}):
             with pytest.raises(ValueError, match="invalid incidence"):
                 FactorParams(delta, values)
+
+    def test_rejects_non_finite_values(self):
+        """Every construction checks its values, the cycle certificates too."""
+        delta = SimplicialComplex.from_facets(3, [[0, 1], [1, 2]])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                FactorParams(delta, {((0, 1), 0): 1.0, ((1, 2), 2): bad})
+            with pytest.raises(ValueError, match="non-finite"):
+                _edge_params(cycle_edge_complex(4), [1.0, bad, 1.0, 1.0], [1.0] * 4)
 
     def test_checks_each_face_once(self, monkeypatch):
         delta = SimplicialComplex.from_facets(3, [[0, 1, 2]])

@@ -172,11 +172,46 @@ def test_unit_correlation(diag):
     assert v.member and v.boundary and v.min_pivot <= TOL
     with pytest.raises(Degenerate):
         cycle_fiber(singular, TOL)
-    for cyc in ([c0, 0.2, 0.0, 0.0], [c0, 0.0, 0.0, 0.2]):
+    # a residual of 2e-4 hides an eigenvalue of -2e-8 of the correlation form
+    for cyc in ([c0, 0.2, 0.0, 0.0], [c0, 0.0, 0.0, 0.2], [c0, 2e-4, 0.0, 0.0],
+                [c0, 0.0, 0.0, 2e-4]):
         scaled = [x * math.sqrt(diag[k] * diag[(k + 1) % 4]) if k else x
                   for k, x in enumerate(cyc)]
         with pytest.raises(NotPsd):
             cycle_membership(CycleMatrix.from_arrays(diag, scaled), TOL)
+
+
+@pytest.mark.parametrize("m, edge", [(3, 1), (3, 2), (4, 1), (4, 3), (6, 1), (6, 5)])
+def test_zero_pivot_residual_is_bounded_by_tol(m, edge):
+    """r_0 = 1 makes the pivot of vertex 1 zero, and the entry on ``edge`` is
+    the rest of its row: from 1e-6 to 1e-2, a smallest eigenvalue below -tol
+    must give NotPsd and one above -tol/4 a boundary member."""
+    for a in np.geomspace(1e-6, 1e-2, 41):
+        cyc = [0.0] * m
+        cyc[0], cyc[edge] = 1.0, a
+        sigma = CycleMatrix.from_arrays([1.0] * m, cyc)
+        lo = float(np.linalg.eigvalsh(sigma.to_array())[0])
+        v = outcome(sigma)
+        if lo < -TOL:
+            assert v is None, (a, lo)
+        elif lo > -TOL / 4:
+            assert v is not None and v.member and v.boundary, (a, lo)
+
+
+@pytest.mark.parametrize("d, c", [(1e7, 1e6), (1e-7, 1e-8), (1e-7, -4e-8)])
+def test_unrepresentable_determinants_raise(d, c):
+    """At m = 64 the diagonal product leaves the float range; the verdict is
+    still decided on the correlation form, but no determinant of the input
+    is reported as inf or as a zero it is not."""
+    sigma = CycleMatrix.from_arrays([d] * 64, [c] * 64)
+    v = cycle_membership(sigma, TOL)
+    assert v.member and not v.boundary
+    for name in ("det", "flip_determinant", "slack"):
+        with pytest.raises(ValueError, match="outside the normal float range"):
+            getattr(v, name)
+    with pytest.raises(ValueError):
+        v.to_json_dict()
+    assert_fiber_reproduces(sigma)
 
 
 @pytest.mark.parametrize("r", [0.3, -0.7, 1e-3])
