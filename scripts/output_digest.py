@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Print a digest of every CLI output of a benchmark workload, one line per call.
+
+For each seed, the ops of ``perfbench/workloads.py`` are generated into a
+temporary directory and each call is run through ``psdcone.cli.main``
+in-process, in order.  A line holds the seed, the op kind, m, the exit code
+and the sha256 of stdout, with the temporary directory replaced by a
+placeholder.  Two source trees print the same lines exactly when their
+outputs and exit codes are the same, so one copy of this script checks that
+a change leaves every output byte-identical:
+
+    python scripts/output_digest.py --workload complex-build --seeds 1 2 3 > new.txt
+    python scripts/output_digest.py --workload complex-build --seeds 1 2 3 \\
+        --src ../parent/src > old.txt
+    diff old.txt new.txt
+
+The ops come from this checkout's ``perfbench/workloads.py``, which imports
+``psdcone`` from ``--src`` like the CLI calls do.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PLACEHOLDER = "<tmp>"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--workload", required=True,
+                    help="cycle-decide, chordal-decide, volume-sample or complex-build")
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
+                    help="directory holding the psdcone package to run (default: this checkout's)")
+    args = ap.parse_args()
+
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    sys.path.insert(1, os.path.join(ROOT, "perfbench"))
+    import psdcone.cli
+    import workloads
+
+    if os.path.dirname(os.path.abspath(psdcone.cli.__file__)) != os.path.join(src, "psdcone"):
+        print(f"output_digest: psdcone imported from {psdcone.cli.__file__}, not from {src}",
+              file=sys.stderr)
+        return 2
+    if args.workload not in workloads.WORKLOADS:
+        print(f"output_digest: unknown workload {args.workload!r}; choose from "
+              f"{', '.join(workloads.WORKLOADS)}", file=sys.stderr)
+        return 2
+
+    for seed in args.seeds:
+        with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
+            for op in workloads.generate(args.workload, seed, tmp):
+                for argv in op.argvs:
+                    buf = io.StringIO()
+                    with contextlib.redirect_stdout(buf):
+                        rc = psdcone.cli.main(argv)
+                    text = buf.getvalue().replace(tmp, PLACEHOLDER)
+                    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+                    print(f"{seed} {op.kind} {op.m} {rc} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,7 +29,7 @@ from .errors import (AsymmetricInput, Degenerate, InternalInconsistency,
                      PsdConeError, TooManyCliques, ZeroDiagonal,
                      ZeroDiagonalParam)
 from .latent import build_digraph, simulate_y
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, schur_complement
 from .param import phi
 from .quotient import complex_quotient, schur_witness
 from .volume import estimate_volume, format_table, volume_table
@@ -210,8 +210,6 @@ def cmd_schur_witness(args) -> int:
     delta = SimplicialComplex.from_json_dict(load_json(args.complex))
     gamma = FactorParams.from_json_dict(delta, load_json(args.params))
     witness = schur_witness(delta, gamma, args.vertex - 1, tol=args.tol)
-    from .linalg import schur_complement
-
     target = schur_complement(phi(delta, gamma), {args.vertex - 1})
     resid = float(np.abs(witness.image().a - target.a).max())
     _print_json({

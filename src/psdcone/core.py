@@ -27,6 +27,11 @@ ASYMMETRY_RTOL = 1e-12
 # Off-pattern entries up to this fraction of the matrix scale count as zeros.
 PATTERN_TOL = 1e-12
 
+# Entries must be below 2**1023 in magnitude: below it no sum or difference
+# of two entries overflows, so (arr + arr.T) / 2 stays finite; a diagonal
+# entry at or above it doubles past the largest float.
+SYMMETRIZE_LIMIT = 2.0 ** 1023
+
 
 def tolerance_scale(values) -> float:
     """max(1, largest absolute entry), 1 for no entries: the reference magnitude for tolerances."""
@@ -289,6 +294,9 @@ class SymmetricMatrix:
         amax = float(np.abs(arr).max()) if arr.size else 0.0
         if not math.isfinite(amax):
             raise ValueError("matrix entries must be finite")
+        if amax >= SYMMETRIZE_LIMIT:
+            raise ValueError(f"matrix entry of magnitude {amax:.6e} overflows when "
+                             "symmetrized; entries must be below 2**1023")
         skew = float(np.abs(arr - arr.T).max())
         if skew > ASYMMETRY_RTOL * max(amax, 1e-300):
             raise AsymmetricInput(
@@ -466,19 +474,3 @@ class FactorMatrix:
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def load_matrix(path) -> SymmetricMatrix:
-    return SymmetricMatrix.from_json_dict(load_json(path))
-
-
-def load_complex(path) -> SimplicialComplex:
-    return SimplicialComplex.from_json_dict(load_json(path))
-
-
-def load_graph(path) -> Graph:
-    return Graph.from_json_dict(load_json(path))
-
-
-def load_params(delta: SimplicialComplex, path) -> FactorParams:
-    return FactorParams.from_json_dict(delta, load_json(path))

@@ -47,7 +47,9 @@ def phi(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricMatrix:
     out = np.zeros((delta.m, delta.m))
     for face, col in _nonzero_columns(gamma):
         out += col[:, None] * col  # np.outer(col, col) without its wrapper
-    return SymmetricMatrix((out + out.T) / 2.0)
+    # exactly symmetric: entries (i, j) and (j, i) add the same products in
+    # the same order, so SymmetricMatrix's symmetrization leaves it as it is
+    return SymmetricMatrix(out)
 
 
 def _nonzero_columns(gamma: FactorParams):
@@ -73,53 +75,48 @@ def _lq_columns(block: np.ndarray) -> np.ndarray:
     return r.T
 
 
-def _combine_columns(delta: SimplicialComplex, columns) -> FactorParams:
+def _combine_columns(delta: SimplicialComplex, blocks) -> FactorParams:
     """Merge a multiset of face-supported columns into one parameter vector.
 
-    columns: iterable of (face, length-m vector with support inside the face).
-    The result gamma satisfies Gamma(gamma) Gamma(gamma)^T = sum of the column
-    outer products.  Faces are processed largest-first (ties by the canonical
-    order); at each face the stacked columns are re-factored into triangular
-    form, the leading column is kept, and the trailing columns are pushed
-    onto the faces given by their supports.
+    blocks: iterable of (face, k x m array whose rows are columns with support
+    inside the face); several blocks may name the same face.  The result
+    gamma satisfies Gamma(gamma) Gamma(gamma)^T = sum of the column outer
+    products.  Faces are processed largest-first (ties by the canonical
+    order); at each face the stacked columns, in the order they arrived, are
+    re-factored into triangular form, the leading column is kept, and the
+    trailing columns are pushed onto the faces given by their supports.
     """
     pending: dict[Face, list[np.ndarray]] = {}
     heap: list[tuple[int, Face]] = []
     scale = 1.0
 
-    def push(face: Face, col: np.ndarray):
+    def push(face: Face, rows: np.ndarray):
         if face not in pending:
             heapq.heappush(heap, (-len(face), face))
             pending[face] = []
-        pending[face].append(col)
+        pending[face].append(rows)
 
-    for face, col in columns:
+    for face, rows in blocks:
         if not delta.has_face(face):
             raise ValueError(f"column support {face} is not a face")
-        scale = max(scale, float(np.abs(col).max()))
-        push(as_face(face), np.asarray(col, dtype=float))
+        rows = np.asarray(rows, dtype=float)
+        scale = max(scale, float(np.abs(rows).max()))
+        push(as_face(face), rows)
 
     out: dict[tuple[Face, int], float] = {}
     while heap:
         _, face = heapq.heappop(heap)
-        cols = pending.pop(face)
-        idx = list(face)
-        block = np.array([c[idx] for c in cols]).T  # |face| x k
-        ell = _lq_columns(block)
-        for i, v in zip(face, ell[:, 0]):
+        verts = np.array(face)
+        ell = _lq_columns(np.vstack(pending.pop(face))[:, verts].T)
+        for i, v in zip(face, ell[:, 0].tolist()):
             if v != 0.0:
                 out[(face, i)] = v
-        for j in range(1, ell.shape[1]):
-            col = ell[:, j]
-            supp = [i for i, v in zip(face, col) if abs(v) > RAY_DROP_TOL * scale]
-            if not supp:
-                continue
-            sub = as_face(supp)
-            full = np.zeros(delta.m)
-            for i, v in zip(face, col):
-                if abs(v) > RAY_DROP_TOL * scale:
-                    full[i] = v
-            push(sub, full)
+        trailing = ell[:, 1:]
+        supp = np.abs(trailing) > RAY_DROP_TOL * scale
+        full = np.zeros((trailing.shape[1], delta.m))
+        full[:, verts] = np.where(supp, trailing, 0.0).T
+        for j in np.flatnonzero(supp.any(axis=0)).tolist():
+            push(tuple(verts[supp[:, j]].tolist()), full[j:j + 1])
     return FactorParams(delta, out)
 
 
@@ -127,8 +124,8 @@ def cone_add(delta: SimplicialComplex, g1: FactorParams, g2: FactorParams) -> Fa
     """Parameters whose image equals phi(g1) + phi(g2) (convexity, made effective)."""
     if g1.complex != delta or g2.complex != delta:
         raise ValueError("both parameter vectors must live on the given complex")
-    cols = list(_nonzero_columns(g1)) + list(_nonzero_columns(g2))
-    return _combine_columns(delta, cols)
+    return _combine_columns(delta, [(face, col[None]) for g in (g1, g2)
+                                    for face, col in _nonzero_columns(g)])
 
 
 def extreme_decomposition(delta: SimplicialComplex, gamma: FactorParams) -> list[RankOneTerm]:
@@ -188,5 +185,5 @@ def submatrix_witness(delta: SimplicialComplex, gamma: FactorParams, subset) -> 
         for v in inter:
             restricted[relabel[v]] = col[v]
         if np.any(restricted != 0.0):
-            cols.append((as_face(relabel[v] for v in inter), restricted))
+            cols.append((as_face(relabel[v] for v in inter), restricted[None]))
     return _combine_columns(sub, cols)

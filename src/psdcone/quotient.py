@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
-                   as_face, face_key, induced_vertex_map, tolerance_scale)
+                   _dominated, _vertex_bitsets, as_face, induced_vertex_map,
+                   tolerance_scale)
 from .errors import ZeroDiagonal
 from .linalg import DEFAULT_TOL
 from .param import _combine_columns, _nonzero_columns, phi
@@ -55,24 +56,34 @@ def graph_quotient(g: Graph, block) -> Graph:
     return Graph.from_edges(len(keep), edges)
 
 
-def _single_vertex_quotient_faces(faces: set[frozenset], u: int) -> set[frozenset]:
-    """Faces of the one-vertex quotient on original labels: faces avoiding u,
-    plus unions of distinct face pairs through u with u removed."""
-    out = {f for f in faces if u not in f}
-    through = sorted((f for f in faces if u in f), key=lambda f: face_key(tuple(f)))
-    for i in range(len(through)):
-        for j in range(i + 1, len(through)):
-            merged = (through[i] | through[j]) - {u}
+def _single_vertex_quotient_facets(facets: list[frozenset], u: int) -> list[frozenset]:
+    """Maximal sets of the one-vertex quotient on original labels.
+
+    Candidates are the facets avoiding u and (F1 | F2) - u for every pair of
+    facets through u, F1 = F2 included.  Every pair of faces through u lies
+    in such a facet pair, so the candidates span the same complex as the
+    unions of all face pairs.
+    """
+    out = {f for f in facets if u not in f}
+    through = [f for f in facets if u in f]
+    for i, f1 in enumerate(through):
+        for f2 in through[i:]:
+            merged = (f1 | f2) - {u}
             if merged:
-                out.add(frozenset(merged))
-    return out
+                out.add(merged)
+    sets = list(out)
+    dominated = set(_dominated(sets, _vertex_bitsets(sets)))
+    return [f for k, f in enumerate(sets) if k not in dominated]
 
 
 def complex_quotient(delta: SimplicialComplex, block) -> SimplicialComplex:
     """Quotient complex on the kept vertices, relabeled in sorted order.
 
-    Computed by eliminating vertices one at a time in ascending order; the
-    chain description is recovered by composition.
+    Computed on facets, eliminating vertices one at a time in ascending
+    order.  For a block of two or more vertices this can hold faces that no
+    chain of faces through distinct eliminated vertices reaches: the
+    elimination of one vertex may join two faces that both came through
+    another.
     """
     u = sorted(set(block))
     if not all(0 <= v < delta.m for v in u):
@@ -80,12 +91,11 @@ def complex_quotient(delta: SimplicialComplex, block) -> SimplicialComplex:
     keep = [v for v in range(delta.m) if v not in set(u)]
     if not keep:
         raise ValueError("block must be proper")
-    faces = {frozenset(f) for f in delta.faces}
+    facets = [frozenset(f) for f in delta.facets]
     for v in u:
-        faces = _single_vertex_quotient_faces(faces, v)
+        facets = _single_vertex_quotient_facets(facets, v)
     relabel = induced_vertex_map(keep)
-    facets = [tuple(sorted(relabel[v] for v in f)) for f in faces]
-    return SimplicialComplex.from_facets(len(keep), facets)
+    return SimplicialComplex.from_facets(len(keep), ([relabel[v] for v in f] for f in facets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +116,12 @@ def schur_witness(delta: SimplicialComplex, gamma: FactorParams, u: int,
     """Witness that the Schur complement of phi(gamma) at vertex u stays in the
     image of the one-vertex quotient complex.
 
-    Original columns (faces avoiding u) are restricted; every ordered pair of
-    faces through u contributes an induced-face column with entries
+    Original columns (faces avoiding u) are restricted; every unordered pair
+    of faces F1, F2 through u, F1 before F2 in canonical order, contributes a
+    column on the induced face (F1 | F2) - u with entries
     (gamma_{i,F1} gamma_{u,F2} - gamma_{i,F2} gamma_{u,F1}) / sqrt(sigma_uu).
-    Pair columns landing on the same induced face are merged by re-factoring.
+    Columns landing on the same face are merged by re-factoring: the face's
+    original column first, then its pair columns in pair order.
     """
     if gamma.complex != delta:
         raise ValueError("parameters belong to a different complex")
@@ -127,26 +139,23 @@ def schur_witness(delta: SimplicialComplex, gamma: FactorParams, u: int,
     keep = [v for v in range(m) if v != u]
     relabel = induced_vertex_map(keep)
 
-    def restrict(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(m - 1)
-        for v in keep:
-            out[relabel[v]] = vec[v]
-        return out
-
-    merged = []
-    for face, col in cols.items():
-        if u not in face:
-            merged.append((as_face(relabel[v] for v in face), restrict(col)))
-    through = sorted((f for f in cols if u in f), key=face_key)
-    for i in range(len(through)):
-        for j in range(i + 1, len(through)):
-            f1, f2 = through[i], through[j]
-            col = cols[f1] * cols[f2][u] - cols[f2] * cols[f1][u]
-            col[u] = 0.0
-            if not np.any(col):
-                continue
-            induced = (frozenset(f1) | frozenset(f2)) - {u}
-            face = as_face(relabel[v] for v in induced)
-            merged.append((face, restrict(col) / root))
-    params = _combine_columns(quot, merged)
+    blocks = [(as_face(relabel[v] for v in face), col[keep][None])
+              for face, col in cols.items() if u not in face]
+    through = [f for f in cols if u in f]  # canonical order, as _nonzero_columns yields
+    if len(through) > 1:
+        c = np.array([cols[f] for f in through])
+        cu = c[:, u]
+        first, second = np.triu_indices(len(through), 1)
+        pairs = c[first] * cu[second, None] - c[second] * cu[first, None]
+        pairs[:, u] = 0.0
+        live = pairs.any(axis=1)
+        rows = pairs[live][:, keep] / root
+        bits = [sum(1 << v for v in f) for f in through]
+        by_face: dict[int, list[int]] = {}
+        for k, (a, b) in enumerate(zip(first[live].tolist(), second[live].tolist())):
+            by_face.setdefault(bits[a] | bits[b], []).append(k)
+        for mask, ks in by_face.items():
+            face = tuple(relabel[v] for v in keep if mask >> v & 1)
+            blocks.append((face, rows[ks]))
+    params = _combine_columns(quot, blocks)
     return QuotientWitness(quot, params, relabel, (u,))

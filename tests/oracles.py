@@ -4,14 +4,21 @@ Each is the direct (often exponential or quadratic) form of something the
 library computes faster; tests compare the two on small instances.
 """
 
+import heapq
 import itertools
 
 import numpy as np
 
 from psdcone.chordal import (_chordless_cycle_through, _perfect_check,
                              maximum_cardinality_search)
-from psdcone.core import FactorParams, SimplicialComplex, as_face
+from psdcone.core import (Face, FactorParams, SimplicialComplex, SymmetricMatrix,
+                          as_face, face_key, induced_subcomplex, induced_vertex_map,
+                          tolerance_scale)
 from psdcone.cycle import CycleMatrix, cycle_edge_complex
+from psdcone.errors import ZeroDiagonal
+from psdcone.linalg import DEFAULT_TOL
+from psdcone.param import RAY_DROP_TOL, _lq_columns, _nonzero_columns
+from psdcone.quotient import QuotientWitness
 
 
 def has_face_scan(delta: SimplicialComplex, face) -> bool:
@@ -118,3 +125,164 @@ def random_cycle_member_via_params(rng, m: int, zero_edges=()):
         arr = sigma.to_symmetric()
         if np.linalg.eigvalsh(arr.a)[0] > 1e-6 * arr.scale():
             return sigma, gamma
+
+
+def phi_symmetrized(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricMatrix:
+    """``param.phi`` as it symmetrized its (already symmetric) outer-product sum."""
+    if gamma.complex != delta:
+        raise ValueError("parameters belong to a different complex")
+    out = np.zeros((delta.m, delta.m))
+    for face, col in _nonzero_columns(gamma):
+        out += col[:, None] * col  # np.outer(col, col) without its wrapper
+    return SymmetricMatrix((out + out.T) / 2.0)
+
+
+def single_vertex_quotient_faces(faces: set[frozenset], u: int) -> set[frozenset]:
+    """Faces of the one-vertex quotient on original labels: faces avoiding u,
+    plus unions of distinct face pairs through u with u removed."""
+    out = {f for f in faces if u not in f}
+    through = sorted((f for f in faces if u in f), key=lambda f: face_key(tuple(f)))
+    for i in range(len(through)):
+        for j in range(i + 1, len(through)):
+            merged = (through[i] | through[j]) - {u}
+            if merged:
+                out.add(frozenset(merged))
+    return out
+
+
+def complex_quotient_by_faces(delta: SimplicialComplex, block) -> SimplicialComplex:
+    """``quotient.complex_quotient`` by pairing every face (not facet) through
+    each eliminated vertex; exponential in the facet size."""
+    u = sorted(set(block))
+    if not all(0 <= v < delta.m for v in u):
+        raise ValueError("block outside ground set")
+    keep = [v for v in range(delta.m) if v not in set(u)]
+    if not keep:
+        raise ValueError("block must be proper")
+    faces = {frozenset(f) for f in delta.faces}
+    for v in u:
+        faces = single_vertex_quotient_faces(faces, v)
+    relabel = induced_vertex_map(keep)
+    facets = [tuple(sorted(relabel[v] for v in f)) for f in faces]
+    return SimplicialComplex.from_facets(len(keep), facets)
+
+
+def combine_columns_by_column(delta: SimplicialComplex, columns) -> FactorParams:
+    """``param._combine_columns`` on (face, length-m vector) pairs, one column
+    at a time."""
+    pending: dict[Face, list[np.ndarray]] = {}
+    heap: list[tuple[int, Face]] = []
+    scale = 1.0
+
+    def push(face: Face, col: np.ndarray):
+        if face not in pending:
+            heapq.heappush(heap, (-len(face), face))
+            pending[face] = []
+        pending[face].append(col)
+
+    for face, col in columns:
+        if not delta.has_face(face):
+            raise ValueError(f"column support {face} is not a face")
+        scale = max(scale, float(np.abs(col).max()))
+        push(as_face(face), np.asarray(col, dtype=float))
+
+    out: dict[tuple[Face, int], float] = {}
+    while heap:
+        _, face = heapq.heappop(heap)
+        cols = pending.pop(face)
+        idx = list(face)
+        block = np.array([c[idx] for c in cols]).T  # |face| x k
+        ell = _lq_columns(block)
+        for i, v in zip(face, ell[:, 0]):
+            if v != 0.0:
+                out[(face, i)] = v
+        for j in range(1, ell.shape[1]):
+            col = ell[:, j]
+            supp = [i for i, v in zip(face, col) if abs(v) > RAY_DROP_TOL * scale]
+            if not supp:
+                continue
+            sub = as_face(supp)
+            full = np.zeros(delta.m)
+            for i, v in zip(face, col):
+                if abs(v) > RAY_DROP_TOL * scale:
+                    full[i] = v
+            push(sub, full)
+    return FactorParams(delta, out)
+
+
+def cone_add_by_column(delta: SimplicialComplex, g1: FactorParams,
+                       g2: FactorParams) -> FactorParams:
+    """``param.cone_add`` through ``combine_columns_by_column``."""
+    if g1.complex != delta or g2.complex != delta:
+        raise ValueError("both parameter vectors must live on the given complex")
+    cols = list(_nonzero_columns(g1)) + list(_nonzero_columns(g2))
+    return combine_columns_by_column(delta, cols)
+
+
+def submatrix_witness_by_column(delta: SimplicialComplex, gamma: FactorParams,
+                                subset) -> FactorParams:
+    """``param.submatrix_witness`` through ``combine_columns_by_column``."""
+    a = sorted(set(subset))
+    if not a or len(a) >= delta.m:
+        if len(a) == delta.m:
+            raise ValueError("subset must be proper")
+        raise ValueError("subset must be nonempty")
+    sub = induced_subcomplex(delta, a)
+    relabel = induced_vertex_map(a)
+    aset = set(a)
+    cols = []
+    for face, col in _nonzero_columns(gamma):
+        inter = [v for v in face if v in aset]
+        if not inter:
+            continue
+        restricted = np.zeros(len(a))
+        for v in inter:
+            restricted[relabel[v]] = col[v]
+        if np.any(restricted != 0.0):
+            cols.append((as_face(relabel[v] for v in inter), restricted))
+    return combine_columns_by_column(sub, cols)
+
+
+def schur_witness_by_pairs(delta: SimplicialComplex, gamma: FactorParams, u: int,
+                           tol: float = DEFAULT_TOL) -> QuotientWitness:
+    """``quotient.schur_witness`` building one induced-face column per pair of
+    faces through u, on the face-pairing quotient."""
+    if gamma.complex != delta:
+        raise ValueError("parameters belong to a different complex")
+    if not 0 <= u < delta.m:
+        raise ValueError("vertex outside ground set")
+    m = delta.m
+    cols = dict(_nonzero_columns(gamma))
+    sigma_uu = sum(col[u] ** 2 for col in cols.values())
+    scale = tolerance_scale(list(cols.values())) ** 2
+    if sigma_uu <= tol * scale:
+        raise ZeroDiagonal(f"diagonal value {sigma_uu!r} at vertex {u} too small")
+    root = np.sqrt(sigma_uu)
+
+    quot = complex_quotient_by_faces(delta, [u])
+    keep = [v for v in range(m) if v != u]
+    relabel = induced_vertex_map(keep)
+
+    def restrict(vec: np.ndarray) -> np.ndarray:
+        out = np.zeros(m - 1)
+        for v in keep:
+            out[relabel[v]] = vec[v]
+        return out
+
+    merged = []
+    for face, col in cols.items():
+        if u not in face:
+            merged.append((as_face(relabel[v] for v in face), restrict(col)))
+    through = sorted((f for f in cols if u in f), key=face_key)
+    for i in range(len(through)):
+        for j in range(i + 1, len(through)):
+            f1, f2 = through[i], through[j]
+            col = cols[f1] * cols[f2][u] - cols[f2] * cols[f1][u]
+            col[u] = 0.0
+            if not np.any(col):
+                continue
+            induced = (frozenset(f1) | frozenset(f2)) - {u}
+            face = as_face(relabel[v] for v in induced)
+            merged.append((face, restrict(col) / root))
+    params = combine_columns_by_column(quot, merged)
+    return QuotientWitness(quot, params, relabel, (u,))

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +208,36 @@ def test_large_clique_never_enumerates_faces(files, monkeypatch, kind):
     rc, out = run_cli(["fiber", "--chordal", "--matrix", mpath, "--graph", gpath])
     assert rc == 0 and json.loads(out)["values"]
     assert any(len(f) == 40 for delta in built for f in delta.facets)
+    assert all("faces" not in delta.__dict__ for delta in built)
+
+
+@pytest.mark.parametrize("command", [["membership"], ["fiber", "--chordal"]])
+def test_overflowing_matrix_exits_two(files, command):
+    """Entries whose symmetrization overflows are invalid input, also when
+    warnings are errors."""
+    mpath = files("sigma.json", {"m": 2, "entries": [[1.5e308, 0.0], [0.0, 1.0]]})
+    gpath = files("g.json", {"m": 2, "edges": [[1, 2]]})
+    argv = command + ["--matrix", mpath, "--graph", gpath]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run_cli(argv)
+    assert rc == 2
+    assert json.loads(out)["error"]["code"] == "invalid_input"
+
+
+def test_quotient_of_large_facet_never_enumerates_faces(files, monkeypatch):
+    """Removing a vertex of a 40-vertex facet (2^40 - 1 faces) works on facets."""
+    cpath = files("c.json", {"m": 41, "facets": [list(range(1, 41)), [40, 41]]})
+    built = []
+    post_init = SimplicialComplex.__post_init__
+    monkeypatch.setattr(SimplicialComplex, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    start = time.perf_counter()
+    rc, out = run_cli(["quotient", "--complex", cpath, "--remove", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0
+    assert json.loads(out)["facets"] == [[39, 40], list(range(1, 40))]
+    assert len(built) == 2
     assert all("faces" not in delta.__dict__ for delta in built)
 
 

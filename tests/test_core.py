@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,29 @@ class TestSymmetricMatrix:
             for arr in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
                 with pytest.raises(ValueError, match="finite"):
                     SymmetricMatrix(np.array(arr))
+
+    def test_rejects_overflowing_symmetrization(self):
+        """Entries from 2**1023 up double past the largest float; they are
+        refused with a ValueError, not stored as inf with a warning."""
+        big = 2.0 ** 1023
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arr in ([[1.5e308, 0.0], [0.0, 1.0]], [[1.0, big], [big, 1.0]],
+                        [[1.0, -1.7e308], [-1.7e308, 1.0]]):
+                with pytest.raises(ValueError, match="overflows when symmetrized"):
+                    SymmetricMatrix(np.array(arr))
+            below = np.nextafter(big, 0.0)
+            sig = SymmetricMatrix(np.array([[below, below], [below, below]]))
+            assert np.all(sig.a == below)
+
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetrization_is_bitwise_the_mean(self, m, seed):
+        rng = np.random.default_rng(seed)
+        arr = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-300, 300)
+        arr = arr + arr.T
+        arr *= 1.0 + 1e-13 * rng.standard_normal((m, m))  # asymmetry below the bound
+        assert SymmetricMatrix(arr).a.tobytes() == ((arr + arr.T) / 2.0).tobytes()
 
     def test_pattern(self):
         sig = SymmetricMatrix(np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]))

@@ -13,6 +13,8 @@ from psdcone.linalg import is_psd, sign_flip
 from psdcone.param import (build_factor_matrix, cone_add,
                            extreme_decomposition, phi, submatrix_witness)
 
+from oracles import phi_symmetrized
+
 
 def three_chain():
     return SimplicialComplex.from_facets(3, [[0, 1], [1, 2]])
@@ -28,6 +30,16 @@ def chain_params(g1, g2, g3, g12, g21, g23, g32):
 
 
 class TestPhi:
+    @given(st.integers(1, 9), st.sampled_from([0.3, 0.8, 1.0]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_equal_to_symmetrized_sum(self, m, density, seed):
+        """The outer-product sum is exactly symmetric, so symmetrizing it first
+        changes no bit."""
+        rng = np.random.default_rng(seed)
+        delta = random_complex(rng, m, max_size=6)
+        gamma = random_params(rng, delta, density=density, low=1e-3, high=1e3)
+        assert phi(delta, gamma).a.tobytes() == phi_symmetrized(delta, gamma).a.tobytes()
+
     def test_three_chain_closed_form(self):
         vals = dict(g1=0.7, g2=-1.2, g3=0.4, g12=1.1, g21=0.6, g23=-0.8, g32=1.3)
         delta, gamma = chain_params(**vals)

@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdcone.chordal import chordal_fiber, is_surjective
-from psdcone.core import (FactorParams, Graph, complete_graph, cycle_graph,
-                          edge_complex, underlying_graph)
+from psdcone.core import (FactorParams, Graph, SimplicialComplex,
+                          complete_graph, cycle_graph, edge_complex,
+                          underlying_graph)
 from psdcone.cycle import CycleMatrix, cycle_membership
 from psdcone.errors import ZeroDiagonal
 from psdcone.instances import random_complex, random_params
 from psdcone.linalg import schur_complement
-from psdcone.param import phi
+from psdcone.param import cone_add, phi, submatrix_witness
 from psdcone.quotient import complex_quotient, graph_quotient, schur_witness
 
-from oracles import chain_quotient_faces
+from oracles import (chain_quotient_faces, complex_quotient_by_faces,
+                     cone_add_by_column, schur_witness_by_pairs,
+                     submatrix_witness_by_column)
 
 
 class TestGraphQuotient:
@@ -153,3 +158,106 @@ class TestSchurWitness:
             comp = schur_complement(sig, {u})
             recovered = chordal_fiber(underlying_graph(quot), comp)
             assert np.abs(phi(quot, recovered).a - comp.a).max() <= 1e-9
+
+
+def _instance(m, density, seed):
+    """A random complex on m vertices (facets of up to 6 vertices), parameters
+    at the given density, and the generator that drew them."""
+    rng = np.random.default_rng(seed)
+    delta = random_complex(rng, m, max_size=int(rng.integers(2, 7)))
+    return rng, delta, random_params(rng, delta, density=density)
+
+
+def _block(rng, m, size):
+    return sorted(rng.choice(m, size=min(size, m - 1), replace=False).tolist())
+
+
+def _assert_same_params(got, want):
+    """Equal complexes and equal values float.hex for float.hex, in equal order."""
+    assert got.complex == want.complex
+    assert list(got.values) == list(want.values)
+    assert ([float(v).hex() for v in got.values.values()]
+            == [float(v).hex() for v in want.values.values()])
+
+
+def _witness_or_none(fn, delta, gamma, u):
+    try:
+        return fn(delta, gamma, u)
+    except ZeroDiagonal:
+        return None
+
+
+class TestBulkAgainstOracles:
+    """The facet quotient and the bulk witness against the face-pair forms."""
+
+    @given(st.integers(2, 9), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_complex_quotient_equals_face_and_chain_oracles(self, m, size, seed):
+        rng, delta, _ = _instance(m, 1.0, seed)
+        block = _block(rng, m, size)
+        quot = complex_quotient(delta, block)
+        assert quot == complex_quotient_by_faces(delta, block)
+        if max(map(len, delta.facets)) > 4:
+            return  # the chain oracle is exponential in the facet size
+        relabel = {v: k for k, v in enumerate(v for v in range(m) if v not in block)}
+        chain = {tuple(sorted(relabel[v] for v in f)) for f in chain_quotient_faces(delta, block)}
+        if len(block) == 1:
+            assert set(quot.faces) == chain
+        else:
+            # iterated elimination may reuse an eliminated vertex, which the
+            # chain description does not (test_iterated_quotient_exceeds_chains)
+            assert chain <= set(quot.faces)
+
+    def test_iterated_quotient_exceeds_chains(self):
+        """Eliminating 0 then 2 joins {0,1}, {0,3} and {0,2,4} into {1,3,4};
+        a chain would have to pass through 0 twice."""
+        delta = SimplicialComplex.from_facets(5, [[0, 1], [0, 3], [0, 2, 4]])
+        assert complex_quotient(delta, [0, 2]).facets == ((0, 1, 2),)
+        assert frozenset({1, 3, 4}) not in chain_quotient_faces(delta, [0, 2])
+
+    @given(st.integers(2, 9), st.sampled_from([0.3, 0.8, 1.0]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_schur_witness_equals_pair_oracle_iterated_twice(self, m, density, seed):
+        rng, delta, gamma = _instance(m, density, seed)
+        u = int(rng.integers(0, m))
+        got = _witness_or_none(schur_witness, delta, gamma, u)
+        want = _witness_or_none(schur_witness_by_pairs, delta, gamma, u)
+        assert (got is None) == (want is None)
+        if got is None or m == 2:
+            return
+        assert got.quotient_complex == want.quotient_complex
+        assert got.vertex_map == want.vertex_map
+        _assert_same_params(got.params, want.params)
+        # a second elimination on each side's own result
+        u2 = int(rng.integers(0, m - 1))
+        got = _witness_or_none(schur_witness, got.quotient_complex, got.params, u2)
+        want = _witness_or_none(schur_witness_by_pairs, want.quotient_complex, want.params, u2)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.quotient_complex == want.quotient_complex
+            _assert_same_params(got.params, want.params)
+
+    @given(st.integers(2, 9), st.sampled_from([0.3, 0.8, 1.0]), st.integers(1, 3),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_cone_add_and_submatrix_witness_equal_column_oracles(self, m, density, size, seed):
+        rng, delta, g1 = _instance(m, density, seed)
+        g2 = random_params(rng, delta, density=density)
+        _assert_same_params(cone_add(delta, g1, g2), cone_add_by_column(delta, g1, g2))
+        dropped = _block(rng, m, size)
+        subset = [v for v in range(m) if v not in dropped]
+        _assert_same_params(submatrix_witness(delta, g1, subset),
+                            submatrix_witness_by_column(delta, g1, subset))
+
+    def test_zero_diagonal_matches_oracle_on_sparse_parameters(self):
+        """At density 0.3 many vertices carry no parameter; both forms refuse
+        exactly those."""
+        raised = 0
+        for seed in range(200):
+            rng, delta, gamma = _instance(int(3 + seed % 7), 0.3, seed)
+            u = int(rng.integers(0, delta.m))
+            got = _witness_or_none(schur_witness, delta, gamma, u)
+            want = _witness_or_none(schur_witness_by_pairs, delta, gamma, u)
+            assert (got is None) == (want is None)
+            raised += got is None
+        assert 20 <= raised <= 180
