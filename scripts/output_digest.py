@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Print a digest of every CLI output of a benchmark workload, one line per call.
+"""Print a digest of every CLI output of benchmark workloads, one line per call.
 
-For each seed, the ops of ``perfbench/workloads.py`` are generated into a
-temporary directory and each call is run through ``psdcone.cli.main``
-in-process, in order.  A line holds the seed, the op kind, m, the exit code
-and the sha256 of stdout, with the temporary directory replaced by a
-placeholder.  Two source trees print the same lines exactly when their
-outputs and exit codes are the same, so one copy of this script checks that
-a change leaves every output byte-identical:
+For each workload and seed, the ops of ``perfbench/workloads.py`` are
+generated into a temporary directory and each call is run through
+``psdcone.cli.main`` in-process, in order.  A line holds the seed, the op
+kind, m, the exit code and the sha256 of stdout, with the temporary
+directory replaced by a placeholder.  Two source trees print the same
+lines exactly when their outputs and exit codes are the same, so one copy
+of this script checks that a change leaves every output byte-identical:
 
     python scripts/output_digest.py --workload complex-build --seeds 1 2 3 > new.txt
     python scripts/output_digest.py --workload complex-build --seeds 1 2 3 \\
@@ -33,8 +33,9 @@ PLACEHOLDER = "<tmp>"
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--workload", required=True,
-                    help="cycle-decide, chordal-decide, volume-sample or complex-build")
+    ap.add_argument("--workload", nargs="+", required=True,
+                    help="one or more of cycle-decide, chordal-decide, volume-sample, "
+                         "complex-build")
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="directory holding the psdcone package to run (default: this checkout's)")
@@ -50,21 +51,23 @@ def main() -> int:
         print(f"output_digest: psdcone imported from {psdcone.cli.__file__}, not from {src}",
               file=sys.stderr)
         return 2
-    if args.workload not in workloads.WORKLOADS:
-        print(f"output_digest: unknown workload {args.workload!r}; choose from "
+    unknown = [w for w in args.workload if w not in workloads.WORKLOADS]
+    if unknown:
+        print(f"output_digest: unknown workload {unknown[0]!r}; choose from "
               f"{', '.join(workloads.WORKLOADS)}", file=sys.stderr)
         return 2
 
-    for seed in args.seeds:
-        with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
-            for op in workloads.generate(args.workload, seed, tmp):
-                for argv in op.argvs:
-                    buf = io.StringIO()
-                    with contextlib.redirect_stdout(buf):
-                        rc = psdcone.cli.main(argv)
-                    text = buf.getvalue().replace(tmp, PLACEHOLDER)
-                    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-                    print(f"{seed} {op.kind} {op.m} {rc} {digest}")
+    for workload in args.workload:
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory(prefix="digest-") as tmp:
+                for op in workloads.generate(workload, seed, tmp):
+                    for argv in op.argvs:
+                        buf = io.StringIO()
+                        with contextlib.redirect_stdout(buf):
+                            rc = psdcone.cli.main(argv)
+                        text = buf.getvalue().replace(tmp, PLACEHOLDER)
+                        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+                        print(f"{seed} {op.kind} {op.m} {rc} {digest}")
     return 0
 
 

@@ -105,12 +105,6 @@ def _chordless_cycle_from(g: Graph, bad) -> tuple[int, ...]:
     return cyc
 
 
-def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
-    """Some induced cycle of length >= 4, or None if the graph is chordal."""
-    ok, info = is_chordal(g)
-    return None if ok else info
-
-
 def is_chordal(g: Graph):
     """(True, EliminationOrdering) or (False, chordless-cycle witness of length >= 4).
 
@@ -160,14 +154,16 @@ def ordering_clique_complex(g: Graph, ordering: EliminationOrdering) -> Simplici
 
 
 def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL,
-                  chordality: tuple | None = None) -> FactorParams:
+                  chordality: tuple | None = None,
+                  cliques: SimplicialComplex | None = None) -> FactorParams:
     """A preimage of sigma under the clique-complex parametrization of a chordal graph.
 
     Permute by a perfect elimination ordering, factor, and assign each factor
     column to the clique given by its support.  Supports of distinct nonzero
     columns are distinct (each contains its own pivot as least element), so
     every column lands on its own face.  ``chordality`` is ``is_chordal(g)``
-    when the caller already holds it; it is computed here otherwise.
+    and ``cliques`` is ``ordering_clique_complex(g, ordering)`` when the
+    caller already holds them; each is computed here otherwise.
     """
     if sigma.m != g.m:
         raise ValueError("matrix and graph sizes differ")
@@ -187,7 +183,7 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL,
     arr[~g.pattern_mask[ix]] = 0.0
     ell = _semidef_cholesky(arr, tol)
 
-    delta = ordering_clique_complex(g, info)
+    delta = ordering_clique_complex(g, info) if cliques is None else cliques
     values: dict = {}
     for k in range(g.m):
         col = ell[:, k]

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,8 +49,55 @@ ERROR_CODES = {
 }
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(obj, indent: str) -> str:
+    """``json.dumps``'s bytes for obj at a two-space indent with sorted str keys.
+
+    ``indent`` is the newline and spaces that precede obj's closing bracket.
+    json's encoder runs in C only without ``indent``; here a list whose
+    elements are all ``float`` (or all ``int``) is one C-level join, and any
+    other value goes element by element through json's own ``isinstance``
+    order.  A non-str key raises TypeError.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        text = ""
+        if kinds == {float}:
+            text = sep.join(map(float.__repr__, obj))
+            if "n" in text:  # nan or inf: json spells them NaN, Infinity
+                text = ""
+        elif kinds == {int}:
+            text = sep.join(map(int.__repr__, obj))
+        return "[" + inner + (text or sep.join([_dumps(v, inner) for v in obj])) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + sep.join([encode_basestring_ascii(k) + ": " + _dumps(obj[k], inner)
+                                       for k in sorted(obj)]) + indent + "}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def _print_json(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_dumps(obj, "\n"))
 
 
 def _error_json(code: str, message: str) -> int:
@@ -268,7 +316,8 @@ def cmd_membership(args) -> int:
         chordal_ok, ordering = chordality
         if chordal_ok and (delta is None or delta == ordering_clique_complex(g, ordering)):
             try:
-                gamma = chordal_fiber(g, sigma, tol=args.tol, chordality=chordality)
+                gamma = chordal_fiber(g, sigma, tol=args.tol, chordality=chordality,
+                                      cliques=delta)
             except NotPsd as exc:
                 _print_json({"member": False, "method": "chordal",
                              "reason": "not_psd", "message": str(exc)})

@@ -100,10 +100,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def is_clique(self, vertices: Iterable[int]) -> bool:
-        vs = sorted(set(vertices))
-        return all(self.has_edge(a, b) for a, b in itertools.combinations(vs, 2))
-
     def to_json_dict(self) -> dict:
         return {"m": self.m, "edges": [[i + 1, j + 1] for i, j in sorted(self.edges)]}
 
@@ -321,13 +317,6 @@ class SymmetricMatrix:
         idx = sorted(set(subset))
         return SymmetricMatrix(self.a[np.ix_(idx, idx)])
 
-    def pattern_graph(self, tol: float = PATTERN_TOL) -> Graph:
-        """Graph of off-diagonal entries exceeding tol relative to the matrix scale."""
-        thr = tol * self.scale()
-        edges = [(i, j) for i in range(self.m) for j in range(i + 1, self.m)
-                 if abs(self.a[i, j]) > thr]
-        return Graph.from_edges(self.m, edges)
-
     def respects_pattern(self, g: Graph, tol: float = PATTERN_TOL) -> bool:
         """No off-pattern entry exceeds tol relative to the matrix scale."""
         if g.m != self.m:
@@ -413,14 +402,6 @@ class FactorParams:
             v = self.values[key]
             if v != 0.0:
                 yield key, v
-
-    def scaled(self, c: float) -> "FactorParams":
-        return FactorParams(self.complex, {k: c * v for k, v in self.values.items()})
-
-    def with_value(self, face, vertex, value) -> "FactorParams":
-        vals = dict(self.values)
-        vals[(as_face(face), int(vertex))] = float(value)
-        return FactorParams(self.complex, vals)
 
     def column(self, face: Face) -> np.ndarray:
         """The face's column of Gamma(gamma) as a length-m vector."""

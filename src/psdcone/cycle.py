@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,6 +146,11 @@ class MembershipVerdict:
     # smallest LDL^T pivot of R, reused by cycle_fiber; not part of the JSON form
     min_pivot: float
     diag_product: float
+    # _correlation's (sqrt of the input diagonal, diagonal of R, cycle entries
+    # of R), reused by the fibers; not part of the JSON form
+    s: tuple[float, ...] = field(compare=False)
+    e: tuple[float, ...] = field(compare=False)
+    r: tuple[float, ...] = field(compare=False)
 
     @property
     def slack(self) -> float:
@@ -186,7 +191,7 @@ def _input_determinant(x: float, diag_product: float) -> float:
     return v
 
 
-def _correlation(sigma: CycleMatrix, tol: float) -> tuple[list, list, list]:
+def _correlation(sigma: CycleMatrix, tol: float) -> tuple[tuple, tuple, tuple]:
     """(sqrt of the diagonal, correlation diagonal, correlation cycle entries).
 
     A vertex with zero diagonal stays in place with correlation diagonal 0; PSD
@@ -210,7 +215,7 @@ def _correlation(sigma: CycleMatrix, tol: float) -> tuple[list, list, list]:
         r[k] = c[k] / s[k] / s[k1]
         if abs(r[k]) > 1.0 + tol:
             raise NotPsd(f"correlation {r[k]!r} on edge {k} exceeds 1 in magnitude")
-    return s, [1.0 if x > 0.0 else 0.0 for x in d], r
+    return tuple(s), tuple([1.0 if x > 0.0 else 0.0 for x in d]), tuple(r)
 
 
 def _bordered_ldl(e, r, tol: float) -> tuple[float, float, float]:
@@ -275,11 +280,11 @@ def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> Membership
     expansion of R is evaluated independently and must agree; ties within
     tolerance resolve to member with the boundary flag set.
     """
-    _, e, r = _correlation(sigma, tol)
+    s, e, r = _correlation(sigma, tol)
     min_pivot, det_r, flip_r = _bordered_ldl(e, r, tol)
     slack_r = min(det_r, flip_r)
 
-    slack_matching = matching_sum(CycleMatrix(tuple(e), tuple(r))) - 2.0 * abs(math.prod(r))
+    slack_matching = matching_sum(CycleMatrix(e, r)) - 2.0 * abs(math.prod(r))
     if abs(slack_matching - slack_r) > math.sqrt(tol) * max(1.0, abs(slack_matching),
                                                             abs(slack_r)):
         raise InternalInconsistency(
@@ -298,6 +303,9 @@ def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> Membership
         flip_r=flip_r,
         min_pivot=min_pivot,
         diag_product=math.prod(sigma.diag),
+        s=s,
+        e=e,
+        r=r,
     )
 
 
@@ -464,7 +472,7 @@ def _fiber_edges(sigma: CycleMatrix, tol: float,
             f"fiber solving needs positive definite input; smallest pivot {verdict.min_pivot:.3e}"
         )
 
-    s, d, c = _correlation(sigma, tol)
+    s, d, c = verdict.s, verdict.e, verdict.r
     zeros = [k for k in range(m) if c[k] == 0.0]
     if zeros:
         r = zeros[0]
@@ -476,7 +484,7 @@ def _fiber_edges(sigma: CycleMatrix, tol: float,
         backward = _unreversed(_propagate_forward(*_reversed(dr, cr), tol))
         solutions = [(forward, r), (backward, r)]
     else:
-        a, b, cc = quartic_coefficients(CycleMatrix(tuple(d), tuple(c)))
+        a, b, cc = quartic_coefficients(CycleMatrix(d, c))
         if a >= 0.0 or b <= 0.0:
             raise InternalInconsistency(
                 f"quartic coefficients a={a!r}, b={b!r} violate the definite-member signs"

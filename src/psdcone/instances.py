@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
-                   tolerance_scale)
+from .core import FactorParams, Graph, SimplicialComplex, tolerance_scale
 from .cycle import CycleMatrix, _edge_params, cycle_edge_complex
 
 
@@ -22,11 +21,6 @@ def random_chordal_graph(rng: np.random.Generator, m: int) -> Graph:
         take = {u for u in pool if rng.random() < 0.5}
         later[v] = {p} | take
     edges = [(v, u) for v in range(m) for u in later[v]]
-    return Graph.from_edges(m, edges)
-
-
-def random_tree(rng: np.random.Generator, m: int) -> Graph:
-    edges = [(int(rng.integers(0, v)), v) for v in range(1, m)]
     return Graph.from_edges(m, edges)
 
 
@@ -50,12 +44,6 @@ def random_params(rng: np.random.Generator, delta: SimplicialComplex,
             mag = rng.uniform(low, high)
             values[(face, i)] = float(rng.choice([-1.0, 1.0]) * mag)
     return FactorParams(delta, values)
-
-
-def random_psd_matrix(rng: np.random.Generator, m: int, rank: int | None = None) -> SymmetricMatrix:
-    r = rank if rank is not None else m
-    b = rng.standard_normal((m, r))
-    return SymmetricMatrix(b @ b.T / r)
 
 
 def random_cycle_member(rng: np.random.Generator, m: int,

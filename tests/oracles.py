@@ -1,7 +1,8 @@
-"""Reference implementations that only tests use.
+"""Reference implementations and helpers that only tests use.
 
-Each is the direct (often exponential or quadratic) form of something the
-library computes faster; tests compare the two on small instances.
+Each reference is the direct (often exponential or quadratic) form of
+something the library computes faster; tests compare the two on small
+instances.  The helpers at the end build or inspect test inputs.
 """
 
 import heapq
@@ -9,11 +10,11 @@ import itertools
 
 import numpy as np
 
-from psdcone.chordal import (_chordless_cycle_through, _perfect_check,
+from psdcone.chordal import (_chordless_cycle_through, _perfect_check, is_chordal,
                              maximum_cardinality_search)
-from psdcone.core import (Face, FactorParams, SimplicialComplex, SymmetricMatrix,
-                          as_face, face_key, induced_subcomplex, induced_vertex_map,
-                          tolerance_scale)
+from psdcone.core import (PATTERN_TOL, Face, FactorParams, Graph, SimplicialComplex,
+                          SymmetricMatrix, as_face, face_key, induced_subcomplex,
+                          induced_vertex_map, tolerance_scale)
 from psdcone.cycle import CycleMatrix, cycle_edge_complex
 from psdcone.errors import ZeroDiagonal
 from psdcone.linalg import DEFAULT_TOL
@@ -286,3 +287,46 @@ def schur_witness_by_pairs(delta: SimplicialComplex, gamma: FactorParams, u: int
             merged.append((face, restrict(col) / root))
     params = combine_columns_by_column(quot, merged)
     return QuotientWitness(quot, params, relabel, (u,))
+
+
+def is_clique(g: Graph, vertices) -> bool:
+    """Every two of the vertices are adjacent in g."""
+    vs = sorted(set(vertices))
+    return all(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2))
+
+
+def pattern_graph(sigma: SymmetricMatrix, tol: float = PATTERN_TOL) -> Graph:
+    """Graph of off-diagonal entries exceeding tol relative to the matrix scale."""
+    thr = tol * sigma.scale()
+    edges = [(i, j) for i in range(sigma.m) for j in range(i + 1, sigma.m)
+             if abs(sigma.a[i, j]) > thr]
+    return Graph.from_edges(sigma.m, edges)
+
+
+def scaled_params(gamma: FactorParams, c: float) -> FactorParams:
+    """Every parameter of gamma times c."""
+    return FactorParams(gamma.complex, {k: c * v for k, v in gamma.values.items()})
+
+
+def with_value(gamma: FactorParams, face, vertex, value) -> FactorParams:
+    """gamma with the parameter of vertex on face set to value."""
+    vals = dict(gamma.values)
+    vals[(as_face(face), int(vertex))] = float(value)
+    return FactorParams(gamma.complex, vals)
+
+
+def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
+    """Some induced cycle of length >= 4, or None if the graph is chordal."""
+    ok, info = is_chordal(g)
+    return None if ok else info
+
+
+def random_tree(rng: np.random.Generator, m: int) -> Graph:
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, m)]
+    return Graph.from_edges(m, edges)
+
+
+def random_psd_matrix(rng: np.random.Generator, m: int, rank: int | None = None) -> SymmetricMatrix:
+    r = rank if rank is not None else m
+    b = rng.standard_normal((m, r))
+    return SymmetricMatrix(b @ b.T / r)

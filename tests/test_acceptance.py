@@ -18,8 +18,7 @@ from psdcone.cycle import (CycleMatrix, counterexample_det,
 from psdcone.errors import SingularBlock
 from psdcone.instances import (random_chordal_graph, random_complex,
                                random_cycle_member,
-                               random_cycle_pattern_matrix, random_params,
-                               random_tree)
+                               random_cycle_pattern_matrix, random_params)
 from psdcone.latent import (conditional_precision, covariance_identity,
                             simulate_y)
 from psdcone.linalg import schur_complement
@@ -28,7 +27,7 @@ from psdcone.quotient import schur_witness
 from psdcone.selftest import _abs_expansion_bound
 from psdcone.volume import _batch_masks, volume_table
 
-from oracles import expand_edge_signs
+from oracles import expand_edge_signs, random_tree
 
 TOL = 1e-9
 

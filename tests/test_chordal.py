@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdcone.chordal import (EliminationOrdering, chordal_fiber,
-                             clique_complex, find_chordless_cycle, is_chordal,
+                             clique_complex, is_chordal,
                              maximum_cardinality_search, is_surjective,
                              ordering_clique_complex)
 from psdcone.core import (Graph, SimplicialComplex, SymmetricMatrix,
@@ -16,10 +16,11 @@ from psdcone.core import (Graph, SimplicialComplex, SymmetricMatrix,
                           path_graph)
 from psdcone.cycle import CycleMatrix, counterexample_sigma, cycle_membership
 from psdcone.errors import NotChordal, NotPsd, PatternViolation
-from psdcone.instances import random_chordal_graph, random_params, random_tree
+from psdcone.instances import random_chordal_graph, random_params
 from psdcone.param import phi
 
-from oracles import chordless_cycle_from_mcs
+from oracles import (chordless_cycle_from_mcs, find_chordless_cycle, is_clique,
+                     random_tree)
 
 
 def assert_chordless_cycle(g, cyc):
@@ -179,7 +180,7 @@ class TestChordalFiber:
             # every recovered support must be a clique: guaranteed by construction,
             # re-checked here from the emitted incidences
             for (face, _), v in gamma.items():
-                assert g.is_clique(face) or len(face) == 1
+                assert is_clique(g, face) or len(face) == 1
 
     def test_rejects_non_chordal(self):
         with pytest.raises(NotChordal):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdcone import cli, selftest
+from psdcone import chordal, cli, selftest
 from psdcone.core import FactorParams, SimplicialComplex
 from psdcone.cli import main
 from psdcone.param import phi
@@ -413,6 +414,116 @@ def test_byte_identical_stdout(files):
     a = run_cli(["volume", "--m", "3", "--samples", "1000", "--seed", "9"])[1]
     b = run_cli(["volume", "--m", "3", "--samples", "1000", "--seed", "9"])[1]
     assert a == b
+
+
+# floats at the edges of repr's layout (1e16 and 1e-4 switch to exponent
+# form), of the float range, and json's non-finite spellings
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e-4,
+                float(np.nextafter(1e-4, 0.0)), 1e16, float(np.nextafter(1e16, 0.0)),
+                1.7976931348623157e308, math.nan, math.inf, -math.inf]
+_floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+            | st.text() | _floats | _floats.map(np.float64))
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)
+                   | st.lists(_floats) | st.lists(st.integers())),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+@settings(max_examples=300, deadline=None)
+def test_print_json_matches_indented_json_dumps(obj):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._print_json(obj)
+    assert buf.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", [np.int64(1), {1, 2}, [object()], {1: 2}])
+def test_print_json_refuses_what_it_cannot_write(obj):
+    """Non-JSON values raise TypeError as in json.dumps; so do non-str keys,
+    which json.dumps would write and no output of the CLI has."""
+    with pytest.raises(TypeError):
+        cli._print_json(obj)
+
+
+def test_every_json_output_is_indented_json(files):
+    """Each JSON-emitting subcommand prints exactly what json.dumps(indent=2,
+    sort_keys=True) prints for the same value, error JSON included."""
+    chain = files("chain.json", {"m": 3, "facets": [[1, 2], [2, 3]]})
+    params = files("p.json", {"values": [
+        {"face": [1, 2], "vertex": 1, "gamma": 1.0},
+        {"face": [1, 2], "vertex": 2, "gamma": -0.5},
+        {"face": [2, 3], "vertex": 3, "gamma": 0.3},
+    ]})
+    tri = files("tri.json", {"m": 3, "entries": [[2.0, 0.8, 0.0],
+                                                 [0.8, 1.5, -0.4],
+                                                 [0.0, -0.4, 1.0]]})
+    path = files("path.json", {"m": 3, "edges": [[1, 2], [2, 3]]})
+    i4 = files("i4.json", {"m": 4, "entries": np.eye(4).tolist()})
+    c4 = files("c4.json", {"m": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]})
+    cex = files("cex.json", json.loads(run_cli(["counterexample", "--m", "4",
+                                                "--rho", "-1.4"])[1]))
+    npsd = files("npsd.json", {"m": 4, "entries": np.diag([1.0, 1, 1, -1]).tolist()})
+    argvs = [
+        ["phi", "--complex", chain, "--params", params],
+        ["fiber", "--chordal", "--matrix", tri, "--graph", path],
+        ["fiber", "--matrix", tri, "--graph", path],
+        ["cycle-check", "--matrix", i4],
+        ["cycle-check", "--matrix", cex],
+        ["cycle-check", "--matrix", npsd],
+        ["cycle-fiber", "--matrix", i4],
+        ["cycle-fiber", "--matrix", cex],
+        ["counterexample", "--m", "5", "--rho", "0.3"],
+        ["quotient", "--complex", chain, "--remove", "2"],
+        ["schur-witness", "--complex", chain, "--params", params, "--vertex", "2"],
+        ["volume", "--m", "3", "--samples", "200"],
+        ["volume", "--table", "--json", "--samples", "20"],
+        ["simulate", "--complex", chain, "--params", params, "--n", "100"],
+        ["membership", "--matrix", tri, "--graph", path],
+        ["membership", "--matrix", i4, "--graph", c4],
+        ["membership", "--matrix", cex, "--graph", c4],
+        ["membership", "--matrix", npsd, "--graph", c4],
+        ["membership", "--matrix", tri, "--graph", c4],
+        ["phi", "--complex", chain, "--params", chain],
+    ]
+    codes = set()
+    for argv in argvs:
+        rc, out = run_cli(argv)
+        codes.add(rc)
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+    assert codes == {0, 1, 2}
+
+
+def test_membership_builds_the_clique_complex_once(files, monkeypatch):
+    """With a complex file, the clique complex compared against it is the one
+    the fiber is built on; stdout is the same as with the graph file."""
+    sigma = files("tri.json", {"m": 4, "entries": [[2.0, 0.8, 0.3, 0.0],
+                                                   [0.8, 1.5, -0.4, 0.2],
+                                                   [0.3, -0.4, 1.0, 0.0],
+                                                   [0.0, 0.2, 0.0, 1.0]]})
+    graph = files("g.json", {"m": 4, "edges": [[1, 2], [1, 3], [2, 3], [2, 4]]})
+    complex_ = files("c.json", {"m": 4, "facets": [[1, 2, 3], [2, 4]]})
+    builds = []
+
+    def counting(g, ordering, original=chordal.ordering_clique_complex):
+        builds.append(g)
+        return original(g, ordering)
+
+    expected = {path: run_cli(["membership", "--matrix", sigma, "--graph", path])
+                for path in (graph, complex_)}
+    monkeypatch.setattr(chordal, "ordering_clique_complex", counting)
+    monkeypatch.setattr(cli, "ordering_clique_complex", counting)
+    for path in (graph, complex_):
+        builds.clear()
+        rc, out = run_cli(["membership", "--matrix", sigma, "--graph", path])
+        assert (rc, out) == expected[path]
+        assert rc == 0 and json.loads(out)["method"] == "chordal"
+        assert len(builds) == 1
+    assert expected[graph] == expected[complex_]
 
 
 def test_console_script_entry_point():

@@ -18,7 +18,7 @@ from psdcone.chordal import clique_complex
 from psdcone.cycle import CycleMatrix, _edge_params, cycle_edge_complex
 from psdcone.errors import AsymmetricInput
 
-from oracles import dominated_scan, has_face_scan
+from oracles import dominated_scan, has_face_scan, pattern_graph
 
 
 def graphs(max_m=7):
@@ -243,7 +243,7 @@ class TestSymmetricMatrix:
     def test_pattern(self):
         sig = SymmetricMatrix(np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         assert sig.respects_pattern(path_graph(3))
-        assert sig.pattern_graph() == Graph.from_edges(3, [(0, 1)])
+        assert pattern_graph(sig) == Graph.from_edges(3, [(0, 1)])
 
     def test_pattern_threshold_is_strict(self):
         thr = PATTERN_TOL * 4.0

@@ -1,20 +1,23 @@
 """Cycle membership, the counterexample family, quartic fiber solving."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from psdcone import cycle
 from psdcone.core import SymmetricMatrix
 from psdcone.cycle import (CycleFiber, CycleMatrix, counterexample_det,
-                           counterexample_sigma, cycle_determinant,
-                           cycle_fiber, cycle_membership, matching_sum,
-                           quartic_coefficients)
+                           counterexample_sigma, cycle_certificate,
+                           cycle_determinant, cycle_edge_complex, cycle_fiber,
+                           cycle_membership, matching_sum, quartic_coefficients)
 from psdcone.errors import Degenerate, NotMember, NotPsd, PatternViolation
 from psdcone.instances import (random_cycle_member, random_cycle_pattern_matrix,
                                random_psd_cycle_matrix)
 from psdcone.linalg import is_psd, sign_flip, tridiagonal_det
 from psdcone.param import phi
 
-from oracles import closure_mobius_coefficients, expand_edge_signs
+from oracles import closure_mobius_coefficients, expand_edge_signs, with_value
 
 
 def identity_cycle(m):
@@ -327,7 +330,7 @@ class TestCycleFiber:
         fib = cycle_fiber(sig)
         target = flipped.to_symmetric()
         for rep in fib.representatives:
-            moved = rep.with_value((1, 2), 1, -rep.gamma_edge(1, 2))
+            moved = with_value(rep, (1, 2), 1, -rep.gamma_edge(1, 2))
             assert np.abs(phi(rep.complex, moved).a - target.a).max() \
                 <= 1e-9 * target.scale()
 
@@ -353,6 +356,27 @@ class TestCycleFiber:
         singular = CycleMatrix.from_arrays([2.0, 2.0, 2.0], [1.0, -1.0, 1.0])
         with pytest.raises(Degenerate):
             cycle_fiber(singular, verdict=cycle_membership(singular))
+
+    def test_fibers_reuse_the_verdicts_correlation_form(self, monkeypatch):
+        """The correlation form is computed once, by cycle_membership, and kept
+        on the verdict outside its JSON form and its equality."""
+        calls = []
+
+        def counting(sigma, tol, original=cycle._correlation):
+            calls.append(sigma)
+            return original(sigma, tol)
+
+        sig, _ = random_cycle_member(np.random.default_rng(12), 6)
+        verdict = cycle_membership(sig)
+        monkeypatch.setattr(cycle, "_correlation", counting)
+        cycle_fiber(sig)
+        assert len(calls) == 1
+        cycle_fiber(sig, verdict=verdict)
+        cycle_certificate(sig, cycle_edge_complex(6), range(6), verdict=verdict)
+        assert len(calls) == 1
+        assert set(verdict.to_json_dict()) == {"member", "boundary", "slack", "det",
+                                               "flip_determinant", "method"}
+        assert verdict == dataclasses.replace(verdict, s=(), e=(), r=())
 
     def test_singular_member_raises_degenerate(self):
         # image of (g12, g21, g23, g32, g31, g13) = (1, 1, 1, -1, 1, 1): rank 2

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from psdcone.core import SymmetricMatrix
 from psdcone.cycle import counterexample_sigma
 from psdcone.errors import NotPsd, SingularBlock
-from psdcone.instances import random_psd_matrix
 from psdcone.linalg import (cholesky, is_psd, schur_complement, sign_flip,
                             tridiagonal_det)
+
+from oracles import random_psd_matrix
 
 
 class TestIsPsd:

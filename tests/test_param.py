@@ -13,7 +13,7 @@ from psdcone.linalg import is_psd, sign_flip
 from psdcone.param import (build_factor_matrix, cone_add,
                            extreme_decomposition, phi, submatrix_witness)
 
-from oracles import phi_symmetrized
+from oracles import phi_symmetrized, scaled_params, with_value
 
 
 def three_chain():
@@ -83,7 +83,7 @@ class TestPhi:
         rng = np.random.default_rng(seed)
         delta = random_complex(rng, int(rng.integers(2, 7)))
         gamma = random_params(rng, delta, density=0.8)
-        lhs = phi(delta, gamma.scaled(c)).a
+        lhs = phi(delta, scaled_params(gamma, c)).a
         rhs = c * c * phi(delta, gamma).a
         assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
@@ -105,7 +105,7 @@ class TestPhi:
         rng = np.random.default_rng(7)
         delta = edge_complex(cycle_graph(5))
         gamma = random_params(rng, delta)
-        flipped = gamma.with_value((1, 2), 1, -gamma.gamma_edge(1, 2))
+        flipped = with_value(gamma, (1, 2), 1, -gamma.gamma_edge(1, 2))
         lhs = phi(delta, flipped).a
         rhs = sign_flip(phi(delta, gamma), 1, 2).a
         assert np.abs(lhs - rhs).max() <= 1e-12
