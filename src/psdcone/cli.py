@@ -46,6 +46,8 @@ ERROR_CODES = {
     TooManyCliques: "too_many_cliques",
     InternalInconsistency: "internal_inconsistency",
     AsymmetricInput: "asymmetric_input",
+    json.JSONDecodeError: "parse_error",
+    OSError: "io_error",
 }
 
 
@@ -109,10 +111,6 @@ def _code_for(exc: Exception) -> str:
     for cls, code in ERROR_CODES.items():
         if isinstance(exc, cls):
             return code
-    if isinstance(exc, json.JSONDecodeError):
-        return "parse_error"
-    if isinstance(exc, OSError):
-        return "io_error"
     return "invalid_input"
 
 
@@ -127,38 +125,28 @@ def _load_graph_or_complex(path):
     raise ValueError(f"{path}: expected a graph ('edges') or complex ('facets') JSON")
 
 
-def _is_cycle_graph(g: Graph) -> bool:
-    if g.m < 3 or len(g.edges) != g.m:
-        return False
-    if any(g.degree(v) != 2 for v in range(g.m)):
-        return False
-    # connected 2-regular with m edges: a single cycle
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.m
-
-
-def _cycle_order(g: Graph) -> list[int]:
-    """Vertices of a cycle graph in traversal order starting at 0."""
-    order = [0]
-    prev = None
-    cur = 0
+def _cycle_order(g: Graph) -> list[int] | None:
+    """g's vertices in walk order from 0, or None unless g is one cycle on all m >= 3."""
+    if g.m < 3 or len(g.edges) != g.m or any(g.degree(v) != 2 for v in range(g.m)):
+        return None
+    # 2-regular, so the walk from 0 goes round 0's cycle: one cycle iff it repeats nothing
+    order, prev = [0], None
     while len(order) < g.m:
-        nxt = min(w for w in g.neighbors(cur) if w != prev)
+        nxt = min(w for w in g.neighbors(order[-1]) if w != prev)
+        prev = order[-1]
         order.append(nxt)
-        prev, cur = cur, nxt
-    return order
+    return order if len(set(order)) == g.m else None
 
 
-def _decide_cycle(sigma: SymmetricMatrix, g: Graph, delta, tol: float) -> int:
-    """The membership verdict on a chordless cycle g, whose pattern sigma respects."""
-    order = _cycle_order(g)
+def _check_certificate(gamma: FactorParams, sigma: SymmetricMatrix):
+    """Raise InternalInconsistency unless phi(gamma) reproduces sigma."""
+    if np.abs(phi(gamma.complex, gamma).a - sigma.a).max() > 1e-8 * sigma.scale():
+        raise InternalInconsistency("certificate does not reproduce the input")
+
+
+def _decide_cycle(sigma: SymmetricMatrix, g: Graph, order: list[int], delta,
+                  tol: float) -> int:
+    """The membership verdict on the chordless cycle g walked in order."""
     idx = np.array(order)
     cyc = CycleMatrix(tuple(sigma.a[idx, idx].tolist()),
                       tuple(sigma.a[idx, np.roll(idx, -1)].tolist()))
@@ -182,9 +170,7 @@ def _decide_cycle(sigma: SymmetricMatrix, g: Graph, delta, tol: float) -> int:
     except (Degenerate, NotMember):
         out["certificate"] = None
     else:
-        image = phi(delta, cert)
-        if np.abs(image.a - sigma.a).max() > 1e-8 * sigma.scale():
-            raise InternalInconsistency("certificate does not reproduce the input")
+        _check_certificate(cert, sigma)
         out["certificate"] = cert.to_json_dict()
         out["complex"] = delta.to_json_dict()
     _print_json(out)
@@ -309,9 +295,9 @@ def cmd_membership(args) -> int:
         return _error_json("pattern_violation",
                            "matrix has a nonzero entry at a non-edge of the graph")
 
-    cycle = _is_cycle_graph(g)
+    order = _cycle_order(g)
     # a chordless cycle of length >= 4 is never chordal
-    if not (cycle and g.m >= 4):
+    if order is None or g.m == 3:
         chordality = is_chordal(g)
         chordal_ok, ordering = chordality
         if chordal_ok and (delta is None or delta == ordering_clique_complex(g, ordering)):
@@ -322,16 +308,14 @@ def cmd_membership(args) -> int:
                 _print_json({"member": False, "method": "chordal",
                              "reason": "not_psd", "message": str(exc)})
                 return 1
-            image = phi(gamma.complex, gamma)
-            if np.abs(image.a - sigma.a).max() > 1e-8 * sigma.scale():
-                raise InternalInconsistency("certificate does not reproduce the input")
+            _check_certificate(gamma, sigma)
             _print_json({"member": True, "boundary": False, "method": "chordal",
                          "certificate": gamma.to_json_dict(),
                          "complex": gamma.complex.to_json_dict()})
             return 0
 
-    if cycle and (delta is None or delta == edge_complex(g)):
-        return _decide_cycle(sigma, g, delta, args.tol)
+    if order is not None and (delta is None or delta == edge_complex(g)):
+        return _decide_cycle(sigma, g, order, delta, args.tol)
 
     return _error_json(
         "undecidable",
@@ -352,54 +336,55 @@ def build_parser() -> argparse.ArgumentParser:
         prog="psdcone",
         description="PSD cones with prescribed zeros: parametrization, membership, fibers",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="relative tolerance for PSD and membership decisions")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--json", action="store_true",
-                        help="force JSON output where a text form is the default")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                     help="relative tolerance for PSD and membership decisions")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("phi", help="evaluate the parametrization")
+    p = sub.add_parser("phi", help="evaluate the parametrization")
     p.add_argument("--complex", required=True)
     p.add_argument("--params", required=True)
     p.set_defaults(func=cmd_phi)
 
-    p = add_parser("fiber", help="solve for a preimage on a chordal graph")
+    p = sub.add_parser("fiber", parents=[tol], help="solve for a preimage on a chordal graph")
     p.add_argument("--chordal", action="store_true",
                    help="use the chordal Cholesky construction (required)")
     p.add_argument("--matrix", required=True)
     p.add_argument("--graph", required=True)
     p.set_defaults(func=cmd_fiber)
 
-    p = add_parser("cycle-check", help="membership test for a cycle-patterned matrix")
+    p = sub.add_parser("cycle-check", parents=[tol],
+                      help="membership test for a cycle-patterned matrix")
     p.add_argument("--matrix", required=True)
     p.set_defaults(func=cmd_cycle_check)
 
-    p = add_parser("cycle-fiber", help="solve the fiber over a cycle-patterned member")
+    p = sub.add_parser("cycle-fiber", parents=[tol],
+                      help="solve the fiber over a cycle-patterned member")
     p.add_argument("--matrix", required=True)
     p.set_defaults(func=cmd_cycle_fiber)
 
-    p = add_parser("counterexample", help="the PSD-but-not-member family")
+    p = sub.add_parser("counterexample", help="the PSD-but-not-member family")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.set_defaults(func=cmd_counterexample)
 
-    p = add_parser("quotient", help="complex quotient by a vertex block")
+    p = sub.add_parser("quotient", help="complex quotient by a vertex block")
     p.add_argument("--complex", required=True)
     p.add_argument("--remove", required=True, help="comma-separated 1-based vertices")
     p.set_defaults(func=cmd_quotient)
 
-    p = add_parser("schur-witness", help="witness parameters for a Schur complement")
+    p = sub.add_parser("schur-witness", parents=[tol],
+                      help="witness parameters for a Schur complement")
     p.add_argument("--complex", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--vertex", type=int, required=True, help="1-based vertex to eliminate")
     p.set_defaults(func=cmd_schur_witness)
 
-    p = add_parser("volume", help="Monte Carlo spherical volume fraction")
+    p = sub.add_parser("volume", parents=[seed], help="Monte Carlo spherical volume fraction")
+    p.add_argument("--json", action="store_true",
+                   help="force JSON output where a text form is the default")
     p.add_argument("--m", type=int)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--workers", type=int, default=1)
@@ -407,22 +392,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=cmd_volume)
 
-    p = add_parser("digraph", help="bipartite factor digraph in DOT form")
+    p = sub.add_parser("digraph", help="bipartite factor digraph in DOT form")
     p.add_argument("--complex", required=True)
     p.set_defaults(func=cmd_digraph)
 
-    p = add_parser("simulate", help="empirical covariance of the latent model")
+    p = sub.add_parser("simulate", parents=[seed], help="empirical covariance of the latent model")
     p.add_argument("--complex", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--n", type=int, default=10_000)
     p.set_defaults(func=cmd_simulate)
 
-    p = add_parser("membership", help="decide membership for chordal or cycle graphs")
+    p = sub.add_parser("membership", parents=[tol],
+                      help="decide membership for chordal or cycle graphs")
     p.add_argument("--matrix", required=True)
     p.add_argument("--graph", required=True, help="graph or complex JSON file")
     p.set_defaults(func=cmd_membership)
 
-    p = add_parser("selftest", help="run reduced property suites")
+    p = sub.add_parser("selftest", parents=[seed], help="run reduced property suites")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--suite", action="append",
                    help="restrict to a suite (repeatable): " + ", ".join(selftest.SUITES))
@@ -446,9 +432,8 @@ def main(argv=None) -> int:
             rc = args.func(args)
         except BrokenPipeError:
             raise
-        except PsdConeError as exc:
-            rc = _error_json(_code_for(exc), str(exc))
-        except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        except (PsdConeError, ValueError, KeyError, OSError) as exc:
+            # json.JSONDecodeError is a ValueError
             rc = _error_json(_code_for(exc), str(exc))
         sys.stdout.flush()
     except BrokenPipeError:

@@ -306,9 +306,6 @@ class SymmetricMatrix:
     def m(self) -> int:
         return self.a.shape[0]
 
-    def entry(self, i: int, j: int) -> float:
-        return float(self.a[i, j])
-
     def scale(self) -> float:
         """tolerance_scale of the entries."""
         return tolerance_scale(self.a)
@@ -373,11 +370,6 @@ class FactorParams:
     def zeros(cls, delta: SimplicialComplex) -> "FactorParams":
         return cls(delta, {})
 
-    @classmethod
-    def build(cls, delta: SimplicialComplex, mapping: Mapping) -> "FactorParams":
-        vals = {(as_face(f), int(i)): float(v) for (f, i), v in mapping.items()}
-        return cls(delta, vals)
-
     def get(self, face: Iterable[int], vertex: int) -> float:
         if type(face) is tuple:
             # a stored key was validated at construction
@@ -402,13 +394,6 @@ class FactorParams:
             v = self.values[key]
             if v != 0.0:
                 yield key, v
-
-    def column(self, face: Face) -> np.ndarray:
-        """The face's column of Gamma(gamma) as a length-m vector."""
-        v = np.zeros(self.complex.m)
-        for i in face:
-            v[i] = self.values.get((face, i), 0.0)
-        return v
 
     def to_json_dict(self) -> dict:
         return {

@@ -68,17 +68,6 @@ class CycleMatrix:
     def scale(self) -> float:
         return tolerance_scale(self.diag + self.cyc)
 
-    def entry(self, i: int, j: int) -> float:
-        m = self.m
-        if i == j:
-            return self.diag[i]
-        a, b = min(i, j), max(i, j)
-        if b == a + 1:
-            return self.cyc[a]
-        if a == 0 and b == m - 1:
-            return self.cyc[m - 1]
-        return 0.0
-
     def to_array(self) -> np.ndarray:
         m = self.m
         arr = np.diag(np.asarray(self.diag, dtype=float))

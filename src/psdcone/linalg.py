@@ -47,26 +47,24 @@ def is_psd(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     return PsdReport(lo >= -tol * tolerance_scale(arr), lo, tol)
 
 
-def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL,
-                      zero_threshold: float | None = None) -> np.ndarray:
+def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Lower-triangular L with L L^T = arr for PSD arr, zero columns at zero pivots.
 
-    Pivots below -tol*scale raise NotPsd; pivots below zero_threshold*scale
-    (defaults to tol) produce an exactly-zero column, with a guard against a
-    ~zero pivot sitting on top of a non-negligible residual column.
+    Pivots below -tol*scale raise NotPsd; pivots of at most tol*scale produce
+    an exactly-zero column, with a guard against a ~zero pivot sitting on top
+    of a non-negligible residual column.
     """
     n = arr.shape[0]
     scale = tolerance_scale(arr)
-    zthr = tol if zero_threshold is None else zero_threshold
     work = np.array(arr, dtype=float)
     ell = np.zeros((n, n))
     for k in range(n):
         d = work[k, k]
         if d < -tol * scale:
             raise NotPsd(f"pivot {d:.3e} at position {k} below -{tol:.0e}*scale")
-        if d <= zthr * scale:
+        if d <= tol * scale:
             resid = np.abs(work[k + 1:, k]).max() if k + 1 < n else 0.0
-            if resid > 10.0 * np.sqrt(max(zthr, 1e-14)) * scale:
+            if resid > 10.0 * np.sqrt(max(tol, 1e-14)) * scale:
                 raise NotPsd(
                     f"zero pivot at position {k} with residual column {resid:.3e}"
                 )

@@ -1,7 +1,8 @@
-"""Reduced-size property suites runnable from the command line.
+"""The load-bearing identity checks, and small random suites that run them.
 
-Each suite re-checks one of the load-bearing identities on fresh random
-instances; the CLI exposes them for quick post-install verification.
+Each ``check_*`` takes an iterable of instances and raises AssertionError
+naming the first one that fails.  The acceptance criteria pass their pinned
+draws; each suite in ``SUITES`` draws its n instances lazily from rng.
 """
 
 from __future__ import annotations
@@ -32,25 +33,24 @@ def _abs_expansion_bound(sigma: CycleMatrix) -> float:
                  + 2.0 * np.prod(c))
 
 
-def suite_determinant(rng, n):
-    """Cycle determinant expansion vs dense determinant."""
-    for k in range(n):
-        m = int(rng.integers(3, 11))
-        sig = random_cycle_pattern_matrix(rng, m)
+def check_determinant(instances) -> float:
+    """Cycle determinant expansion vs dense determinant; the worst relative error."""
+    worst = 0.0
+    for k, sig in enumerate(instances):
         expansion = cycle_determinant(sig)
         dense = float(np.linalg.det(sig.to_symmetric().a))
         denom = max(1.0, abs(dense), _abs_expansion_bound(sig))
-        if abs(expansion - dense) > 1e-10 * denom:
+        if not abs(expansion - dense) <= 1e-10 * denom:
             raise AssertionError(
-                f"instance {k} (m={m}): expansion {expansion!r} vs dense {dense!r}"
+                f"instance {k} (m={sig.m}): expansion {expansion!r} vs dense {dense!r}"
             )
+        worst = max(worst, abs(expansion - dense) / denom)
+    return worst
 
 
-def suite_discriminant(rng, n):
-    """Quartic discriminant identity and coefficient signs on definite members."""
-    for k in range(n):
-        m = int(rng.integers(3, 9))
-        sig, _ = random_cycle_member(rng, m)
+def check_discriminant(instances):
+    """Quartic discriminant identity and coefficient signs on definite cycle members."""
+    for k, sig in enumerate(instances):
         a, b, c = quartic_coefficients(sig)
         dense = sig.to_symmetric()
         det = float(np.linalg.det(dense.a))
@@ -58,60 +58,116 @@ def suite_discriminant(rng, n):
         lhs = b * b - 4.0 * a * c
         rhs = det * det_flip
         denom = max(1.0, abs(lhs), abs(rhs), b * b)
-        if abs(lhs - rhs) > 1e-10 * denom:
+        if not abs(lhs - rhs) <= 1e-10 * denom:
             raise AssertionError(f"instance {k}: discriminant {lhs!r} vs {rhs!r}")
         if not (b > 0 and a < 0 and c <= 0):
             raise AssertionError(f"instance {k}: sign pattern a={a!r} b={b!r} c={c!r}")
 
 
-def suite_schur(rng, n):
-    """Schur witness identity on random complexes."""
-    for k in range(n):
-        m = int(rng.integers(3, 9))
-        delta = random_complex(rng, m)
-        gamma = random_params(rng, delta)
-        u = int(rng.integers(0, m))
-        sigma = phi(delta, gamma)
+def check_schur(instances):
+    """Schur witness identity on (complex, params, vertex) instances."""
+    for k, (delta, gamma, u) in enumerate(instances):
         witness = schur_witness(delta, gamma, u)
-        target = schur_complement(sigma, {u})
+        target = schur_complement(phi(delta, gamma), {u})
         err = np.abs(witness.image().a - target.a).max()
-        if err > 1e-10 * target.scale():
+        if not err <= 1e-10 * target.scale():
             raise AssertionError(f"instance {k}: witness error {err:.3e}")
 
 
-def suite_chordal(rng, n):
-    """Fiber recovery round trip on random chordal graphs."""
-    for k in range(n):
-        m = int(rng.integers(3, 11))
-        g = random_chordal_graph(rng, m)
-        delta = clique_complex(g)
-        gamma = random_params(rng, delta, density=0.8)
-        sigma = phi(delta, gamma)
+def check_chordal(instances):
+    """Fiber recovery round trip on (chordal graph, its clique complex, member)."""
+    for k, (g, delta, sigma) in enumerate(instances):
         recovered = chordal_fiber(g, sigma)
         err = np.abs(phi(delta, recovered).a - sigma.a).max()
-        if err > 1e-9 * sigma.scale():
+        if not err <= 1e-9 * sigma.scale():
             raise AssertionError(f"instance {k}: round trip error {err:.3e}")
 
 
-def suite_cycle(rng, n):
-    """Cycle fiber round trip and agreement of the membership forms."""
-    for k in range(n):
-        m = int(rng.integers(3, 9))
-        sig, _ = random_cycle_member(rng, m)
+def check_cycle_fiber(instances) -> list:
+    """Cycle fiber round trip on definite cycle members; the fibers, in order."""
+    fibers = []
+    for k, sig in enumerate(instances):
         fib = cycle_fiber(sig)
         target = sig.to_symmetric()
         for rep in fib.representatives:
             err = np.abs(phi(fib.complex, rep).a - target.a).max()
-            if err > 1e-9 * target.scale():
+            if not err <= 1e-9 * target.scale():
                 raise AssertionError(f"instance {k}: fiber image error {err:.3e}")
+        fibers.append(fib)
+    return fibers
+
+
+def check_cone(instances):
+    """Cone addition and extreme-ray reconstruction on (complex, params, params)."""
+    for k, (delta, g1, g2) in enumerate(instances):
+        total = SymmetricMatrix(phi(delta, g1).a + phi(delta, g2).a)
+        summed = phi(delta, cone_add(delta, g1, g2))
+        if not np.abs(summed.a - total.a).max() <= 1e-9 * total.scale():
+            raise AssertionError(f"instance {k}: cone_add image mismatch")
+        terms = extreme_decomposition(delta, g1)
+        recon = sum((t.matrix() for t in terms), np.zeros((delta.m, delta.m)))
+        if not np.abs(recon - phi(delta, g1).a).max() <= 1e-10 * total.scale():
+            raise AssertionError(f"instance {k}: decomposition mismatch")
+        if not all(delta.has_face(t.support) for t in terms):
+            raise AssertionError(f"instance {k}: non-face support emitted")
+
+
+def chordal_instance(rng, m, density):
+    """A chordal graph on m vertices, its clique complex and a member on it."""
+    g = random_chordal_graph(rng, m)
+    delta = clique_complex(g)
+    return g, delta, phi(delta, random_params(rng, delta, density=density))
+
+
+def schur_instance(rng, m):
+    """A random complex on m vertices, parameters on it and a vertex to eliminate."""
+    delta = random_complex(rng, m)
+    return delta, random_params(rng, delta), int(rng.integers(0, m))
+
+
+def cone_instance(rng, m, density):
+    """A random complex on m vertices and two parameter draws on it."""
+    delta = random_complex(rng, m)
+    return (delta, random_params(rng, delta, density=density),
+            random_params(rng, delta, density=density))
+
+
+def suite_determinant(rng, n):
+    """Criterion 03 on n cycle-pattern matrices with m in 3..10."""
+    check_determinant(random_cycle_pattern_matrix(rng, int(rng.integers(3, 11)))
+                      for _ in range(n))
+
+
+def suite_discriminant(rng, n):
+    """Criterion 04 on n cycle members with m in 3..8."""
+    check_discriminant(random_cycle_member(rng, int(rng.integers(3, 9)))[0]
+                       for _ in range(n))
+
+
+def suite_schur(rng, n):
+    """Criterion 08's single-vertex identity on n random complexes with m in 3..8."""
+    check_schur(schur_instance(rng, int(rng.integers(3, 9))) for _ in range(n))
+
+
+def suite_chordal(rng, n):
+    """Criterion 07's round trip on n chordal graphs with m in 3..10."""
+    check_chordal(chordal_instance(rng, int(rng.integers(3, 11)), 0.8) for _ in range(n))
+
+
+def suite_cycle(rng, n):
+    """Criterion 05's round trip, then the pivot determinants against dense ones
+    and the slack verdict against the PSD-ness of every sign flip."""
+    check_cycle_fiber(random_cycle_member(rng, int(rng.integers(3, 9)))[0]
+                      for _ in range(n))
     for k in range(n):
         m = int(rng.integers(3, 7))
         sig = random_psd_cycle_matrix(rng, m)
         verdict = cycle_membership(sig)
         dense = sig.to_symmetric()
         flipped = sign_flip(dense, 0, 1)
+        bound = 1e-9 * max(1.0, float(np.prod(sig.diag)))
         for got, arr in ((verdict.det, dense.a), (verdict.flip_determinant, flipped.a)):
-            if abs(got - float(np.linalg.det(arr))) > 1e-9 * max(1.0, float(np.prod(sig.diag))):
+            if not abs(got - float(np.linalg.det(arr))) <= bound:
                 raise AssertionError(f"instance {k}: pivot determinant {got!r} vs dense")
         if verdict.boundary:
             continue
@@ -126,22 +182,8 @@ def suite_cycle(rng, n):
 
 
 def suite_cone(rng, n):
-    """Cone addition and extreme-ray reconstruction."""
-    for k in range(n):
-        m = int(rng.integers(2, 9))
-        delta = random_complex(rng, m)
-        g1 = random_params(rng, delta, density=0.7)
-        g2 = random_params(rng, delta, density=0.7)
-        total = SymmetricMatrix(phi(delta, g1).a + phi(delta, g2).a)
-        summed = phi(delta, cone_add(delta, g1, g2))
-        if np.abs(summed.a - total.a).max() > 1e-9 * total.scale():
-            raise AssertionError(f"instance {k}: cone_add image mismatch")
-        terms = extreme_decomposition(delta, g1)
-        recon = sum((t.matrix() for t in terms), np.zeros((m, m)))
-        if np.abs(recon - phi(delta, g1).a).max() > 1e-10 * total.scale():
-            raise AssertionError(f"instance {k}: decomposition mismatch")
-        if not all(delta.has_face(t.support) for t in terms):
-            raise AssertionError(f"instance {k}: non-face support emitted")
+    """Criterion 09 on n random complexes with m in 2..8."""
+    check_cone(cone_instance(rng, int(rng.integers(2, 9)), 0.7) for _ in range(n))
 
 
 SUITES = {

@@ -9,22 +9,22 @@ single-threaded in total.
 import numpy as np
 import pytest
 
-from psdcone.chordal import chordal_fiber, clique_complex, is_surjective
-from psdcone.core import SymmetricMatrix, complete_graph, edge_complex
+from psdcone.chordal import is_surjective
+from psdcone.core import complete_graph, edge_complex
 from psdcone.cycle import (CycleMatrix, counterexample_det,
                            counterexample_sigma, cycle_determinant,
-                           cycle_fiber, cycle_membership, matching_sum,
-                           quartic_coefficients)
+                           cycle_fiber, cycle_membership, matching_sum)
 from psdcone.errors import SingularBlock
-from psdcone.instances import (random_chordal_graph, random_complex,
-                               random_cycle_member,
+from psdcone.instances import (random_complex, random_cycle_member,
                                random_cycle_pattern_matrix, random_params)
 from psdcone.latent import (conditional_precision, covariance_identity,
                             simulate_y)
 from psdcone.linalg import schur_complement
-from psdcone.param import cone_add, extreme_decomposition, phi
+from psdcone.param import phi
 from psdcone.quotient import schur_witness
-from psdcone.selftest import _abs_expansion_bound
+from psdcone.selftest import (check_chordal, check_cone, check_cycle_fiber,
+                              check_determinant, check_discriminant,
+                              chordal_instance, cone_instance, suite_schur)
 from psdcone.volume import _batch_masks, volume_table
 
 from oracles import expand_edge_signs, random_tree
@@ -104,57 +104,30 @@ def test_criterion_02_counterexample_family():
 
 def test_criterion_03_determinant_expansion():
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for m in range(3, 11):
-        for _ in range(1000):
-            sig = random_cycle_pattern_matrix(rng, m)
-            dense = float(np.linalg.det(sig.to_symmetric().a))
-            got = cycle_determinant(sig)
-            denom = max(1.0, abs(dense), _abs_expansion_bound(sig))
-            worst = max(worst, abs(got - dense) / denom)
-            assert abs(got - dense) <= 1e-10 * denom, (m, got, dense)
+    worst = check_determinant(random_cycle_pattern_matrix(rng, m)
+                              for m in range(3, 11) for _ in range(1000))
     report(3, "matching expansion equals dense determinant",
            f"worst rel err {worst:.2e} over 8000 instances")
 
 
 def test_criterion_04_discriminant_identity():
     rng = np.random.default_rng(4)
-    for m in range(3, 9):
-        for _ in range(1000):
-            sig, _ = random_cycle_member(rng, m)
-            a, b, c = quartic_coefficients(sig)
-            assert b > 0 and a < 0 and c <= 0, (m, a, b, c)
-            arr = sig.to_symmetric().a
-            det = float(np.linalg.det(arr))
-            flipped = arr.copy()
-            flipped[0, 1] = -flipped[0, 1]
-            flipped[1, 0] = -flipped[1, 0]
-            det_flip = float(np.linalg.det(flipped))
-            lhs = b * b - 4.0 * a * c
-            rhs = det * det_flip
-            denom = max(1.0, abs(lhs), abs(rhs), b * b)
-            assert abs(lhs - rhs) <= 1e-10 * denom, (m, lhs, rhs)
+    check_discriminant(random_cycle_member(rng, m)[0]
+                       for m in range(3, 9) for _ in range(1000))
     report(4, "quartic discriminant identity and sign pattern", "6000 instances")
 
 
 def test_criterion_05_cycle_fiber_round_trip():
     rng = np.random.default_rng(5)
-    for m in range(3, 9):
-        for trial in range(1000):
-            zero = (int(rng.integers(0, m)),) if trial % 10 == 0 else ()
-            sig, gamma0 = random_cycle_member(rng, m, zero_edges=zero)
-            fib = cycle_fiber(sig, TOL)
-            dense = sig.to_symmetric()
-            assert len(fib.representatives) == 2
-            target_sig = _canonical_edge_signs(gamma0, m)
-            matched = False
-            for rep in fib.representatives:
-                err = np.abs(phi(fib.complex, rep).a - dense.a).max()
-                assert err <= 1e-9 * dense.scale(), (m, trial, err)
-                cand = _canonical_edge_signs(rep, m)
-                if np.abs(cand - target_sig).max() <= 1e-6:
-                    matched = True
-            assert matched, (m, trial)
+    members = [random_cycle_member(rng, m, zero_edges=(int(rng.integers(0, m)),)
+                                   if trial % 10 == 0 else ())
+               for m in range(3, 9) for trial in range(1000)]
+    fibers = check_cycle_fiber(sig for sig, _ in members)
+    for k, ((sig, gamma0), fib) in enumerate(zip(members, fibers)):
+        assert len(fib.representatives) == 2
+        target_sig = _canonical_edge_signs(gamma0, sig.m)
+        assert any(np.abs(_canonical_edge_signs(rep, sig.m) - target_sig).max() <= 1e-6
+                   for rep in fib.representatives), k
     for m in (3, 4, 5):
         for _ in range(100):
             sig, _ = random_cycle_member(rng, m)
@@ -218,15 +191,7 @@ def test_criterion_06_membership_equivalences():
 
 def test_criterion_07_chordal_surjectivity():
     rng = np.random.default_rng(7)
-    for _ in range(1000):
-        m = int(rng.integers(2, 11))
-        g = random_chordal_graph(rng, m)
-        delta = clique_complex(g)
-        gamma0 = random_params(rng, delta, density=0.7)
-        sig = phi(delta, gamma0)
-        gamma = chordal_fiber(g, sig, TOL)
-        err = np.abs(phi(delta, gamma).a - sig.a).max()
-        assert err <= 1e-9 * sig.scale()
+    check_chordal(chordal_instance(rng, int(rng.integers(2, 11)), 0.7) for _ in range(1000))
     for _ in range(100):
         tree = random_tree(rng, int(rng.integers(2, 11)))
         assert is_surjective(edge_complex(tree))
@@ -236,15 +201,7 @@ def test_criterion_07_chordal_surjectivity():
 
 def test_criterion_08_schur_identity():
     rng = np.random.default_rng(8)
-    for _ in range(1000):
-        m = int(rng.integers(3, 9))
-        delta = random_complex(rng, m)
-        gamma = random_params(rng, delta)
-        u = int(rng.integers(0, m))
-        witness = schur_witness(delta, gamma, u, TOL)
-        target = schur_complement(phi(delta, gamma), {u})
-        err = np.abs(witness.image().a - target.a).max()
-        assert err <= 1e-10 * target.scale(), err
+    suite_schur(rng, 1000)
     # iterated single-vertex quotients match the block elimination
     count = 0
     while count < 200:
@@ -267,18 +224,7 @@ def test_criterion_08_schur_identity():
 
 def test_criterion_09_cone_addition():
     rng = np.random.default_rng(9)
-    for _ in range(1000):
-        m = int(rng.integers(2, 9))
-        delta = random_complex(rng, m)
-        g1 = random_params(rng, delta, density=0.8)
-        g2 = random_params(rng, delta, density=0.8)
-        target = SymmetricMatrix(phi(delta, g1).a + phi(delta, g2).a)
-        combined = phi(delta, cone_add(delta, g1, g2))
-        assert np.abs(combined.a - target.a).max() <= 1e-9 * target.scale()
-        terms = extreme_decomposition(delta, g1)
-        recon = sum((t.matrix() for t in terms), np.zeros((m, m)))
-        assert np.abs(recon - phi(delta, g1).a).max() <= 1e-10 * target.scale()
-        assert all(delta.has_face(t.support) for t in terms)
+    check_cone(cone_instance(rng, int(rng.integers(2, 9)), 0.8) for _ in range(1000))
     report(9, "cone addition and extreme-ray reconstruction", "1000 pairs")
 
 

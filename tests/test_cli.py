@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, exit codes, and output determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 import warnings
 
 import numpy as np
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdcone import chordal, cli, selftest
-from psdcone.core import FactorParams, SimplicialComplex
+from psdcone.core import FactorParams, SimplicialComplex, SymmetricMatrix
 from psdcone.cli import main
+from psdcone.instances import random_cycle_member, random_cycle_pattern_matrix
 from psdcone.param import phi
 
 from test_cycle_congruence import cycle_case
@@ -167,6 +170,32 @@ def test_membership_dispatch(files):
     rc, out = run_cli(["membership", "--matrix", npsd, "--graph", c5])
     assert rc == 1
     assert json.loads(out)["reason"] == "not_psd"
+
+
+def test_membership_needs_one_cycle_through_every_vertex(files):
+    # two disjoint triangles: 2-regular with m edges but not one cycle, and chordal
+    two = files("two3.json", {"m": 6, "edges": [[1, 2], [2, 3], [1, 3],
+                                                [4, 5], [5, 6], [4, 6]]})
+    i6 = files("i6.json", {"m": 6, "entries": np.eye(6).tolist()})
+    rc, out = run_cli(["membership", "--matrix", i6, "--graph", two])
+    assert rc == 0 and json.loads(out)["method"] == "chordal"
+    # two disjoint squares: neither chordal nor one cycle
+    sq = files("two4.json", {"m": 8, "edges": [[1, 2], [2, 3], [3, 4], [1, 4],
+                                               [5, 6], [6, 7], [7, 8], [5, 8]]})
+    i8 = files("i8.json", {"m": 8, "entries": np.eye(8).tolist()})
+    rc, out = run_cli(["membership", "--matrix", i8, "--graph", sq])
+    assert rc == 2 and json.loads(out)["error"]["code"] == "undecidable"
+
+
+@pytest.mark.parametrize("edges", [[[1, 2], [2, 3]], [[1, 2], [2, 3], [3, 4], [1, 4]]])
+def test_membership_rechecks_either_certificate(files, monkeypatch, edges):
+    m = max(max(e) for e in edges)
+    mpath = files("i.json", {"m": m, "entries": np.eye(m).tolist()})
+    gpath = files("g.json", {"m": m, "edges": edges})
+    monkeypatch.setattr(cli, "phi", lambda delta, gamma: SymmetricMatrix(np.zeros((m, m))))
+    rc, out = run_cli(["membership", "--matrix", mpath, "--graph", gpath])
+    assert rc == 2
+    assert json.loads(out)["error"]["code"] == "internal_inconsistency"
 
 
 def test_membership_certificate_reproduces_input(files):
@@ -330,6 +359,102 @@ def test_selftest_quick(monkeypatch):
     assert rc == 1
     assert "suite determinant: FAIL (instance 0: planted failure)" in out
     assert out.count("PASS") == 5
+
+
+# rng.integers(0, 2**62) right after SUITES[name](np.random.default_rng(0), 5):
+# where each suite leaves its generator, so a change to what or in which
+# order a suite draws cannot pass unnoticed
+NEXT_DRAW_AFTER_SUITE = {
+    "determinant": 4589072640179700698,
+    "discriminant": 3982836929138889639,
+    "schur": 3305429092254060097,
+    "chordal": 640709282115255524,
+    "cycle": 3019744192265066172,
+    "cone": 1576009801855955953,
+}
+
+
+@pytest.mark.parametrize("name", list(selftest.SUITES))
+def test_selftest_draws_are_pinned(name):
+    rng = np.random.default_rng(0)
+    selftest.SUITES[name](rng, 5)
+    assert int(rng.integers(0, 2 ** 62)) == NEXT_DRAW_AFTER_SUITE[name]
+
+
+def _nan_like_first(x, *args, **kw):
+    return types.SimpleNamespace(a=np.full_like(x.a, np.nan))
+
+
+# per check: one instance, and a library call inside the check that is made
+# to return NaN; the comparison against the bound must fail on it
+NAN_CASES = {
+    "determinant": (lambda rng: random_cycle_pattern_matrix(rng, 5),
+                    "cycle_determinant", lambda sig: math.nan),
+    "discriminant": (lambda rng: random_cycle_member(rng, 5)[0],
+                     "sign_flip", _nan_like_first),
+    "schur": (lambda rng: selftest.schur_instance(rng, 5), "schur_complement",
+              lambda *a: types.SimpleNamespace(a=np.nan, scale=lambda: 1.0)),
+    "chordal": (lambda rng: selftest.chordal_instance(rng, 5, 0.8), "phi",
+                lambda *a: types.SimpleNamespace(a=np.nan)),
+    "cycle_fiber": (lambda rng: random_cycle_member(rng, 5)[0], "phi",
+                    lambda *a: types.SimpleNamespace(a=np.nan)),
+    "cone": (lambda rng: selftest.cone_instance(rng, 5, 0.7), "extreme_decomposition",
+             lambda *a: [types.SimpleNamespace(matrix=lambda: np.nan, support=(0,))]),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_CASES))
+def test_selftest_check_fails_on_nan(name, monkeypatch):
+    draw, target, fake = NAN_CASES[name]
+    instance = draw(np.random.default_rng(0))
+    check = getattr(selftest, f"check_{name}")
+    check([instance])
+    monkeypatch.setattr(selftest, target, fake)
+    with pytest.raises(AssertionError, match="instance 0"), warnings.catch_warnings():
+        # the dense determinant of a NaN matrix warns before it returns NaN
+        warnings.simplefilter("ignore", RuntimeWarning)
+        check([instance])
+
+
+# per subcommand: the shared options it reads, and arguments for the rest of its line
+SUBCOMMANDS = {
+    "phi": ((), ["--complex", "c.json", "--params", "p.json"]),
+    "fiber": (("--tol",), ["--chordal", "--matrix", "s.json", "--graph", "g.json"]),
+    "cycle-check": (("--tol",), ["--matrix", "s.json"]),
+    "cycle-fiber": (("--tol",), ["--matrix", "s.json"]),
+    "counterexample": ((), ["--m", "5", "--rho", "1.25"]),
+    "quotient": ((), ["--complex", "c.json", "--remove", "1"]),
+    "schur-witness": (("--tol",), ["--complex", "c.json", "--params", "p.json",
+                                   "--vertex", "1"]),
+    "volume": (("--seed", "--json"), ["--m", "3"]),
+    "digraph": ((), ["--complex", "c.json"]),
+    "simulate": (("--seed",), ["--complex", "c.json", "--params", "p.json"]),
+    "membership": (("--tol",), ["--matrix", "s.json", "--graph", "g.json"]),
+    "selftest": (("--seed",), []),
+}
+SHARED = {"--tol": (["--tol", "1e-3"], 1e-3), "--seed": (["--seed", "7"], 7),
+          "--json": (["--json"], True)}
+
+
+def test_every_subcommand_is_listed():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+@pytest.mark.parametrize("flag", list(SHARED))
+def test_subcommands_accept_only_the_shared_options_they_read(command, flag, capsys):
+    reads, rest = SUBCOMMANDS[command]
+    tokens, value = SHARED[flag]
+    parser = cli.build_parser()
+    if flag in reads:
+        assert getattr(parser.parse_args([command, *rest, *tokens]), flag[2:]) == value
+        return
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, *rest, *tokens])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(tokens) in capsys.readouterr().err
 
 
 def outcome(argv, fresh=False):
