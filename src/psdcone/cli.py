@@ -189,7 +189,15 @@ def cmd_fiber(args) -> int:
         raise ValueError("only --chordal fibers are implemented; pass --chordal")
     sigma = SymmetricMatrix.from_json_dict(load_json(args.matrix))
     g, delta = _load_graph_or_complex(args.graph)
-    gamma = chordal_fiber(g, sigma, tol=args.tol)
+    chordality = cliques = None
+    if delta is not None:
+        chordality = is_chordal(g)
+        if chordality[0]:
+            cliques = ordering_clique_complex(g, chordality[1])
+            if delta != cliques:
+                return _error_json("invalid_input", "the complex is not the clique complex "
+                                   "of its graph, on which chordal fibers live")
+    gamma = chordal_fiber(g, sigma, tol=args.tol, chordality=chordality, cliques=cliques)
     _print_json(gamma.to_json_dict())
     return 0
 

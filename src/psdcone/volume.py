@@ -21,7 +21,10 @@ complement of PD within PSD has measure zero.
 
 from __future__ import annotations
 
+import os
+import queue
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -32,6 +35,10 @@ from .linalg import path_det, tridiagonal_minors
 DEFAULT_BATCH = 100_000
 # Each worker is one process; a larger request fails before any is started.
 MAX_WORKERS = 64
+# The helper thread fills BUFFERS arrays of CHUNK normals in turn: 128k
+# normals (1 MB) in flight.  Larger chunks ran slower.
+CHUNK = 32_768
+BUFFERS = 4
 
 
 @dataclass(frozen=True)
@@ -126,38 +133,110 @@ def _staged_candidates(draw, n: int, m: int):
     return rows, coords[:, :m], coords[:, m:]
 
 
+class _Normals:
+    """One PCG64 stream's standard normals, taken in stream order.
+
+    ``standard_normal(a)`` followed by ``standard_normal(b)`` returns the
+    values of ``standard_normal(a + b)``, so where the stream is cut does not
+    change it.  With ``ahead``, a helper thread fills BUFFERS arrays of CHUNK
+    normals in turn while the caller works (numpy releases the GIL while it
+    fills).  ``take`` copies out of them and hands an array back for refilling
+    only once it has read all of it, so nothing it returned is written again.
+    Use as a context manager: leaving it stops and joins the helper, so the
+    process never forks with it alive.
+    """
+
+    def __init__(self, seed_seq: np.random.SeedSequence, ahead: bool):
+        self._rng = np.random.Generator(np.random.PCG64(seed_seq))
+        self._thread = None
+        if ahead:
+            self._empty, self._full = queue.SimpleQueue(), queue.SimpleQueue()
+            for _ in range(BUFFERS):
+                self._empty.put(np.empty(CHUNK))
+            self._stop = threading.Event()
+            self._head, self._pos = None, 0
+            self._thread = threading.Thread(target=self._fill, daemon=True)
+            self._thread.start()
+
+    def _fill(self):
+        try:
+            while (buf := self._empty.get()) is not None and not self._stop.is_set():
+                self._rng.standard_normal(out=buf)
+                self._full.put(buf)
+        except Exception as exc:  # raised again by take
+            self._full.put(exc)
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n normals of the stream."""
+        if self._thread is None:
+            return self._rng.standard_normal(n)
+        out = np.empty(n)
+        at = 0
+        while at < n:
+            if self._head is None or self._pos == self._head.size:
+                if self._head is not None:
+                    self._empty.put(self._head)
+                self._head, self._pos = self._full.get(), 0
+                if isinstance(self._head, Exception):
+                    raise self._head
+            k = min(n - at, self._head.size - self._pos)
+            out[at: at + k] = self._head[self._pos: self._pos + k]
+            self._pos += k
+            at += k
+        return out
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._thread is not None:
+            self._stop.set()
+            self._empty.put(None)  # wakes the helper if it waits for an array
+            self._thread.join()
+
+
+def _spare_cpu(workers: int) -> bool:
+    """Whether this process may run one helper thread per sampling worker."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 * workers
+
+
 def _count_stream(m: int, quota: int, seed_seq: np.random.SeedSequence,
-                  batch: int, progress=False) -> tuple[int, int, int]:
+                  batch: int, progress=False, *, workers: int = 1) -> tuple[int, int, int]:
     """Consume one RNG stream until `quota` PSD samples are taken, in stream order.
 
     Returns (PSD samples taken, members among them, candidates drawn up to
-    the last sample taken).
+    the last sample taken).  ``workers`` is the number of streams running at
+    once; the normals are drawn ahead on a helper thread when the process
+    has a spare CPU for each.
     """
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-
-    def draw(j, rows):
-        return rng.standard_normal(rows.size)
-
     taken = 0
     members = 0
     drawn = 0
-    while taken < quota:
-        rows, diag, cyc = _staged_candidates(draw, batch, m)
-        pd, member = _batch_masks(diag, cyc)
-        idx = np.flatnonzero(pd)[: quota - taken]
-        taken += idx.size
-        members += int(member[idx].sum())
-        drawn += batch if taken < quota else int(rows[idx[-1]]) + 1
-        if progress and drawn % (10 * batch) == 0:
-            print(f"[volume m={m}] {taken}/{quota} psd samples after {drawn} draws "
-                  f"(acceptance {taken / drawn:.3g})", file=sys.stderr)
+    with _Normals(seed_seq, ahead=_spare_cpu(workers)) as normals:
+        def draw(j, rows):
+            return normals.take(rows.size)
+
+        while taken < quota:
+            rows, diag, cyc = _staged_candidates(draw, batch, m)
+            pd, member = _batch_masks(diag, cyc)
+            idx = np.flatnonzero(pd)[: quota - taken]
+            taken += idx.size
+            members += int(member[idx].sum())
+            drawn += batch if taken < quota else int(rows[idx[-1]]) + 1
+            if progress and drawn % (10 * batch) == 0:
+                print(f"[volume m={m}] {taken}/{quota} psd samples after {drawn} draws "
+                      f"(acceptance {taken / drawn:.3g})", file=sys.stderr)
     return taken, members, drawn
 
 
 def _worker(args):
-    m, quota, state, batch = args
+    m, quota, state, batch, workers = args
     return _count_stream(m, quota, np.random.SeedSequence(entropy=state[0], spawn_key=state[1]),
-                         batch)
+                         batch, workers=workers)
 
 
 def estimate_volume(m: int, n_samples: int, seed: int, workers: int = 1,
@@ -182,7 +261,7 @@ def estimate_volume(m: int, n_samples: int, seed: int, workers: int = 1,
     if len(quotas) == 1:
         counts = [_count_stream(m, quotas[0], children[0], batch, progress)]
     else:
-        jobs = [(m, q, (ss.entropy, ss.spawn_key), batch)
+        jobs = [(m, q, (ss.entropy, ss.spawn_key), batch, len(quotas))
                 for q, ss in zip(quotas, children)]
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             counts = list(pool.map(_worker, jobs))

@@ -7,6 +7,7 @@ instances.  The helpers at the end build or inspect test inputs.
 
 import heapq
 import itertools
+import sys
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from psdcone.errors import ZeroDiagonal
 from psdcone.linalg import DEFAULT_TOL
 from psdcone.param import RAY_DROP_TOL, _lq_columns, _nonzero_columns
 from psdcone.quotient import QuotientWitness
+from psdcone.volume import _batch_masks
 
 
 def has_face_scan(delta: SimplicialComplex, face) -> bool:
@@ -287,6 +289,75 @@ def schur_witness_by_pairs(delta: SimplicialComplex, gamma: FactorParams, u: int
             merged.append((face, restrict(col) / root))
     params = combine_columns_by_column(quot, merged)
     return QuotientWitness(quot, params, relabel, (u,))
+
+
+def sequential_staged_candidates(draw, n: int, m: int):
+    """The volume sampler's staging as it ran on one thread: candidates among
+    `n` whose leading minors 1..m-1 are positive, in stream order.
+
+    ``draw(j, rows)`` returns coordinate ``j`` of the candidates ``rows``
+    (ascending row numbers), with ``j < m`` the diagonal entry ``d_j`` before
+    its absolute value is taken and ``j >= m`` the cycle entry ``c_(j-m)``.
+    ``d_0``, ``d_1`` and ``c_0`` are drawn for all candidates, then
+    ``(d_k, c_(k-1))`` only for those whose minors 1..k are positive, and the
+    last diagonal entry and the last two cycle entries (which enter no
+    leading minor below m) only for the survivors.  Returns their row numbers
+    and their full ``(len(rows), m)`` diagonal and cycle coordinates.
+    """
+    stages = []  # (rows, coordinate numbers, values) of each stage's draws
+
+    def stage(rows, *js):
+        xs = [np.abs(draw(j, rows)) if j < m else draw(j, rows) for j in js]
+        stages.append((rows, js, xs))
+        return xs
+
+    rows = np.arange(n)
+    d0, d1, c0 = stage(rows, 0, 1, m)
+    # The two latest leading minors, by the recurrence of linalg.tridiagonal_minors.
+    # Minor 1 is d_0 >= 0, and minor 2 = d_0 d_1 - c_0^2 is positive only where it is.
+    prev, cur = d0, d0 * d1 - np.square(c0)
+    for k in range(2, m - 1):
+        live = np.flatnonzero(cur > 0)
+        rows, prev, cur = rows[live], prev[live], cur[live]
+        d, c = stage(rows, k, m + k - 1)
+        prev, cur = cur, d * cur - np.square(c) * prev
+    rows = rows[cur > 0]
+    stage(rows, m - 1, 2 * m - 2, 2 * m - 1)
+    coords = np.empty((rows.size, 2 * m))
+    for at, js, xs in stages:
+        pos = np.searchsorted(at, rows)
+        for j, x in zip(js, xs):
+            coords[:, j] = x[pos]
+    return rows, coords[:, :m], coords[:, m:]
+
+
+def sequential_count_stream(m: int, quota: int, seed_seq: np.random.SeedSequence,
+                            batch: int, progress=False) -> tuple[int, int, int]:
+    """The volume sampler's stream count, drawing each stage's normals inline:
+    consume one RNG stream until `quota` PSD samples are taken, in stream order.
+
+    Returns (PSD samples taken, members among them, candidates drawn up to
+    the last sample taken).
+    """
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+
+    def draw(j, rows):
+        return rng.standard_normal(rows.size)
+
+    taken = 0
+    members = 0
+    drawn = 0
+    while taken < quota:
+        rows, diag, cyc = sequential_staged_candidates(draw, batch, m)
+        pd, member = _batch_masks(diag, cyc)
+        idx = np.flatnonzero(pd)[: quota - taken]
+        taken += idx.size
+        members += int(member[idx].sum())
+        drawn += batch if taken < quota else int(rows[idx[-1]]) + 1
+        if progress and drawn % (10 * batch) == 0:
+            print(f"[volume m={m}] {taken}/{quota} psd samples after {drawn} draws "
+                  f"(acceptance {taken / drawn:.3g})", file=sys.stderr)
+    return taken, members, drawn
 
 
 def is_clique(g: Graph, vertices) -> bool:

@@ -70,6 +70,44 @@ def test_fiber_chordal(files):
     assert any(rec["face"] == [1, 2] for rec in payload["values"])
 
 
+def test_fiber_refuses_a_complex_other_than_the_clique_complex(files):
+    """The triangle's edge complex has no face [1, 2, 3], on which the
+    chordal fiber of the triangle puts parameters."""
+    mpath = files("s.json", {"m": 3, "entries": [[2.0, 0.3, 0.2],
+                                                 [0.3, 1.5, -0.4],
+                                                 [0.2, -0.4, 1.0]]})
+    cpath = files("e3.json", {"m": 3, "facets": [[1, 2], [1, 3], [2, 3]]})
+    rc, out = run_cli(["fiber", "--chordal", "--matrix", mpath, "--graph", cpath])
+    assert rc == 2
+    assert json.loads(out)["error"]["code"] == "invalid_input"
+
+
+def test_fiber_on_the_clique_complex_file_matches_the_graph_file(files, monkeypatch):
+    """Either file builds chordality and the clique complex once each."""
+    sigma = files("s.json", {"m": 4, "entries": [[2.0, 0.8, 0.3, 0.0],
+                                                 [0.8, 1.5, -0.4, 0.2],
+                                                 [0.3, -0.4, 1.0, 0.0],
+                                                 [0.0, 0.2, 0.0, 1.0]]})
+    graph = files("g.json", {"m": 4, "edges": [[1, 2], [1, 3], [2, 3], [2, 4]]})
+    complex_ = files("c.json", {"m": 4, "facets": [[2, 4], [1, 2, 3]]})
+    calls = []
+
+    def counting(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    decide = counting("is_chordal", chordal.is_chordal)
+    build = counting("cliques", chordal.ordering_clique_complex)
+    for module in (chordal, cli):
+        monkeypatch.setattr(module, "is_chordal", decide)
+        monkeypatch.setattr(module, "ordering_clique_complex", build)
+    outputs = []
+    for path in (graph, complex_):
+        calls.clear()
+        outputs.append(run_cli(["fiber", "--chordal", "--matrix", sigma, "--graph", path]))
+        assert sorted(calls) == ["cliques", "is_chordal"], path
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def test_fiber_requires_chordal_flag(files):
     mpath = files("i2.json", {"m": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]})
     gpath = files("k2.json", {"m": 2, "edges": [[1, 2]]})

@@ -1,12 +1,18 @@
 """Monte Carlo volume estimator: determinism, instrumentation, invariances."""
 
+import contextlib
 import runpy
 import sys
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import sequential_count_stream
 from psdcone import volume
 from psdcone.cycle import CycleMatrix, cycle_membership
 from psdcone.linalg import tridiagonal_minors
@@ -29,6 +35,10 @@ class TestEstimateVolume:
         # any change to the draws or to the masks moves these counts
         got = [estimate_volume(m, 5000, seed=11).members for m in range(3, 8)]
         assert got == [3904, 4537, 4771, 4865, 4926]
+
+    def test_draw_counts_pinned(self):
+        got = [estimate_volume(m, 5000, seed=11).draws for m in range(3, 8)]
+        assert got == [50707, 124681, 295959, 682458, 1543879]
 
     def test_always_true_predicate_gives_one(self, monkeypatch):
         masks = volume._batch_masks
@@ -64,6 +74,101 @@ class TestEstimateVolume:
             estimate_volume(3, 0, seed=0)
         with pytest.raises(ValueError, match="workers"):
             estimate_volume(3, 10, seed=0, workers=volume.MAX_WORKERS + 1)
+
+
+@contextlib.contextmanager
+def cpus(n):
+    """Report n CPUs to the sampler, which starts a helper thread per worker
+    only when that leaves a CPU for each."""
+    with mock.patch.object(volume.os, "sched_getaffinity", lambda pid: set(range(n))):
+        yield
+
+
+@st.composite
+def streams(draw):
+    """(m, batch, quota) that run within a few thousand candidates per batch
+    size: acceptance is about 0.1 at m = 3 and falls about twofold per m."""
+    m = draw(st.integers(3, 10))
+    batch = draw(st.sampled_from([1, 7, 1000]))
+    cap = (300 if batch == 1000 else 12) >> (m - 3)
+    return m, batch, draw(st.integers(1, max(1, cap)))
+
+
+class TestStream:
+    """Drawing ahead cuts the stream elsewhere but takes the same normals."""
+
+    @given(streams(), st.sampled_from([5, 4096, volume.CHUNK]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_the_sequential_stream(self, stream, chunk, ahead, seed):
+        m, batch, quota = stream
+        seed_seq = np.random.SeedSequence(seed)
+        expected = sequential_count_stream(m, quota, seed_seq, batch)
+        with cpus(2 if ahead else 1), mock.patch.object(volume, "CHUNK", chunk):
+            assert volume._count_stream(m, quota, seed_seq, batch) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_estimate_matches_sequential_streams(self, workers):
+        n = 301
+        quotas = [n // workers + (w < n % workers) for w in range(workers)]
+        counts = [sequential_count_stream(4, q, ss, 1000)
+                  for q, ss in zip(quotas, np.random.SeedSequence(9).spawn(workers))]
+        expected = tuple(sum(c[i] for c in counts) for i in range(3))
+        for n_cpus in (1, 2 * workers):  # helper off, then on in every worker
+            with cpus(n_cpus):
+                est = estimate_volume(4, n, seed=9, workers=workers, batch=1000)
+            assert (est.samples_psd, est.members, est.draws) == expected
+
+
+class TestHelperThread:
+    def test_one_cpu_starts_no_helper(self, monkeypatch):
+        masks = volume._batch_masks
+        seen = []
+        monkeypatch.setattr(volume, "_batch_masks",
+                            lambda diag, cyc: seen.append(threading.active_count())
+                            or masks(diag, cyc))
+        before = threading.active_count()
+        got = {}
+        for n_cpus in (1, 2):
+            seen.clear()
+            with cpus(n_cpus):
+                got[n_cpus] = estimate_volume(5, 500, seed=3, batch=1000)
+            assert set(seen) == {before + n_cpus - 1}
+            assert threading.active_count() == before
+        assert got[1] == got[2]
+
+    def test_error_mid_stream_propagates_and_joins_the_helper(self, monkeypatch):
+        masks = volume._batch_masks
+        seen = []
+
+        def failing(diag, cyc):
+            seen.append(threading.active_count())
+            if len(seen) == 3:
+                raise RuntimeError("mask failure")
+            return masks(diag, cyc)
+
+        monkeypatch.setattr(volume, "_batch_masks", failing)
+        before = threading.active_count()
+        with cpus(2), pytest.raises(RuntimeError, match="mask failure"):
+            estimate_volume(7, 10_000, seed=3, batch=1000)
+        assert seen == [before + 1] * 3
+        assert threading.active_count() == before
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        class Generator:
+            """Fails, saying whether the helper filled an array or a draw was inline."""
+
+            def __init__(self, bit_generator):
+                pass
+
+            def standard_normal(self, size=None, out=None):
+                raise FloatingPointError("drawn inline" if out is None else "helper failure")
+
+        monkeypatch.setattr(volume.np.random, "Generator", Generator)
+        before = threading.active_count()
+        with cpus(2), pytest.raises(FloatingPointError, match="helper failure"):
+            estimate_volume(3, 10, seed=0)
+        assert threading.active_count() == before
 
 
 class TestBatchMasks:
