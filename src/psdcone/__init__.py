@@ -3,42 +3,50 @@
 Factor parametrizations over simplicial complexes, exact membership tests
 for chordal graphs and chordless cycles, fiber solvers, Schur-complement
 quotients, Monte Carlo cone volumes, and Gaussian latent-variable models.
+
+Importing the package loads no submodule: each public name and each
+submodule is imported the first time it is looked up here (PEP 562).
 """
 
-from .core import (FactorMatrix, FactorParams, Graph, SimplicialComplex,
-                   SymmetricMatrix, complete_graph, cycle_graph, edge_complex,
-                   induced_subcomplex, path_graph, underlying_graph)
-from .chordal import (EliminationOrdering, chordal_fiber, clique_complex,
-                      is_chordal, is_surjective)
-from .cycle import (CycleFiber, CycleMatrix, MembershipVerdict,
-                    counterexample_det, counterexample_sigma,
-                    cycle_edge_complex, cycle_fiber, cycle_membership,
-                    matching_sum, quartic_coefficients)
-from .latent import (LatentSystem, build_digraph, conditional_precision,
-                     covariance_identity, simulate_y)
-from .linalg import (PsdReport, cholesky, is_psd, schur_complement, sign_flip,
-                     tridiagonal_det)
-from .param import (RankOneTerm, build_factor_matrix, cone_add,
-                    extreme_decomposition, phi, submatrix_witness)
-from .quotient import (QuotientWitness, complex_quotient, graph_quotient,
-                       schur_witness)
-from .volume import VolumeEstimate, estimate_volume, volume_table
+import importlib
 
-__all__ = [
-    "CycleFiber", "CycleMatrix", "EliminationOrdering", "FactorMatrix",
-    "FactorParams", "Graph", "LatentSystem", "MembershipVerdict", "PsdReport",
-    "QuotientWitness", "RankOneTerm", "SimplicialComplex", "SymmetricMatrix",
-    "VolumeEstimate", "build_digraph", "build_factor_matrix", "cholesky",
-    "chordal_fiber", "clique_complex", "complete_graph", "complex_quotient",
-    "conditional_precision", "cone_add", "counterexample_det",
-    "counterexample_sigma", "covariance_identity", "cycle_edge_complex",
-    "cycle_fiber", "cycle_graph", "cycle_membership", "edge_complex",
-    "estimate_volume", "extreme_decomposition", "graph_quotient",
-    "induced_subcomplex", "is_chordal", "is_psd", "is_surjective",
-    "matching_sum", "path_graph", "phi", "quartic_coefficients",
-    "schur_complement", "schur_witness", "sign_flip", "simulate_y",
-    "submatrix_witness", "tridiagonal_det", "underlying_graph",
-    "volume_table",
-]
+# the public names, by the submodule that defines them
+_PUBLIC = {
+    "chordal": ("EliminationOrdering", "chordal_fiber", "clique_complex", "is_chordal",
+                "is_surjective"),
+    "core": ("FactorMatrix", "FactorParams", "Graph", "SimplicialComplex", "SymmetricMatrix",
+             "complete_graph", "cycle_graph", "edge_complex", "induced_subcomplex",
+             "path_graph", "underlying_graph"),
+    "cycle": ("CycleFiber", "CycleMatrix", "MembershipVerdict", "counterexample_det",
+              "counterexample_sigma", "cycle_edge_complex", "cycle_fiber", "cycle_membership",
+              "matching_sum", "quartic_coefficients"),
+    "latent": ("LatentSystem", "build_digraph", "conditional_precision",
+               "covariance_identity", "simulate_y"),
+    "linalg": ("PsdReport", "cholesky", "is_psd", "schur_complement", "sign_flip",
+               "tridiagonal_det"),
+    "param": ("RankOneTerm", "build_factor_matrix", "cone_add", "extreme_decomposition", "phi",
+              "submatrix_witness"),
+    "quotient": ("QuotientWitness", "complex_quotient", "graph_quotient", "schur_witness"),
+    "volume": ("VolumeEstimate", "estimate_volume", "volume_table"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+_SUBMODULES = frozenset(_PUBLIC) | {"cli", "errors", "instances", "selftest"}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME) | _SUBMODULES)

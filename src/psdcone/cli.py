@@ -9,6 +9,7 @@ every file and argument.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -16,24 +17,51 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import selftest
-# clique_complex is not called here; it stays importable from this module
-# because perfbench/spans.py wraps it by this name.
-from .chordal import (chordal_fiber, clique_complex, is_chordal,  # noqa: F401
-                      ordering_clique_complex)
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    edge_complex, load_json, underlying_graph)
-from .cycle import (CycleMatrix, counterexample_det, counterexample_sigma,
-                    cycle_certificate, cycle_fiber, cycle_membership)
 from .errors import (AsymmetricInput, Degenerate, InternalInconsistency,
                      NotChordal, NotMember, NotPsd, PatternViolation,
                      PsdConeError, TooManyCliques, ZeroDiagonal,
                      ZeroDiagonalParam)
-from .latent import build_digraph, simulate_y
 from .linalg import DEFAULT_TOL, schur_complement
-from .param import phi
-from .quotient import complex_quotient, schur_witness
-from .volume import estimate_volume, format_table, volume_table
+
+# The names the commands take from modules that not every command runs, by
+# module.  main loads a command's modules (its ``uses`` in build_parser)
+# before the command first runs; from then on each name is a plain global.
+# Looking a name up on the module loads it too, so patching
+# ``psdcone.cli.<name>`` before any command has run patches what the command
+# calls.  clique_complex is not called here; it is listed because
+# perfbench/spans.py wraps it by this name.  "selftest" is the module itself.
+_DEFERRED = {
+    "chordal": ("chordal_fiber", "clique_complex", "is_chordal", "ordering_clique_complex"),
+    "cycle": ("CycleMatrix", "counterexample_det", "counterexample_sigma",
+              "cycle_certificate", "cycle_fiber", "cycle_membership"),
+    "latent": ("build_digraph", "simulate_y"),
+    "param": ("phi",),
+    "quotient": ("complex_quotient", "schur_witness"),
+    "volume": ("estimate_volume", "format_table", "volume_table"),
+    "selftest": ("selftest",),
+}
+_MODULE_OF = {name: module for module, names in _DEFERRED.items() for name in names}
+_loaded: set[str] = set()
+
+
+def _load(module: str):
+    """Bind module's deferred names that are not globals here yet."""
+    mod = importlib.import_module(f".{module}", __package__)
+    scope = globals()
+    for name in _DEFERRED[module]:
+        if name not in scope:
+            scope[name] = mod if name == module else getattr(mod, name)
+    _loaded.add(module)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_MODULE_OF[name])
+    return globals()[name]
+
 
 ERROR_CODES = {
     NotPsd: "not_psd",
@@ -339,6 +367,17 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psdcone",
@@ -354,41 +393,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="evaluate the parametrization")
     p.add_argument("--complex", required=True)
     p.add_argument("--params", required=True)
-    p.set_defaults(func=cmd_phi)
+    p.set_defaults(func=cmd_phi, uses=("param",))
 
     p = sub.add_parser("fiber", parents=[tol], help="solve for a preimage on a chordal graph")
     p.add_argument("--chordal", action="store_true",
                    help="use the chordal Cholesky construction (required)")
     p.add_argument("--matrix", required=True)
     p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_fiber)
+    p.set_defaults(func=cmd_fiber, uses=("chordal",))
 
     p = sub.add_parser("cycle-check", parents=[tol],
                       help="membership test for a cycle-patterned matrix")
     p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_cycle_check)
+    p.set_defaults(func=cmd_cycle_check, uses=("cycle",))
 
     p = sub.add_parser("cycle-fiber", parents=[tol],
                       help="solve the fiber over a cycle-patterned member")
     p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_cycle_fiber)
+    p.set_defaults(func=cmd_cycle_fiber, uses=("cycle",))
 
     p = sub.add_parser("counterexample", help="the PSD-but-not-member family")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
-    p.set_defaults(func=cmd_counterexample)
+    p.set_defaults(func=cmd_counterexample, uses=("cycle",))
 
     p = sub.add_parser("quotient", help="complex quotient by a vertex block")
     p.add_argument("--complex", required=True)
     p.add_argument("--remove", required=True, help="comma-separated 1-based vertices")
-    p.set_defaults(func=cmd_quotient)
+    p.set_defaults(func=cmd_quotient, uses=("quotient",))
 
     p = sub.add_parser("schur-witness", parents=[tol],
                       help="witness parameters for a Schur complement")
     p.add_argument("--complex", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--vertex", type=int, required=True, help="1-based vertex to eliminate")
-    p.set_defaults(func=cmd_schur_witness)
+    p.set_defaults(func=cmd_schur_witness, uses=("quotient", "param"))
 
     p = sub.add_parser("volume", parents=[seed], help="Monte Carlo spherical volume fraction")
     p.add_argument("--json", action="store_true",
@@ -398,29 +437,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--table", action="store_true", help="run m = 3..7")
     p.add_argument("--progress", action="store_true")
-    p.set_defaults(func=cmd_volume)
+    p.set_defaults(func=cmd_volume, uses=("volume",))
 
     p = sub.add_parser("digraph", help="bipartite factor digraph in DOT form")
     p.add_argument("--complex", required=True)
-    p.set_defaults(func=cmd_digraph)
+    p.set_defaults(func=cmd_digraph, uses=("latent",))
 
     p = sub.add_parser("simulate", parents=[seed], help="empirical covariance of the latent model")
     p.add_argument("--complex", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--n", type=int, default=10_000)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, uses=("latent",))
 
     p = sub.add_parser("membership", parents=[tol],
                       help="decide membership for chordal or cycle graphs")
     p.add_argument("--matrix", required=True)
     p.add_argument("--graph", required=True, help="graph or complex JSON file")
-    p.set_defaults(func=cmd_membership)
+    p.set_defaults(func=cmd_membership, uses=("chordal", "cycle", "param"))
 
     p = sub.add_parser("selftest", parents=[seed], help="run reduced property suites")
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=_at_least_one, default=100, help="instances per suite")
     p.add_argument("--suite", action="append",
-                   help="restrict to a suite (repeatable): " + ", ".join(selftest.SUITES))
-    p.set_defaults(func=cmd_selftest)
+                   help="restrict to a suite (repeatable); an unknown name prints the list")
+    p.set_defaults(func=cmd_selftest, uses=("selftest",))
 
     return parser
 
@@ -435,6 +474,9 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    for module in args.uses:
+        if module not in _loaded:
+            _load(module)
     try:
         try:
             rc = args.func(args)

@@ -105,8 +105,12 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Graph":
-        m = int(d["m"])
-        return cls.from_edges(m, ((int(i) - 1, int(j) - 1) for i, j in d["edges"]))
+        try:
+            m = int(d["m"])
+            edges = [(int(i) - 1, int(j) - 1) for i, j in d["edges"]]
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise _malformed("graph", exc) from None
+        return cls.from_edges(m, edges)
 
 
 def path_graph(m: int) -> Graph:
@@ -216,8 +220,12 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SimplicialComplex":
-        m = int(d["m"])
-        return cls.from_facets(m, ([int(v) - 1 for v in f] for f in d["facets"]))
+        try:
+            m = int(d["m"])
+            facets = [[int(v) - 1 for v in f] for f in d["facets"]]
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise _malformed("complex", exc) from None
+        return cls.from_facets(m, facets)
 
 
 def _vertex_bitsets(sets) -> defaultdict:
@@ -333,8 +341,11 @@ class SymmetricMatrix:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SymmetricMatrix":
-        m = int(d["m"])
-        arr = np.asarray(d["entries"], dtype=float)
+        try:
+            m = int(d["m"])
+            arr = np.asarray(d["entries"], dtype=float)
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise _malformed("matrix", exc) from None
         if arr.shape != (m, m):
             raise ValueError(f"entries shape {arr.shape} does not match m={m}")
         return cls(arr)
@@ -406,9 +417,12 @@ class FactorParams:
     @classmethod
     def from_json_dict(cls, delta: SimplicialComplex, d: Mapping) -> "FactorParams":
         vals = {}
-        for rec in d["values"]:
-            face = as_face(int(v) - 1 for v in rec["face"])
-            vals[(face, int(rec["vertex"]) - 1)] = float(rec["gamma"])
+        try:
+            for rec in d["values"]:
+                face = as_face(int(v) - 1 for v in rec["face"])
+                vals[(face, int(rec["vertex"]) - 1)] = float(rec["gamma"])
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise _malformed("params", exc) from None
         return cls(delta, vals)
 
 
@@ -437,6 +451,22 @@ class FactorMatrix:
 
 # --- JSON file helpers (the CLI boundary; vertices are 1-based on disk) ---
 
-def load_json(path):
+def load_json(path) -> dict:
+    """The JSON object in the file at path; any other top-level value is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _malformed(kind: str, exc: KeyError | TypeError | OverflowError) -> ValueError:
+    """The error for a missing key, or a value of the wrong shape or out of
+    int range (``1e400`` reads as infinity), in kind's JSON.
+
+    The from_json_dict readers catch these only where they read their JSON,
+    so a TypeError raised by library code is never reported as bad input.
+    """
+    if isinstance(exc, KeyError):
+        return ValueError(f"{kind} JSON: missing key {exc.args[0]!r}")
+    return ValueError(f"{kind} JSON: {exc}")

@@ -22,10 +22,8 @@ complement of PD within PSD has measure zero.
 from __future__ import annotations
 
 import os
-import queue
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +148,8 @@ class _Normals:
         self._rng = np.random.Generator(np.random.PCG64(seed_seq))
         self._thread = None
         if ahead:
+            import queue
+
             self._empty, self._full = queue.SimpleQueue(), queue.SimpleQueue()
             for _ in range(BUFFERS):
                 self._empty.put(np.empty(CHUNK))
@@ -261,6 +261,9 @@ def estimate_volume(m: int, n_samples: int, seed: int, workers: int = 1,
     if len(quotas) == 1:
         counts = [_count_stream(m, quotas[0], children[0], batch, progress)]
     else:
+        # the pool machinery (multiprocessing and its dependencies) loads only here
+        from concurrent.futures import ProcessPoolExecutor
+
         jobs = [(m, q, (ss.entropy, ss.spawn_key), batch, len(quotas))
                 for q, ss in zip(quotas, children)]
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:

@@ -570,6 +570,84 @@ def test_malformed_json(tmp_path):
     assert json.loads(out)["error"]["code"] == "parse_error"
 
 
+# valid JSON of the wrong shape, per kind of input file: (shape, content,
+# text the message must hold)
+NOT_AN_OBJECT = [("list", [1, 2], "expected a JSON object"),
+                 ("number", 5, "expected a JSON object")]
+WRONG_SHAPES = {
+    "matrix": [("missing key", {"m": 3}, "missing key 'entries'"),
+               ("object entry", {"m": 3, "entries": [[1, 0, 0], [0, {}, 0], [0, 0, 1]]},
+                "matrix JSON"),
+               ("null m", {"m": None, "entries": []}, "matrix JSON")],
+    "graph": [("edge not a pair", {"m": 3, "edges": [1]}, "graph JSON"),
+              ("facet not a list", {"m": 3, "facets": [1, 2]}, "complex JSON"),
+              ("infinite m", {"m": 1e400, "edges": []}, "graph JSON"),
+              ("neither", {"m": 3}, "expected a graph")],
+    "complex": [("facet not a list", {"m": 3, "facets": [1, 2]}, "complex JSON"),
+                ("infinite vertex", {"m": 3, "facets": [[1, 1e400]]}, "complex JSON"),
+                ("missing key", {"m": 3}, "missing key 'facets'")],
+    "params": [("null gamma", {"values": [{"face": [1, 2], "vertex": 1, "gamma": None}]},
+                "params JSON"),
+               ("record not an object", {"values": [1]}, "params JSON"),
+               ("record missing key", {"values": [{"face": [1, 2], "vertex": 1}]},
+                "missing key 'gamma'"),
+               ("missing key", {}, "missing key 'values'")],
+}
+VALID = {"matrix": {"m": 3, "entries": np.eye(3).tolist()},
+         "graph": {"m": 3, "edges": [[1, 2], [2, 3]]},
+         "complex": {"m": 3, "facets": [[1, 2], [2, 3]]},
+         "params": {"values": [{"face": [1, 2], "vertex": 1, "gamma": 1.0}]}}
+# per subcommand that reads files: its file flags and kinds, and its other arguments
+FILE_COMMANDS = {
+    "phi": ({"--complex": "complex", "--params": "params"}, []),
+    "fiber": ({"--matrix": "matrix", "--graph": "graph"}, ["--chordal"]),
+    "cycle-check": ({"--matrix": "matrix"}, []),
+    "cycle-fiber": ({"--matrix": "matrix"}, []),
+    "quotient": ({"--complex": "complex"}, ["--remove", "1"]),
+    "schur-witness": ({"--complex": "complex", "--params": "params"}, ["--vertex", "2"]),
+    "digraph": ({"--complex": "complex"}, []),
+    "simulate": ({"--complex": "complex", "--params": "params"}, ["--n", "10"]),
+    "membership": ({"--matrix": "matrix", "--graph": "graph"}, []),
+}
+MALFORMED_CASES = [(command, flag, shape, content, message)
+                   for command, (flags, _) in FILE_COMMANDS.items()
+                   for flag, kind in flags.items()
+                   for shape, content, message in NOT_AN_OBJECT + WRONG_SHAPES[kind]]
+
+
+@pytest.mark.parametrize("command, flag, shape, content, message", MALFORMED_CASES,
+                         ids=[f"{c}{f}-{s}" for c, f, s, _, _ in MALFORMED_CASES])
+def test_valid_json_of_the_wrong_shape_is_invalid_input(files, command, flag, shape, content,
+                                                         message):
+    flags, rest = FILE_COMMANDS[command]
+    argv = [command, *rest]
+    for other, kind in flags.items():
+        argv += [other, files(f"{kind}.json", content if other == flag else VALID[kind])]
+    rc, out, err = outcome(argv)
+    assert rc == 2 and err == ""
+    error = json.loads(out)["error"]
+    assert error["code"] == "invalid_input"
+    assert message in error["message"]
+
+
+def test_a_type_error_inside_the_library_is_not_input_error(files, monkeypatch):
+    def broken(delta, gamma):
+        raise TypeError("a fault in the library")
+
+    monkeypatch.setattr(cli, "phi", broken)
+    argv = ["phi", "--complex", files("c.json", VALID["complex"]),
+            "--params", files("p.json", VALID["params"])]
+    with pytest.raises(TypeError, match="a fault in the library"):
+        run_cli(argv)
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_selftest_needs_at_least_one_instance(n):
+    rc, out, err = outcome(["selftest", "--n", n])
+    assert rc == 2 and out == ""
+    assert f"argument --n: must be at least 1, got {n}" in err
+
+
 def test_byte_identical_stdout(files):
     mpath = files("i4.json", {"m": 4, "entries": np.eye(4).tolist()})
     outs = {run_cli(["cycle-check", "--matrix", mpath])[1] for _ in range(3)}
