@@ -56,15 +56,16 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
 
 
 def _perfect_check(g: Graph, order: list[int]):
-    """Return None if the order is a perfect elimination ordering, else a violating triple."""
-    pos = {v: k for k, v in enumerate(order)}
+    """None if the order is a perfect elimination ordering, else its first violating triple."""
+    done = set()
     for v in order:
-        later = sorted((w for w in g.neighbors(v) if pos[w] > pos[v]),
-                       key=lambda w: pos[w])
-        for a in range(len(later)):
-            for b in range(a + 1, len(later)):
-                if not g.has_edge(later[a], later[b]):
-                    return v, later[a], later[b]
+        done.add(v)
+        later = g.neighbors(v) - done
+        if any(len(later - g.neighbors(w)) > 1 for w in later):
+            pos = {u: k for k, u in enumerate(order)}
+            later = sorted(later, key=pos.__getitem__)
+            return next((v, x, y) for a, x in enumerate(later) for y in later[a + 1:]
+                        if not g.has_edge(x, y))
     return None
 
 
@@ -181,22 +182,16 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL,
     arr = np.array(sigma.a[ix])
     # exact zeros off the pattern make the factor's clique structure exact
     arr[~g.pattern_mask[ix]] = 0.0
-    ell = _semidef_cholesky(arr, tol)
+    cols = _semidef_cholesky(arr, tol)
 
     delta = ordering_clique_complex(g, info) if cliques is None else cliques
     values: dict = {}
-    for k in range(g.m):
-        col = ell[:, k]
-        supp = np.nonzero(col)[0]
-        if supp.size == 0:
-            continue
-        clique = as_face(perm[i] for i in supp)
+    for rows, vals in filter(None, cols):  # None: a zero pivot's column
+        supp = [(perm[i], v) for i, v in zip(rows, vals) if v != 0.0]
+        clique = as_face(p for p, _ in supp)
         if not delta.has_face(clique):
-            raise InternalInconsistency(
-                f"factor column support {clique} is not a clique"
-            )
-        for i in supp:
-            values[(clique, perm[i])] = float(col[i])
+            raise InternalInconsistency(f"factor column support {clique} is not a clique")
+        values.update(((clique, p), v) for p, v in supp)
     return FactorParams(delta, values)
 
 

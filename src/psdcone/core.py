@@ -32,6 +32,9 @@ PATTERN_TOL = 1e-12
 # entry at or above it doubles past the largest float.
 SYMMETRIZE_LIMIT = 2.0 ** 1023
 
+# Largest m the graph and complex JSON readers accept (m alone sets the work).
+MAX_VERTICES = 64
+
 
 def tolerance_scale(values) -> float:
     """max(1, largest absolute entry), 1 for no entries: the reference magnitude for tolerances."""
@@ -106,7 +109,7 @@ class Graph:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Graph":
         try:
-            m = int(d["m"])
+            m = _vertex_count("graph", d)
             edges = [(int(i) - 1, int(j) - 1) for i, j in d["edges"]]
         except (KeyError, TypeError, OverflowError) as exc:
             raise _malformed("graph", exc) from None
@@ -221,7 +224,7 @@ class SimplicialComplex:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SimplicialComplex":
         try:
-            m = int(d["m"])
+            m = _vertex_count("complex", d)
             facets = [[int(v) - 1 for v in f] for f in d["facets"]]
         except (KeyError, TypeError, OverflowError) as exc:
             raise _malformed("complex", exc) from None
@@ -400,8 +403,8 @@ class FactorParams:
         return self.get((i, j) if i < j else (j, i), i)
 
     def items(self):
-        """Nonzero incidences in canonical order."""
-        for key in sorted(self.values, key=lambda k: (face_key(k[0]), k[1])):
+        """Nonzero incidences in canonical order (stored faces are canonical)."""
+        for key in sorted(self.values, key=lambda k: (len(k[0]), k[0], k[1])):
             v = self.values[key]
             if v != 0.0:
                 yield key, v
@@ -458,6 +461,13 @@ def load_json(path) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
+
+
+def _vertex_count(kind: str, d: Mapping) -> int:
+    """kind's ``m``, refused outside 1..MAX_VERTICES before anything is built."""
+    if not 1 <= (m := int(d["m"])) <= MAX_VERTICES:
+        raise ValueError(f"{kind} JSON: m must be between 1 and {MAX_VERTICES}, got {m}")
+    return m
 
 
 def _malformed(kind: str, exc: KeyError | TypeError | OverflowError) -> ValueError:

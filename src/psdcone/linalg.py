@@ -1,13 +1,15 @@
 """Numerical kernels: PSD tests, semidefinite Cholesky, Schur complements, sign flips.
 
 All tolerances are relative to max(1, largest absolute entry) of the input.
-The Cholesky here deliberately does *no* pivoting: the cone-addition and
-chordal-fiber algorithms rely on column supports staying inside faces, which
-any permutation would destroy.  Pivots within tolerance of zero produce an
-exactly-zero column instead.
+The Cholesky here deliberately does *no* pivoting and works only on the fill
+pattern: in a perfect elimination ordering there is no fill (Rose 1970), so
+each factor column lives on a clique, which the chordal fiber reads as a
+face.  Pivots within tolerance of zero produce an exactly-zero column instead.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -47,40 +49,51 @@ def is_psd(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     return PsdReport(lo >= -tol * tolerance_scale(arr), lo, tol)
 
 
-def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Lower-triangular L with L L^T = arr for PSD arr, zero columns at zero pivots.
+def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL) -> list:
+    """Columns of the lower-triangular L with L L^T = arr for PSD arr: None at a
+    zero pivot, else (rows, values) with rows ascending from the pivot.
 
-    Pivots below -tol*scale raise NotPsd; pivots of at most tol*scale produce
-    an exactly-zero column, with a guard against a ~zero pivot sitting on top
-    of a non-negligible residual column.
+    Pivots below -tol*scale raise NotPsd; pivots of at most tol*scale give a
+    zero column unless a non-negligible residual column sits under them.  Each
+    pivot updates only its column's rows, adding the fill it makes (George & Liu
+    1981): entries get the dense update's IEEE operations, less ±0.0 subtractions.
     """
-    n = arr.shape[0]
-    scale = tolerance_scale(arr)
-    work = np.array(arr, dtype=float)
-    ell = np.zeros((n, n))
-    for k in range(n):
-        d = work[k, k]
+    a = np.asarray(arr, dtype=float)
+    scale = tolerance_scale(a)
+    # work[k]: row -> entry (row, k) of the trailing matrix, lower triangle
+    work = [{k: d} for k, d in enumerate(np.diagonal(a).tolist())]
+    ii, jj = np.nonzero(np.tril(a, -1))
+    for i, j, v in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
+        work[j][i] = v
+    cols = []
+    for k, col in enumerate(work):
+        d = col.pop(k)
         if d < -tol * scale:
             raise NotPsd(f"pivot {d:.3e} at position {k} below -{tol:.0e}*scale")
         if d <= tol * scale:
-            resid = np.abs(work[k + 1:, k]).max() if k + 1 < n else 0.0
-            if resid > 10.0 * np.sqrt(max(tol, 1e-14)) * scale:
-                raise NotPsd(
-                    f"zero pivot at position {k} with residual column {resid:.3e}"
-                )
-            continue  # column of L stays zero
-        root = np.sqrt(d)
-        ell[k, k] = root
-        if k + 1 < n:
-            col = work[k + 1:, k] / root
-            ell[k + 1:, k] = col
-            work[k + 1:, k + 1:] -= np.outer(col, col)
-    return ell
+            resid = max(map(abs, col.values()), default=0.0)
+            if resid > 10.0 * math.sqrt(max(tol, 1e-14)) * scale:
+                raise NotPsd(f"zero pivot at position {k} with residual column {resid:.3e}")
+            cols.append(None)  # column of L stays zero
+            continue
+        root = math.sqrt(d)
+        rows = sorted(col)
+        vals = [col[i] / root for i in rows]
+        for t, j in enumerate(rows):
+            wj, cj = work[j], vals[t]
+            for i, ci in zip(rows[t:], vals[t:]):
+                wj[i] = wj.get(i, 0.0) - ci * cj
+        cols.append(([k, *rows], [root, *vals]))
+    return cols
 
 
 def cholesky(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Semidefinite Cholesky factor (no pivoting; see module docstring)."""
-    return _semidef_cholesky(sigma.a, tol)
+    """Dense semidefinite Cholesky factor (no pivoting; see module docstring)."""
+    ell = np.zeros((sigma.m, sigma.m))
+    for k, col in enumerate(_semidef_cholesky(sigma.a, tol)):
+        if col:
+            ell[col[0], k] = col[1]
+    return ell
 
 
 def schur_complement(matrix: SymmetricMatrix, block: set, tol: float = DEFAULT_TOL) -> SymmetricMatrix:

@@ -41,27 +41,39 @@ def build_factor_matrix(delta: SimplicialComplex, gamma: FactorParams) -> Factor
 
 
 def phi(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricMatrix:
-    """Evaluate the parametrization: sum over faces of the column outer products."""
+    """Evaluate the parametrization: sum over faces of the column outer products.
+
+    Faces in canonical order add c_i c_j at their own entries only: the dense
+    sum's other terms, ±0.0, change no bit, and (i, j), (j, i) get equal sums.
+    """
     if gamma.complex != delta:
         raise ValueError("parameters belong to a different complex")
-    out = np.zeros((delta.m, delta.m))
-    for face, col in _nonzero_columns(gamma):
-        out += col[:, None] * col  # np.outer(col, col) without its wrapper
-    # exactly symmetric: entries (i, j) and (j, i) add the same products in
-    # the same order, so SymmetricMatrix's symmetrization leaves it as it is
-    return SymmetricMatrix(out)
+    m = delta.m
+    acc: dict[int, float] = {}  # i * m + j -> entry (i, j)
+    for _, entries in _face_entries(gamma):
+        for i, ci in entries:
+            for j, cj in entries:
+                acc[i * m + j] = acc.get(i * m + j, 0.0) + ci * cj
+    out = np.zeros(m * m)
+    out[list(acc)] = list(acc.values())
+    return SymmetricMatrix(out.reshape(m, m))
+
+
+def _face_entries(gamma: FactorParams):
+    """Yield (face, [(vertex, parameter), ...]) over the nonzero parameters, faces by face_key."""
+    by_face: dict[Face, list[tuple[int, float]]] = {}
+    for (face, i), v in gamma.values.items():
+        if v != 0.0:
+            by_face.setdefault(face, []).append((i, v))
+    yield from sorted(by_face.items(), key=lambda kv: (len(kv[0]), kv[0]))  # faces are canonical
 
 
 def _nonzero_columns(gamma: FactorParams):
     """Yield (face, length-m column) for faces carrying a nonzero parameter."""
-    by_face: dict[Face, np.ndarray] = {}
-    m = gamma.complex.m
-    for (face, i), v in gamma.values.items():
-        if v != 0.0:
-            col = by_face.setdefault(face, np.zeros(m))
-            col[i] = v
-    for face in sorted(by_face, key=face_key):
-        yield face, by_face[face]
+    for face, entries in _face_entries(gamma):
+        col = np.zeros(gamma.complex.m)
+        col[[i for i, _ in entries]] = [v for _, v in entries]
+        yield face, col
 
 
 def _lq_columns(block: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from psdcone.core import (PATTERN_TOL, Face, FactorParams, Graph, SimplicialComp
                           SymmetricMatrix, as_face, face_key, induced_subcomplex,
                           induced_vertex_map, tolerance_scale)
 from psdcone.cycle import CycleMatrix, cycle_edge_complex
-from psdcone.errors import ZeroDiagonal
+from psdcone.errors import NotPsd, ZeroDiagonal
 from psdcone.linalg import DEFAULT_TOL
 from psdcone.param import RAY_DROP_TOL, _lq_columns, _nonzero_columns
 from psdcone.quotient import QuotientWitness
@@ -130,14 +130,65 @@ def random_cycle_member_via_params(rng, m: int, zero_edges=()):
             return sigma, gamma
 
 
-def phi_symmetrized(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricMatrix:
-    """``param.phi`` as it symmetrized its (already symmetric) outer-product sum."""
+def phi_outer_sum(delta: SimplicialComplex, gamma: FactorParams) -> np.ndarray:
+    """``param.phi`` as a dense sum: each face's length-m column outer
+    product added to the whole m x m array, faces in canonical order."""
     if gamma.complex != delta:
         raise ValueError("parameters belong to a different complex")
     out = np.zeros((delta.m, delta.m))
-    for face, col in _nonzero_columns(gamma):
-        out += col[:, None] * col  # np.outer(col, col) without its wrapper
+    for face in sorted({face for face, _ in gamma.values}, key=face_key):
+        col = np.zeros(delta.m)
+        for i in face:
+            col[i] = gamma.values.get((face, i), 0.0)
+        if np.any(col):
+            out += col[:, None] * col  # np.outer(col, col) without its wrapper
+    return out
+
+
+def phi_symmetrized(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricMatrix:
+    """``param.phi`` as it symmetrized its (already symmetric) outer-product sum."""
+    out = phi_outer_sum(delta, gamma)
     return SymmetricMatrix((out + out.T) / 2.0)
+
+
+def semidef_cholesky_dense(arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``linalg._semidef_cholesky`` as a dense loop: each pivot updates the
+    whole trailing block, and the factor comes back as an n x n array."""
+    n = arr.shape[0]
+    scale = tolerance_scale(arr)
+    work = np.array(arr, dtype=float)
+    ell = np.zeros((n, n))
+    for k in range(n):
+        d = work[k, k]
+        if d < -tol * scale:
+            raise NotPsd(f"pivot {d:.3e} at position {k} below -{tol:.0e}*scale")
+        if d <= tol * scale:
+            resid = np.abs(work[k + 1:, k]).max() if k + 1 < n else 0.0
+            if resid > 10.0 * np.sqrt(max(tol, 1e-14)) * scale:
+                raise NotPsd(
+                    f"zero pivot at position {k} with residual column {resid:.3e}"
+                )
+            continue  # column of L stays zero
+        root = np.sqrt(d)
+        ell[k, k] = root
+        if k + 1 < n:
+            col = work[k + 1:, k] / root
+            ell[k + 1:, k] = col
+            work[k + 1:, k + 1:] -= np.outer(col, col)
+    return ell
+
+
+def perfect_check_scan(g: Graph, order) -> tuple[int, int, int] | None:
+    """``chordal._perfect_check`` by the ordered pair scan at every vertex."""
+    pos = {v: k for k, v in enumerate(order)}
+    for v in order:
+        later = sorted((w for w in g.neighbors(v) if pos[w] > pos[v]),
+                       key=lambda w: pos[w])
+        for a in range(len(later)):
+            for b in range(a + 1, len(later)):
+                if not g.has_edge(later[a], later[b]):
+                    return v, later[a], later[b]
+    return None
 
 
 def single_vertex_quotient_faces(faces: set[frozenset], u: int) -> set[frozenset]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdcone.chordal import (EliminationOrdering, chordal_fiber,
+from psdcone.chordal import (EliminationOrdering, _perfect_check, chordal_fiber,
                              clique_complex, is_chordal,
                              maximum_cardinality_search, is_surjective,
                              ordering_clique_complex)
@@ -20,7 +20,7 @@ from psdcone.instances import random_chordal_graph, random_params
 from psdcone.param import phi
 
 from oracles import (chordless_cycle_from_mcs, find_chordless_cycle, is_clique,
-                     random_tree)
+                     perfect_check_scan, random_tree)
 
 
 def assert_chordless_cycle(g, cyc):
@@ -117,6 +117,16 @@ class TestIsChordal:
         else:
             assert info == find_chordless_cycle(g) == chordless_cycle_from_mcs(g)
             assert_chordless_cycle(g, info)
+
+    @given(st.integers(1, 64), st.sampled_from(["random", "chordal", "cycle", "dense"]),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_perfect_check_matches_pair_scan(self, m, kind, mcs, seed):
+        """Same verdict and same violating triple, on MCS and on random orders."""
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, kind, m)
+        order = maximum_cardinality_search(g)[::-1] if mcs else rng.permutation(m).tolist()
+        assert _perfect_check(g, order) == perfect_check_scan(g, order)
 
     def test_mcs_tie_break_smallest_vertex(self):
         assert maximum_cardinality_search(path_graph(3))[0] == 0

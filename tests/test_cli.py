@@ -293,6 +293,32 @@ def test_overflowing_matrix_exits_two(files, command):
     assert json.loads(out)["error"]["code"] == "invalid_input"
 
 
+def test_vertex_counts_above_the_limit_exit_two_quickly(files):
+    """Graph and complex files name m; one past 64 is refused before the
+    readers build a facet or a neighbour set per vertex."""
+    cpath = files("huge.json", {"m": 100_000, "facets": [[1]]})
+    m = 65
+    mpath = files("i65.json", {"m": m, "entries": np.eye(m).tolist()})
+    gpath = files("p65.json", {"m": m, "edges": [[k, k + 1] for k in range(1, m)]})
+    for argv in (["digraph", "--complex", cpath],
+                 ["membership", "--matrix", mpath, "--graph", gpath]):
+        start = time.perf_counter()
+        rc, out = run_cli(argv)
+        assert time.perf_counter() - start < 1.0
+        error = json.loads(out)["error"]
+        assert rc == 2 and error["code"] == "invalid_input"
+        assert "between 1 and 64" in error["message"]
+
+
+def test_a_64_vertex_graph_still_decides(files):
+    m = 64
+    mpath = files("i64.json", {"m": m, "entries": (2.0 * np.eye(m)).tolist()})
+    gpath = files("p64.json", {"m": m, "edges": [[k, k + 1] for k in range(1, m)]})
+    rc, out = run_cli(["membership", "--matrix", mpath, "--graph", gpath])
+    verdict = json.loads(out)
+    assert rc == 0 and verdict["member"] and verdict["method"] == "chordal"
+
+
 def test_quotient_of_large_facet_never_enumerates_faces(files, monkeypatch):
     """Removing a vertex of a 40-vertex facet (2^40 - 1 faces) works on facets."""
     cpath = files("c.json", {"m": 41, "facets": [list(range(1, 41)), [40, 41]]})

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdcone.core import (PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
+from psdcone.core import (MAX_VERTICES, PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
                           SymmetricMatrix, as_face, complete_graph,
                           cycle_graph, edge_complex, face_key,
                           induced_subcomplex, induced_vertex_map, path_graph,
@@ -17,6 +17,7 @@ from psdcone.core import (PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
 from psdcone.chordal import clique_complex
 from psdcone.cycle import CycleMatrix, _edge_params, cycle_edge_complex
 from psdcone.errors import AsymmetricInput
+from psdcone.instances import random_complex, random_params
 
 from oracles import dominated_scan, has_face_scan, pattern_graph
 
@@ -78,6 +79,14 @@ class TestGraph:
     def test_json_round_trip(self):
         g = cycle_graph(5)
         assert Graph.from_json_dict(g.to_json_dict()) == g
+
+    @pytest.mark.parametrize("cls, key", [(Graph, "edges"), (SimplicialComplex, "facets")])
+    def test_json_readers_bound_m(self, cls, key):
+        """m outside 1..MAX_VERTICES is refused before any vertex set is built."""
+        for m in (0, -1, MAX_VERTICES + 1, 100_000):
+            with pytest.raises(ValueError, match=f"between 1 and {MAX_VERTICES}, got {m}"):
+                cls.from_json_dict({"m": m, key: []})
+        assert cls.from_json_dict({"m": MAX_VERTICES, key: []}).m == MAX_VERTICES
 
 
 class TestSimplicialComplex:
@@ -349,6 +358,22 @@ class TestFactorParams:
         for face, vertex in (((0, 2), 0), ((0, 1), 2), ((0, 1, 2), 1), ((3,), 3)):
             with pytest.raises(KeyError):
                 g.get(face, vertex)
+
+    @given(st.integers(1, 64), st.floats(0.2, 1.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_items_follow_face_key(self, m, density, seed):
+        """items() sorts stored (canonical) faces by (size, face) without
+        re-sorting them, which is the face_key order."""
+        rng = np.random.default_rng(seed)
+        delta = random_complex(rng, m, max_size=6)
+        gamma = random_params(rng, delta, density=density)
+        vals = dict(gamma.values)
+        for key in list(vals)[::3]:
+            vals[key] = 0.0  # stored zeros are skipped
+        gamma = FactorParams(delta, dict(reversed(vals.items())))
+        expected = sorted((k for k, v in vals.items() if v != 0.0),
+                          key=lambda k: (face_key(k[0]), k[1]))
+        assert [k for k, _ in gamma.items()] == expected
 
     def test_json_round_trip(self):
         delta = SimplicialComplex.from_facets(3, [[0, 1], [1, 2]])

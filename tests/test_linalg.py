@@ -5,13 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdcone.chordal import is_chordal, ordering_clique_complex
 from psdcone.core import SymmetricMatrix
 from psdcone.cycle import counterexample_sigma
 from psdcone.errors import NotPsd, SingularBlock
-from psdcone.linalg import (cholesky, is_psd, schur_complement, sign_flip,
-                            tridiagonal_det)
+from psdcone.instances import random_chordal_graph, random_params
+from psdcone.linalg import (_semidef_cholesky, cholesky, is_psd, schur_complement,
+                            sign_flip, tridiagonal_det)
+from psdcone.param import phi
 
-from oracles import random_psd_matrix
+from oracles import random_psd_matrix, semidef_cholesky_dense
+
+
+def assert_factor_matches_dense(arr, tol=1e-9):
+    """The fill-pattern factor of the symmetrized arr equals the dense loop's:
+    same columns with their supports, or the same NotPsd message."""
+    arr = SymmetricMatrix(arr).a
+    try:
+        dense = semidef_cholesky_dense(arr, tol)
+    except NotPsd as exc:
+        with pytest.raises(NotPsd) as got:
+            _semidef_cholesky(arr, tol)
+        assert str(got.value) == str(exc)
+        return
+    for k, col in enumerate(_semidef_cholesky(arr, tol)):
+        support = np.flatnonzero(dense[:, k]).tolist()
+        if col is None:
+            assert support == []
+            continue
+        rows, vals = col
+        assert rows[0] == k and rows == sorted(set(rows))
+        kept = [(i, v) for i, v in zip(rows, vals) if v != 0.0]
+        assert [i for i, _ in kept] == support
+        assert [v for _, v in kept] == dense[support, k].tolist()
+    assert np.array_equal(cholesky(SymmetricMatrix(arr)), dense)
 
 
 class TestIsPsd:
@@ -59,6 +86,57 @@ class TestCholesky:
             ell = cholesky(sig)
             assert np.abs(ell @ ell.T - sig.a).max() <= 1e-10 * sig.scale()
             assert np.allclose(np.triu(ell, 1), 0.0)
+
+
+class TestFillPatternCholesky:
+    """Bitwise agreement of the fill-pattern kernel with the dense loop."""
+
+    @given(st.integers(1, 64), st.sampled_from([0.3, 0.7, 1.0]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_peo_permuted_chordal_members(self, m, density, seed):
+        """No fill; D Sigma D with D in 10^+-6 puts some pivots near the zero band."""
+        rng = np.random.default_rng(seed)
+        g = random_chordal_graph(rng, m)
+        _, ordering = is_chordal(g)
+        delta = ordering_clique_complex(g, ordering)
+        sigma = phi(delta, random_params(rng, delta, density=density)).a
+        d = 10.0 ** rng.uniform(-6.0, 6.0, m)
+        perm = np.ix_(ordering.order, ordering.order)
+        arr = (d[:, None] * sigma * d)[perm]
+        arr[~g.pattern_mask[perm]] = 0.0
+        assert_factor_matches_dense(arr)
+
+    @given(st.integers(1, 64), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_low_rank_and_integer_matrices(self, m, integer, seed):
+        """Rank below m gives zero pivots; integer factors make them exact."""
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(1, m + 1))
+        if integer:
+            b = rng.integers(-2, 3, (m, rank)).astype(float)
+        else:
+            b = rng.standard_normal((m, rank))
+        assert_factor_matches_dense(b @ b.T)
+
+    @given(st.integers(2, 64), st.sampled_from([0.05, 0.15, 0.4]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_non_chordal_sparse_matrices_with_fill(self, m, density, indefinite, seed):
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((m, m)) * (rng.random((m, m)) < density)
+        arr = b + b.T if indefinite else b @ b.T + np.diag(rng.random(m))
+        assert_factor_matches_dense(arr)
+
+    def test_reads_the_lower_triangle(self):
+        """Like the dense loop, which reads column k below the pivot."""
+        arr = np.array([[4.0, 9.0], [2.0, 5.0]])
+        assert _semidef_cholesky(arr) == [([0, 1], [2.0, 1.0]), ([1], [2.0])]
+        assert np.array_equal(semidef_cholesky_dense(arr), [[2.0, 0.0], [1.0, 2.0]])
+
+    def test_zero_pivot_messages(self):
+        assert_factor_matches_dense(np.diag([1.0, -1.0]))
+        assert_factor_matches_dense(np.array([[0.0, 1.0], [1.0, 1.0]]))
+        assert_factor_matches_dense(np.zeros((3, 3)))
 
 
 class TestSchurComplement:

@@ -13,7 +13,7 @@ from psdcone.linalg import is_psd, sign_flip
 from psdcone.param import (build_factor_matrix, cone_add,
                            extreme_decomposition, phi, submatrix_witness)
 
-from oracles import phi_symmetrized, scaled_params, with_value
+from oracles import phi_outer_sum, phi_symmetrized, scaled_params, with_value
 
 
 def three_chain():
@@ -30,15 +30,29 @@ def chain_params(g1, g2, g3, g12, g21, g23, g32):
 
 
 class TestPhi:
-    @given(st.integers(1, 9), st.sampled_from([0.3, 0.8, 1.0]), st.integers(0, 2 ** 32 - 1))
+    # parameters of 1e-3..1e3 times 10^+-147 keep every sum of products finite
+    @given(st.integers(1, 64), st.sampled_from([0.3, 0.8, 1.0]), st.floats(-147.0, 147.0),
+           st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_bitwise_equal_to_symmetrized_sum(self, m, density, seed):
-        """The outer-product sum is exactly symmetric, so symmetrizing it first
-        changes no bit."""
+    def test_bitwise_equal_to_symmetrized_sum(self, m, density, exponent, seed):
+        """Adding each face's products at its own entries only gives the bytes
+        of the dense outer-product sum, sign of zero included, at any scale;
+        that sum is exactly symmetric, so symmetrizing it changes no bit."""
         rng = np.random.default_rng(seed)
         delta = random_complex(rng, m, max_size=6)
         gamma = random_params(rng, delta, density=density, low=1e-3, high=1e3)
-        assert phi(delta, gamma).a.tobytes() == phi_symmetrized(delta, gamma).a.tobytes()
+        gamma = scaled_params(gamma, 10.0 ** exponent)
+        out = phi(delta, gamma).a.tobytes()
+        assert out == phi_outer_sum(delta, gamma).tobytes()
+        assert out == phi_symmetrized(delta, gamma).a.tobytes()
+
+    def test_products_that_underflow_stay_positive_zero(self):
+        """1e-200 * -1e-200 is -0.0; the dense sum from +0.0 keeps +0.0."""
+        delta = SimplicialComplex.from_facets(2, [[0, 1]])
+        gamma = FactorParams(delta, {((0, 1), 0): 1e-200, ((0, 1), 1): -1e-200})
+        out = phi(delta, gamma).a
+        assert out.tobytes() == phi_outer_sum(delta, gamma).tobytes()
+        assert not np.signbit(out).any()
 
     def test_three_chain_closed_form(self):
         vals = dict(g1=0.7, g2=-1.2, g3=0.4, g12=1.1, g21=0.6, g23=-0.8, g32=1.3)
