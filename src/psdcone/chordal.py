@@ -190,7 +190,9 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL,
         supp = [(perm[i], v) for i, v in zip(rows, vals) if v != 0.0]
         clique = as_face(p for p, _ in supp)
         if not delta.has_face(clique):
-            raise InternalInconsistency(f"factor column support {clique} is not a clique")
+            raise InternalInconsistency(
+                f"factor column support {clique} is not a clique"
+            )
         values.update(((clique, p), v) for p, v in supp)
     return FactorParams(delta, values)
 

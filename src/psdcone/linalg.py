@@ -1,10 +1,11 @@
 """Numerical kernels: PSD tests, semidefinite Cholesky, Schur complements, sign flips.
 
 All tolerances are relative to max(1, largest absolute entry) of the input.
-The Cholesky here deliberately does *no* pivoting and works only on the fill
-pattern: in a perfect elimination ordering there is no fill (Rose 1970), so
-each factor column lives on a clique, which the chordal fiber reads as a
-face.  Pivots within tolerance of zero produce an exactly-zero column instead.
+The Cholesky here deliberately does *no* pivoting and, on a sparse matrix,
+works only on the fill pattern: in a perfect elimination ordering there is no
+fill (Rose 1970), so each factor column lives on a clique, which the chordal
+fiber reads as a face.  A dense matrix takes the dense update, with the same
+columns.  Pivots within tolerance of zero produce an exactly-zero column instead.
 """
 
 from __future__ import annotations
@@ -49,34 +50,44 @@ def is_psd(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     return PsdReport(lo >= -tol * tolerance_scale(arr), lo, tol)
 
 
+# Above this many entry updates per column, counted from arr's nonzeros below
+# the diagonal, one numpy update per column beats the entry-by-entry update on
+# Python floats.  They break even near 8 at m = 8..48 on complete and
+# large-clique chordal graphs (2-vCPU host); random sparse chordal graphs
+# count 1 to 3.
+DENSE_UPDATES_PER_COLUMN = 8
+
+
 def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     """Columns of the lower-triangular L with L L^T = arr for PSD arr: None at a
     zero pivot, else (rows, values) with rows ascending from the pivot.
 
     Pivots below -tol*scale raise NotPsd; pivots of at most tol*scale give a
-    zero column unless a non-negligible residual column sits under them.  Each
-    pivot updates only its column's rows, adding the fill it makes (George & Liu
-    1981): entries get the dense update's IEEE operations, less ±0.0 subtractions.
+    zero column unless a non-negligible residual column sits under them.  A
+    sparse arr is factored on its fill pattern: each pivot updates only its
+    column's rows, adding the fill it makes (George & Liu 1981), and entries get
+    the dense update's IEEE operations, less ±0.0 subtractions.  An arr past
+    DENSE_UPDATES_PER_COLUMN takes the dense update, with the same columns; the
+    count leaves out fill, which a perfect elimination ordering does not make.
     """
     a = np.asarray(arr, dtype=float)
+    n = a.shape[0]
     scale = tolerance_scale(a)
+    lower = np.tril(a, -1)
+    below = np.count_nonzero(lower, axis=0)
+    if below @ (below + 1) > 2 * DENSE_UPDATES_PER_COLUMN * n:
+        return _dense_columns(a, tol, scale)
+    ii, jj = np.nonzero(lower)
     # work[k]: row -> entry (row, k) of the trailing matrix, lower triangle
     work = [{k: d} for k, d in enumerate(np.diagonal(a).tolist())]
-    ii, jj = np.nonzero(np.tril(a, -1))
     for i, j, v in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
         work[j][i] = v
     cols = []
     for k, col in enumerate(work):
-        d = col.pop(k)
-        if d < -tol * scale:
-            raise NotPsd(f"pivot {d:.3e} at position {k} below -{tol:.0e}*scale")
-        if d <= tol * scale:
-            resid = max(map(abs, col.values()), default=0.0)
-            if resid > 10.0 * math.sqrt(max(tol, 1e-14)) * scale:
-                raise NotPsd(f"zero pivot at position {k} with residual column {resid:.3e}")
+        root = _pivot_root(col.pop(k), k, col.values(), tol, scale)
+        if root is None:
             cols.append(None)  # column of L stays zero
             continue
-        root = math.sqrt(d)
         rows = sorted(col)
         vals = [col[i] / root for i in rows]
         for t, j in enumerate(rows):
@@ -85,6 +96,39 @@ def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL) -> list:
                 wj[i] = wj.get(i, 0.0) - ci * cj
         cols.append(([k, *rows], [root, *vals]))
     return cols
+
+
+def _dense_columns(a: np.ndarray, tol: float, scale: float) -> list:
+    """_semidef_cholesky's columns by the dense right-looking update, every row below kept."""
+    n = a.shape[0]
+    work = np.array(a)
+    cols = []
+    for k in range(n):
+        below = work[k + 1:, k]
+        root = _pivot_root(work[k, k], k, below, tol, scale)
+        if root is None:
+            cols.append(None)
+            continue
+        col = below / root
+        work[k + 1:, k + 1:] -= np.outer(col, col)
+        cols.append((list(range(k, n)), [root, *col.tolist()]))
+    return cols
+
+
+def _pivot_root(d, k: int, below, tol: float, scale: float):
+    """sqrt(d) for the pivot d at position k, or None for a zero pivot; NotPsd
+    for d below -tol*scale or a zero pivot over a residual column ``below``
+    that is not negligible.  math.sqrt gives np.sqrt's bits."""
+    if d < -tol * scale:
+        raise NotPsd(f"pivot {d:.3e} at position {k} below -{tol:.0e}*scale")
+    if d > tol * scale:
+        return math.sqrt(d)
+    resid = max(map(abs, below), default=0.0)
+    if resid > 10.0 * math.sqrt(max(tol, 1e-14)) * scale:
+        raise NotPsd(
+            f"zero pivot at position {k} with residual column {resid:.3e}"
+        )
+    return None
 
 
 def cholesky(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdcone import linalg
 from psdcone.chordal import is_chordal, ordering_clique_complex
 from psdcone.core import SymmetricMatrix
 from psdcone.cycle import counterexample_sigma
@@ -106,16 +107,19 @@ class TestFillPatternCholesky:
         arr[~g.pattern_mask[perm]] = 0.0
         assert_factor_matches_dense(arr)
 
-    @given(st.integers(1, 64), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @given(st.integers(1, 64), st.booleans(), st.sampled_from([0.1, 1.0]),
+           st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_low_rank_and_integer_matrices(self, m, integer, seed):
-        """Rank below m gives zero pivots; integer factors make them exact."""
+    def test_low_rank_and_integer_matrices(self, m, integer, density, seed):
+        """Rank below m gives zero pivots; integer factors make them exact.
+        A sparse factor keeps the product sparse enough for the fill pattern."""
         rng = np.random.default_rng(seed)
         rank = int(rng.integers(1, m + 1))
         if integer:
             b = rng.integers(-2, 3, (m, rank)).astype(float)
         else:
             b = rng.standard_normal((m, rank))
+        b *= rng.random((m, rank)) < density
         assert_factor_matches_dense(b @ b.T)
 
     @given(st.integers(2, 64), st.sampled_from([0.05, 0.15, 0.4]), st.booleans(),
@@ -126,6 +130,21 @@ class TestFillPatternCholesky:
         b = rng.standard_normal((m, m)) * (rng.random((m, m)) < density)
         arr = b + b.T if indefinite else b @ b.T + np.diag(rng.random(m))
         assert_factor_matches_dense(arr)
+
+    @pytest.mark.parametrize("m", [8, 16, 64])
+    def test_dense_structure_takes_the_dense_update(self, m, monkeypatch):
+        """More than DENSE_UPDATES_PER_COLUMN updates per column, counted from
+        the nonzeros, picks the dense update; both give the oracle's columns."""
+        calls, dense_columns = [], linalg._dense_columns
+        monkeypatch.setattr(linalg, "_dense_columns",
+                            lambda *args: calls.append(m) or dense_columns(*args))
+        rng = np.random.default_rng(m)
+        b = np.tril(rng.uniform(0.5, 2.0, (m, m)))
+        assert_factor_matches_dense(b @ b.T)  # complete graph
+        assert len(calls) == 2  # the check and the comparison through cholesky()
+        path = np.diag(rng.uniform(0.5, 2.0, m)) + np.diag(rng.uniform(0.5, 2.0, m - 1), -1)
+        assert_factor_matches_dense(path @ path.T)  # tridiagonal: 1 update per column
+        assert len(calls) == 2
 
     def test_reads_the_lower_triangle(self):
         """Like the dense loop, which reads column k below the pivot."""

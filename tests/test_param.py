@@ -10,7 +10,7 @@ from psdcone.core import (FactorParams, SimplicialComplex, SymmetricMatrix,
                           underlying_graph)
 from psdcone.instances import random_complex, random_params
 from psdcone.linalg import is_psd, sign_flip
-from psdcone.param import (build_factor_matrix, cone_add,
+from psdcone.param import (PHI_DENSE_FACE, build_factor_matrix, cone_add,
                            extreme_decomposition, phi, submatrix_witness)
 
 from oracles import phi_outer_sum, phi_symmetrized, scaled_params, with_value
@@ -45,6 +45,28 @@ class TestPhi:
         out = phi(delta, gamma).a.tobytes()
         assert out == phi_outer_sum(delta, gamma).tobytes()
         assert out == phi_symmetrized(delta, gamma).a.tobytes()
+
+    @given(st.integers(7, 40), st.sampled_from([0.6, 1.0]), st.floats(-147.0, 147.0),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_with_large_faces(self, m, density, exponent, seed):
+        """Faces with more than PHI_DENSE_FACE nonzero parameters, and those
+        after them, add dense outer products after the small faces' entries."""
+        rng = np.random.default_rng(seed)
+        delta = random_complex(rng, m, max_size=9)
+        gamma = random_params(rng, delta, density=density, low=1e-3, high=1e3)
+        gamma = scaled_params(gamma, 10.0 ** exponent)
+        assert phi(delta, gamma).a.tobytes() == phi_outer_sum(delta, gamma).tobytes()
+
+    def test_large_faces_take_the_dense_sum(self):
+        """A facet of 9 vertices puts 130 faces past the split, 9 of them
+        carrying a nonzero parameter here; the bytes still match."""
+        delta = SimplicialComplex.from_facets(12, [list(range(9)), [8, 9, 10, 11]])
+        rng = np.random.default_rng(3)
+        gamma = random_params(rng, delta, density=0.5)
+        big = {f for f, _ in gamma.values if len(f) > PHI_DENSE_FACE}
+        assert big
+        assert phi(delta, gamma).a.tobytes() == phi_outer_sum(delta, gamma).tobytes()
 
     def test_products_that_underflow_stay_positive_zero(self):
         """1e-200 * -1e-200 is -0.0; the dense sum from +0.0 keeps +0.0."""
