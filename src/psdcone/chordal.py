@@ -8,14 +8,13 @@ ordering: each factor column is then supported on a clique.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
-                   as_face, underlying_graph)
+                   _bit_positions, as_face, underlying_graph)
 from .errors import (InternalInconsistency, NotChordal, NotPsd,
                      PatternViolation, TooManyCliques)
 from .linalg import DEFAULT_TOL, _semidef_cholesky, is_psd
@@ -34,38 +33,54 @@ class EliminationOrdering:
 def maximum_cardinality_search(g: Graph) -> list[int]:
     """MCS visit order; ties broken by smallest vertex index.
 
-    A heap of (-weight, vertex) pops the largest weight, then the smallest
-    index.  Raising a weight pushes a fresh entry; the stale ones are skipped
-    when they surface (Tarjan & Yannakakis 1984 give the bucket form).
+    buckets[w] is the bitset of unvisited vertices of weight w (the bucket
+    form of Tarjan & Yannakakis 1984): the next vertex is the lowest bit of
+    the highest nonempty bucket, and its unvisited neighbours move up one
+    bucket, scanned from the top so that none moves twice.
     """
-    weight = [0] * g.m
-    visited = [False] * g.m
-    heap = [(0, v) for v in range(g.m)]
+    adj = g.adjacency_bits
+    unvisited = (1 << g.m) - 1
+    buckets = [unvisited] + [0] * g.m
+    top = 0
     order = []
-    while heap:
-        neg, v = heapq.heappop(heap)
-        if visited[v] or -neg != weight[v]:
-            continue
-        visited[v] = True
+    while unvisited:
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        unvisited ^= low
+        v = low.bit_length() - 1
         order.append(v)
-        for w in g.neighbors(v):
-            if not visited[w]:
-                weight[w] += 1
-                heapq.heappush(heap, (-weight[w], w))
+        rising, w = adj[v] & unvisited, top
+        while rising:
+            moved = rising & buckets[w]
+            buckets[w] ^= moved
+            buckets[w + 1] |= moved
+            rising ^= moved
+            w -= 1
+        top += 1
     return order
 
 
 def _perfect_check(g: Graph, order: list[int]):
-    """None if the order is a perfect elimination ordering, else its first violating triple."""
-    done = set()
+    """None if the order is a perfect elimination ordering, else its first violating triple.
+
+    Each later neighbour of each vertex must be adjacent to all the others
+    (one AND apiece); the first vertex that fails gets the ordered pair scan.
+    """
+    adj = g.adjacency_bits
+    left = (1 << g.m) - 1  # not yet eliminated
     for v in order:
-        done.add(v)
-        later = g.neighbors(v) - done
-        if any(len(later - g.neighbors(w)) > 1 for w in later):
-            pos = {u: k for k, u in enumerate(order)}
-            later = sorted(later, key=pos.__getitem__)
-            return next((v, x, y) for a, x in enumerate(later) for y in later[a + 1:]
-                        if not g.has_edge(x, y))
+        left ^= 1 << v
+        later = rest = adj[v] & left
+        while rest:
+            low = rest & -rest
+            if (later & ~adj[low.bit_length() - 1]) != low:
+                pos = {u: k for k, u in enumerate(order)}
+                later = sorted(_bit_positions(later), key=pos.__getitem__)
+                return next((v, x, y) for a, x in enumerate(later) for y in later[a + 1:]
+                            if not g.has_edge(x, y))
+            rest ^= low
     return None
 
 
@@ -145,13 +160,23 @@ def clique_complex(g: Graph, guard: int = CLIQUE_GUARD) -> SimplicialComplex:
 def ordering_clique_complex(g: Graph, ordering: EliminationOrdering) -> SimplicialComplex:
     """Clique complex of a chordal graph from a perfect elimination ordering.
 
-    Each maximal clique is a vertex together with its later neighbors
-    (Vandenberghe & Andersen 2015), so from_facets on those m sets keeps
-    exactly the maximal cliques, without a clique search.
+    Each maximal clique is a vertex v together with its later neighbours
+    later(v), and such a set is not maximal exactly when it equals later(u)
+    for some vertex u (Blair & Peyton 1993; Vandenberghe & Andersen 2015,
+    section 4).  So the maximal cliques come without a clique search or a
+    dominance test, and an isolated vertex stays a singleton facet.
     """
-    pos = {v: k for k, v in enumerate(ordering.order)}
-    return SimplicialComplex.from_facets(
-        g.m, ([v, *(w for w in g.neighbors(v) if pos[w] > pos[v])] for v in range(g.m)))
+    adj = g.adjacency_bits
+    left = (1 << g.m) - 1
+    later = {}
+    for v in ordering.order:
+        left ^= 1 << v
+        later[v] = adj[v] & left
+    candidates = [s | 1 << v for v, s in later.items()]
+    laters = set(later.values())
+    cliques = sorted(tuple(_bit_positions(c)) for c in candidates if c not in laters)
+    # a stable sort by size keeps the lexicographic order within each size
+    return SimplicialComplex._trusted(g.m, tuple(sorted(cliques, key=len)))
 
 
 def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL,
@@ -194,7 +219,7 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL,
                 f"factor column support {clique} is not a clique"
             )
         values.update(((clique, p), v) for p, v in supp)
-    return FactorParams(delta, values)
+    return FactorParams._trusted(delta, values)
 
 
 def is_surjective(delta: SimplicialComplex) -> bool:

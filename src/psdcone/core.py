@@ -80,6 +80,15 @@ class Graph:
         return (min(i, j), max(i, j)) in self.edges
 
     @cached_property
+    def adjacency_bits(self) -> tuple[int, ...]:
+        """Per vertex v, an int whose bit w is set when {v, w} is an edge."""
+        bits = [0] * self.m
+        for i, j in self.edges:
+            bits[i] |= 1 << j
+            bits[j] |= 1 << i
+        return tuple(bits)
+
+    @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
         nbrs = [set() for _ in range(self.m)]
         for i, j in self.edges:
@@ -110,10 +119,15 @@ class Graph:
     def from_json_dict(cls, d: Mapping) -> "Graph":
         try:
             m = _vertex_count("graph", d)
-            edges = [(int(i) - 1, int(j) - 1) for i, j in d["edges"]]
+            edges = [(int(i), int(j)) for i, j in d["edges"]]
         except (KeyError, TypeError, OverflowError) as exc:
             raise _malformed("graph", exc) from None
-        return cls.from_edges(m, edges)
+        for i, j in edges:  # in the file's labels, 1..m
+            if i == j:
+                raise ValueError(f"bad edge ({i}, {j})")
+            if not (1 <= i <= m and 1 <= j <= m):
+                raise ValueError(f"edge ({i}, {j}) outside vertex range 1..{m}")
+        return cls.from_edges(m, ((i - 1, j - 1) for i, j in edges))
 
 
 def path_graph(m: int) -> Graph:
@@ -177,6 +191,13 @@ class SimplicialComplex:
         canon = tuple(sorted((as_face(f) for f in maximal), key=face_key))
         return cls(m, canon)
 
+    @classmethod
+    def _trusted(cls, m: int, facets: tuple[Face, ...]) -> "SimplicialComplex":
+        """The complex on facets the library built in canonical form, not checked again."""
+        obj = object.__new__(cls)  # frozen: fields go straight into __dict__
+        obj.__dict__.update(m=m, facets=facets)
+        return obj
+
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         """All faces in canonical order (size, then lexicographic)."""
@@ -225,10 +246,23 @@ class SimplicialComplex:
     def from_json_dict(cls, d: Mapping) -> "SimplicialComplex":
         try:
             m = _vertex_count("complex", d)
-            facets = [[int(v) - 1 for v in f] for f in d["facets"]]
+            facets = [[int(v) for v in f] for f in d["facets"]]
         except (KeyError, TypeError, OverflowError) as exc:
             raise _malformed("complex", exc) from None
-        return cls.from_facets(m, facets)
+        for f in facets:  # in the file's labels, 1..m
+            if not all(1 <= v <= m for v in f):
+                raise ValueError(f"facet {tuple(f)} outside ground set 1..{m}")
+        return cls.from_facets(m, ([v - 1 for v in f] for f in facets))
+
+
+def _bit_positions(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _vertex_bitsets(sets) -> defaultdict:
@@ -259,8 +293,12 @@ def _dominated(sets, bits) -> list[int]:
 
 
 def edge_complex(g: Graph) -> SimplicialComplex:
-    """The complex whose facets are the edges of g (plus isolated singletons)."""
-    return SimplicialComplex.from_facets(g.m, g.edges)
+    """The complex whose facets are the edges of g (plus isolated singletons).
+
+    Isolated singletons, then the sorted edges: the canonical order already.
+    """
+    singletons = tuple((v,) for v, nbrs in enumerate(g.adjacency) if not nbrs)
+    return SimplicialComplex._trusted(g.m, singletons + tuple(sorted(g.edges)))
 
 
 def underlying_graph(delta: SimplicialComplex) -> Graph:
@@ -288,6 +326,18 @@ def induced_subcomplex(delta: SimplicialComplex, subset: Iterable[int]) -> Simpl
     return SimplicialComplex.from_facets(len(a), restricted)
 
 
+def _entry_bound(arr: np.ndarray) -> float:
+    """The largest |entry| of arr, refused unless finite and below SYMMETRIZE_LIMIT."""
+    # the largest magnitude is inf or NaN exactly when some entry is
+    amax = float(np.abs(arr).max()) if arr.size else 0.0
+    if not math.isfinite(amax):
+        raise ValueError("matrix entries must be finite")
+    if amax >= SYMMETRIZE_LIMIT:
+        raise ValueError(f"matrix entry of magnitude {amax:.6e} overflows when "
+                         "symmetrized; entries must be below 2**1023")
+    return amax
+
+
 class SymmetricMatrix:
     """Dense real symmetric matrix; ingest symmetrizes and rejects asymmetric input."""
 
@@ -297,13 +347,7 @@ class SymmetricMatrix:
         arr = np.asarray(array, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        # the largest magnitude is inf or NaN exactly when some entry is
-        amax = float(np.abs(arr).max()) if arr.size else 0.0
-        if not math.isfinite(amax):
-            raise ValueError("matrix entries must be finite")
-        if amax >= SYMMETRIZE_LIMIT:
-            raise ValueError(f"matrix entry of magnitude {amax:.6e} overflows when "
-                             "symmetrized; entries must be below 2**1023")
+        amax = _entry_bound(arr)
         skew = float(np.abs(arr - arr.T).max())
         if skew > ASYMMETRY_RTOL * max(amax, 1e-300):
             raise AsymmetricInput(
@@ -312,6 +356,16 @@ class SymmetricMatrix:
         sym = (arr + arr.T) / 2.0
         sym.setflags(write=False)
         self.a = sym
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "SymmetricMatrix":
+        """A square array the library built exactly symmetric, entry-checked but not
+        symmetrized again: below SYMMETRIZE_LIMIT, (x + x) / 2 == x bitwise."""
+        _entry_bound(arr)
+        arr.setflags(write=False)
+        out = cls.__new__(cls)
+        out.a = arr
+        return out
 
     @property
     def m(self) -> int:
@@ -379,6 +433,17 @@ class FactorParams:
                 raise ValueError(f"invalid incidence ({face}, {i})")
             if not math.isfinite(v):
                 raise ValueError(f"non-finite parameter at ({face}, {i})")
+
+    @classmethod
+    def _trusted(cls, delta: SimplicialComplex,
+                 values: dict[tuple[Face, int], float]) -> "FactorParams":
+        """Values the library keyed by canonical faces of delta: only finiteness is checked."""
+        if not all(map(math.isfinite, values.values())):
+            face, i = next(k for k, v in values.items() if not math.isfinite(v))
+            raise ValueError(f"non-finite parameter at ({face}, {i})")
+        obj = object.__new__(cls)
+        obj.__dict__.update(complex=delta, values=values)
+        return obj
 
     @classmethod
     def zeros(cls, delta: SimplicialComplex) -> "FactorParams":

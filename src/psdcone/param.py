@@ -71,7 +71,7 @@ def phi(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricMatrix:
     for entries in faces[split:]:
         col = _column(entries, m)
         out += col[:, None] * col
-    return SymmetricMatrix(out)
+    return SymmetricMatrix._trusted(out)
 
 
 def _face_entries(gamma: FactorParams):

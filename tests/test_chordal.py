@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdcone.chordal import (EliminationOrdering, _perfect_check, chordal_fiber,
-                             clique_complex, is_chordal,
+from psdcone.chordal import (EliminationOrdering, _chordless_cycle_from, _perfect_check,
+                             chordal_fiber, clique_complex, is_chordal,
                              maximum_cardinality_search, is_surjective,
                              ordering_clique_complex)
-from psdcone.core import (Graph, SimplicialComplex, SymmetricMatrix,
+from psdcone.core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                           complete_graph, cycle_graph, edge_complex,
                           path_graph)
 from psdcone.cycle import CycleMatrix, counterexample_sigma, cycle_membership
@@ -47,15 +47,41 @@ def mcs_scan(g):
     return order
 
 
+def relabelled(rng, g, m=None):
+    """g on the first g.m of m vertices (default g.m), under a random relabelling."""
+    perm = [int(p) for p in rng.permutation(m or g.m)]
+    return Graph.from_edges(m or g.m, ((perm[i], perm[j]) for i, j in g.edges))
+
+
 def random_graph(rng, kind, m):
     if kind == "chordal":
         return random_chordal_graph(rng, m)
+    if kind == "relabelled":
+        return relabelled(rng, random_chordal_graph(rng, m))
+    if kind == "isolated":  # a chordal graph on some vertices, the others isolated
+        return relabelled(rng, random_chordal_graph(rng, int(rng.integers(1, m + 1))), m)
+    if kind == "complete":
+        return Graph.from_edges(m, itertools.combinations(range(m), 2))
+    if kind == "two-cliques":  # 0..a-1 and b..m-1, sharing a - b >= 0 vertices
+        a = int(rng.integers(1, m + 1))
+        b = int(rng.integers(0, a + 1))
+        return relabelled(rng, Graph.from_edges(m, itertools.chain(
+            itertools.combinations(range(a), 2), itertools.combinations(range(b, m), 2))))
     if kind == "cycle" and m >= 3:
         perm = rng.permutation(m)
         return Graph.from_edges(m, [(int(perm[k]), int(perm[(k + 1) % m])) for k in range(m)])
     density = 0.9 if kind == "dense" else rng.random()
     return Graph.from_edges(m, [(i, j) for i, j in itertools.combinations(range(m), 2)
                                 if rng.random() < density])
+
+
+def pattern_matrix(rng, g):
+    """A positive definite matrix on g's pattern: the identity plus a Gram block per clique."""
+    arr = np.eye(g.m)
+    for facet in clique_complex(g).facets:
+        block = rng.standard_normal((len(facet), len(facet)))
+        arr[np.ix_(facet, facet)] += block @ block.T / len(facet)
+    return SymmetricMatrix(arr)
 
 
 class TestIsChordal:
@@ -130,6 +156,51 @@ class TestIsChordal:
 
     def test_mcs_tie_break_smallest_vertex(self):
         assert maximum_cardinality_search(path_graph(3))[0] == 0
+
+
+class TestBitsetStructure:
+    """MCS, the PEO check and the clique complex on vertex bitsets, and the
+    complexes and parameters built from them without a second validation."""
+
+    KINDS = ["random", "chordal", "relabelled", "isolated", "complete", "two-cliques",
+             "cycle", "dense"]
+
+    @given(st.integers(1, 64), st.sampled_from(KINDS), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_oracles(self, m, kind, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, kind, m)
+        order = mcs_scan(g)
+        assert maximum_cardinality_search(g) == order
+        bad = perfect_check_scan(g, order[::-1])
+        ok, info = is_chordal(g)
+        assert ok is (bad is None)
+        edges = edge_complex(g)
+        assert edges == SimplicialComplex.from_facets(m, g.edges)
+        edges.__post_init__()
+        if not ok:
+            assert info == _chordless_cycle_from(g, bad)
+            return
+        assert info.order == tuple(order[::-1])
+        delta = ordering_clique_complex(g, info)
+        assert delta == clique_complex(g)
+        delta.__post_init__()
+        gamma = chordal_fiber(g, pattern_matrix(rng, g))
+        assert gamma.complex == delta
+        assert gamma == FactorParams(delta, gamma.values)
+        gamma.__post_init__()
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_isolated_vertices_stay_singleton_facets(self, m):
+        g = Graph.from_edges(m + 3, [(m, m + 1), (m + 1, m + 2), (m, m + 2)])
+        delta = ordering_clique_complex(g, is_chordal(g)[1])
+        assert delta.facets == tuple((v,) for v in range(m)) + ((m, m + 1, m + 2),)
+
+    def test_trusted_parameters_still_refuse_non_finite_values(self):
+        delta = clique_complex(path_graph(3))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"non-finite parameter at \(\(1, 2\), 2\)"):
+                FactorParams._trusted(delta, {((0, 1), 0): 1.0, ((1, 2), 2): bad})
 
 
 class TestCliqueComplex:

@@ -268,9 +268,12 @@ def test_large_clique_never_enumerates_faces(files, monkeypatch, kind):
     else:
         gpath = files("c.json", {"m": m, "facets": [list(range(1, 41)), [40, 41], [41, 42]]})
     built = []
-    post_init = SimplicialComplex.__post_init__
+    post_init, trusted = SimplicialComplex.__post_init__, SimplicialComplex._trusted
     monkeypatch.setattr(SimplicialComplex, "__post_init__",
                         lambda self: built.append(self) or post_init(self))
+    # the clique complex is built in canonical form, without __post_init__
+    monkeypatch.setattr(SimplicialComplex, "_trusted", classmethod(
+        lambda cls, m, facets: built.append(trusted(m, facets)) or built[-1]))
     rc, out = run_cli(["membership", "--matrix", mpath, "--graph", gpath])
     assert rc == 0 and json.loads(out)["member"] is True
     rc, out = run_cli(["fiber", "--chordal", "--matrix", mpath, "--graph", gpath])
@@ -654,6 +657,24 @@ def test_valid_json_of_the_wrong_shape_is_invalid_input(files, command, flag, sh
     error = json.loads(out)["error"]
     assert error["code"] == "invalid_input"
     assert message in error["message"]
+
+
+# a graph or complex file naming a vertex outside 1..m, or a loop: the message
+# names the vertices as the file does, 1-based
+FILE_LABEL_CASES = {
+    "facet-outside": ({"m": 3, "facets": [[1, 4]]}, "facet (1, 4) outside ground set 1..3"),
+    "edge-outside": ({"m": 3, "edges": [[1, 4]]}, "edge (1, 4) outside vertex range 1..3"),
+    "loop": ({"m": 3, "edges": [[1, 1]]}, "bad edge (1, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", FILE_LABEL_CASES)
+def test_bad_vertices_are_named_as_the_file_names_them(files, case):
+    content, message = FILE_LABEL_CASES[case]
+    mpath = files("m.json", VALID["matrix"])
+    rc, out, err = outcome(["membership", "--matrix", mpath, "--graph", files("g.json", content)])
+    assert rc == 2 and err == ""
+    assert json.loads(out)["error"] == {"code": "invalid_input", "message": message}
 
 
 def test_a_type_error_inside_the_library_is_not_input_error(files, monkeypatch):

@@ -71,6 +71,15 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_api_messages_name_vertices_from_zero(self):
+        """Only the JSON readers speak in the files' 1-based labels."""
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) outside vertex range 0\.\.2$"):
+            Graph.from_edges(3, [(0, 3)])
+        with pytest.raises(ValueError, match=r"^bad edge \(0, 0\)$"):
+            Graph.from_edges(3, [(0, 0)])
+        with pytest.raises(ValueError, match=r"^facet \(0, 3\) outside ground set$"):
+            SimplicialComplex.from_facets(3, [[0, 3]])
+
     def test_neighbors(self):
         g = path_graph(4)
         assert g.neighbors(1) == {0, 2}
