@@ -15,9 +15,11 @@ pattern (a random Gram block on every maximal clique, plus the identity).
 On each input it times ``is_chordal``, ``ordering_clique_complex`` (given the
 ordering), ``chordal_fiber`` (from the graph alone) and, through
 ``psdcone.cli.main`` in-process with stdout captured, ``membership`` and
-``fiber --chordal`` on the graph file.  A process times each call by the best
-of 5 runs of a loop of at least 20 ms and prints µs per call; the table holds
-the median over repetitions:
+``fiber --chordal`` on the graph file, and ``emit``: ``psdcone.cli._print_json``
+of the JSON value that ``membership`` prints (on the complete graph at m = 64,
+a certificate of 2,080 records), stdout captured.  A process times each call
+by the best of 5 runs of a loop of at least 20 ms and prints µs per call; the
+table holds the median over repetitions:
 
     python scripts/chordal_timing.py --repeat 5
 
@@ -86,9 +88,15 @@ def best_us(fn):
     return min(runs) * 1e6
 
 
-def cli(argv):
+def cli(argv):  # the exit code and the captured stdout
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        return psdcone.cli.main(argv), buf.getvalue()
+
+
+def emit(obj):
     with contextlib.redirect_stdout(io.StringIO()):
-        return psdcone.cli.main(argv)
+        psdcone.cli._print_json(obj)
 
 
 out = []
@@ -103,6 +111,10 @@ with tempfile.TemporaryDirectory(prefix="chordal-timing-") as tmp:
                     json.dump(obj, fh)
             mpath, gpath = os.path.join(tmp, "sigma.json"), os.path.join(tmp, "g.json")
             ordering = is_chordal(g)[1]
+            rc, stdout = cli(["membership", "--matrix", mpath, "--graph", gpath])
+            if rc != 0:
+                raise SystemExit(f"membership on {kind} m={m} did not exit 0")
+            printed = json.loads(stdout)
             calls = {
                 "is_chordal": lambda: is_chordal(g),
                 "ordering_clique_complex": lambda: ordering_clique_complex(g, ordering),
@@ -110,9 +122,8 @@ with tempfile.TemporaryDirectory(prefix="chordal-timing-") as tmp:
                 "membership": lambda: cli(["membership", "--matrix", mpath, "--graph", gpath]),
                 "fiber --chordal": lambda: cli(["fiber", "--chordal", "--matrix", mpath,
                                                 "--graph", gpath]),
+                "emit": lambda: emit(printed),
             }
-            if cli(["membership", "--matrix", mpath, "--graph", gpath]) != 0:
-                raise SystemExit(f"membership on {kind} m={m} did not exit 0")
             out.extend([kind, m, call, best_us(fn)] for call, fn in calls.items())
 print(json.dumps({"home": os.path.dirname(os.path.abspath(psdcone.cli.__file__)), "us": out}))
 """

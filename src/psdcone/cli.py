@@ -11,9 +11,12 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import os
 import sys
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -86,10 +89,9 @@ def _dumps(obj, indent: str) -> str:
     """``json.dumps``'s bytes for obj at a two-space indent with sorted str keys.
 
     ``indent`` is the newline and spaces that precede obj's closing bracket.
-    json's encoder runs in C only without ``indent``; here a list whose
-    elements are all ``float`` (or all ``int``) is one C-level join, and any
-    other value goes element by element through json's own ``isinstance``
-    order.  A non-str key raises TypeError.
+    json's encoder runs in C only without ``indent``; here a list's elements
+    are written a column at a time by ``_column``, and any other value goes
+    through json's own ``isinstance`` order.  A non-str key raises TypeError.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -109,21 +111,43 @@ def _dumps(obj, indent: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        kinds = set(map(type, obj))
-        text = ""
-        if kinds == {float}:
-            text = sep.join(map(float.__repr__, obj))
-            if "n" in text:  # nan or inf: json spells them NaN, Infinity
-                text = ""
-        elif kinds == {int}:
-            text = sep.join(map(int.__repr__, obj))
-        return "[" + inner + (text or sep.join([_dumps(v, inner) for v in obj])) + indent + "]"
+        return "[" + inner + sep.join(_column(obj, inner)) + indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         return "{" + inner + sep.join([encode_basestring_ascii(k) + ": " + _dumps(obj[k], inner)
                                        for k in sorted(obj)]) + indent + "}"
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _column(values, indent: str) -> list[str]:
+    """``[_dumps(v, indent) for v in values]``, a column at a time.
+
+    Finite floats, or ints, are one map; non-empty lists are the column of
+    all their elements, cut back into lists; dicts over one key set are one
+    column per key, keys sorted once, filled into one record template (a
+    non-str key raises TypeError).  Anything else (NaN or inf, mixed types,
+    differing keys) goes value by value.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    inner = indent + "  "
+    sep = "," + inner
+    if kinds == {list} and all(values):
+        texts = iter(_column(list(chain.from_iterable(values)), inner))
+        return ["[" + inner + sep.join(islice(texts, n)) + indent + "]" for n in map(len, values)]
+    if kinds == {dict}:
+        keys = values[0].keys()
+        if keys and all(map(keys.__eq__, map(dict.keys, values))):
+            names = sorted(keys)
+            record = "{" + inner + sep.join([encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                                             for k in names]) + indent + "}"
+            columns = [_column(list(map(itemgetter(k), values)), inner) for k in names]
+            return list(map(record.__mod__, zip(*columns)))
+    return [_dumps(v, indent) for v in values]
 
 
 def _print_json(obj):

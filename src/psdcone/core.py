@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -73,8 +74,16 @@ class Graph:
 
     @classmethod
     def from_edges(cls, m: int, edges: Iterable[Iterable[int]]) -> "Graph":
-        norm = frozenset(tuple(sorted(e)) for e in edges)
+        """The graph on edges in any order; numpy integer vertices are stored as ints."""
+        norm = frozenset(tuple(sorted(map(operator.index, e))) for e in edges)
         return cls(m, norm)
+
+    @classmethod
+    def _trusted(cls, m: int, edges: frozenset[Face]) -> "Graph":
+        """The graph on edges the caller has checked and sorted, not checked again."""
+        obj = object.__new__(cls)  # frozen: fields go straight into __dict__
+        obj.__dict__.update(m=m, edges=edges)
+        return obj
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -99,10 +108,12 @@ class Graph:
     @cached_property
     def pattern_mask(self) -> np.ndarray:
         """Read-only boolean (m, m) array: True on the diagonal and at every edge."""
-        mask = np.eye(self.m, dtype=bool)
-        if self.edges:
-            i, j = np.array(list(self.edges)).T
-            mask[i, j] = mask[j, i] = True
+        # row v is adjacency_bits[v] unpacked, lowest bit first
+        width = (self.m + 7) // 8
+        rows = b"".join(bits.to_bytes(width, "little") for bits in self.adjacency_bits)
+        mask = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(self.m, width),
+                             axis=1, count=self.m, bitorder="little").view(bool)
+        np.fill_diagonal(mask, True)
         mask.setflags(write=False)
         return mask
 
@@ -127,7 +138,8 @@ class Graph:
                 raise ValueError(f"bad edge ({i}, {j})")
             if not (1 <= i <= m and 1 <= j <= m):
                 raise ValueError(f"edge ({i}, {j}) outside vertex range 1..{m}")
-        return cls.from_edges(m, ((i - 1, j - 1) for i, j in edges))
+        return cls._trusted(m, frozenset((i - 1, j - 1) if i < j else (j - 1, i - 1)
+                                         for i, j in edges))
 
 
 def path_graph(m: int) -> Graph:
@@ -341,7 +353,7 @@ def _entry_bound(arr: np.ndarray) -> float:
 class SymmetricMatrix:
     """Dense real symmetric matrix; ingest symmetrizes and rejects asymmetric input."""
 
-    __slots__ = ("a",)
+    __slots__ = ("a", "_scale")
 
     def __init__(self, array):
         arr = np.asarray(array, dtype=float)
@@ -356,6 +368,7 @@ class SymmetricMatrix:
         sym = (arr + arr.T) / 2.0
         sym.setflags(write=False)
         self.a = sym
+        self._scale = None
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "SymmetricMatrix":
@@ -365,6 +378,7 @@ class SymmetricMatrix:
         arr.setflags(write=False)
         out = cls.__new__(cls)
         out.a = arr
+        out._scale = None
         return out
 
     @property
@@ -372,8 +386,10 @@ class SymmetricMatrix:
         return self.a.shape[0]
 
     def scale(self) -> float:
-        """tolerance_scale of the entries."""
-        return tolerance_scale(self.a)
+        """tolerance_scale of the (read-only) entries, computed on the first call."""
+        if self._scale is None:
+            self._scale = tolerance_scale(self.a)
+        return self._scale
 
     def submatrix(self, subset: Iterable[int]) -> "SymmetricMatrix":
         idx = sorted(set(subset))

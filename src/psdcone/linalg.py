@@ -47,7 +47,7 @@ def is_psd(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     lo = min_eigenvalue(arr)
-    return PsdReport(lo >= -tol * tolerance_scale(arr), lo, tol)
+    return PsdReport(lo >= -tol * sigma.scale(), lo, tol)
 
 
 # Above this many entry updates per column, counted from arr's nonzeros below
@@ -77,7 +77,8 @@ def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     below = np.count_nonzero(lower, axis=0)
     if below @ (below + 1) > 2 * DENSE_UPDATES_PER_COLUMN * n:
         return _dense_columns(a, tol, scale)
-    ii, jj = np.nonzero(lower)
+    # flat positions in row-major order, as np.nonzero gives them
+    ii, jj = np.divmod(np.flatnonzero(lower), n)
     # work[k]: row -> entry (row, k) of the trailing matrix, lower triangle
     work = [{k: d} for k, d in enumerate(np.diagonal(a).tolist())]
     for i, j, v in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):

@@ -417,6 +417,16 @@ def is_clique(g: Graph, vertices) -> bool:
     return all(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2))
 
 
+def pattern_mask_from_edges(g: Graph) -> np.ndarray:
+    """Graph.pattern_mask built from an array of the edge tuples, read-only."""
+    mask = np.eye(g.m, dtype=bool)
+    if g.edges:
+        i, j = np.array(list(g.edges)).T
+        mask[i, j] = mask[j, i] = True
+    mask.setflags(write=False)
+    return mask
+
+
 def pattern_graph(sigma: SymmetricMatrix, tol: float = PATTERN_TOL) -> Graph:
     """Graph of off-diagonal entries exceeding tol relative to the matrix scale."""
     thr = tol * sigma.scale()

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psdcone import chordal, cli, selftest
@@ -712,16 +712,40 @@ _EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e-4,
 _floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
 _scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
             | st.text() | _floats | _floats.map(np.float64))
+# keys that json escapes (non-ASCII, quotes, control characters) and keys
+# that sort differently from how a record lists them
+_keys = st.text(max_size=3) | st.sampled_from(["%", "%d", "\u00e9", "\u2028", '"', "\n",
+                                                "face", "gamma", "vertex"])
+# one strategy per record key: every value of that key's column comes from it
+_column_values = [_floats, st.integers() | st.booleans(), _floats | _floats.map(np.float64),
+                  st.lists(st.integers(-3, 70), min_size=1, max_size=5)]
+
+
+@st.composite
+def _records(draw, inner):
+    """A list of dicts over one shared key set, each record listing the keys in
+    its own order, each key's values drawn from one strategy."""
+    keys = draw(st.lists(_keys, min_size=1, max_size=4, unique=True))
+    columns = {k: draw(st.sampled_from(_column_values + [inner])) for k in keys}
+    return [{k: draw(columns[k]) for k in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(1, 4)))]
+
+
 _json_values = st.recursive(
     _scalars,
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
                    | st.dictionaries(st.text(), inner)
-                   | st.lists(_floats) | st.lists(st.integers())),
+                   | st.lists(_floats) | st.lists(st.integers())
+                   | _records(inner)
+                   | st.lists(st.lists(st.integers(), min_size=1), min_size=1)
+                   | st.lists(st.lists(inner, max_size=3), min_size=1)),
     max_leaves=40,
 )
 
 
 @given(_json_values)
+@example([{"gamma": 0.5, "%d": [1, 2], "\u00e9": True},
+          {"\u00e9": 1, "%d": [3], "gamma": math.nan}])
 @settings(max_examples=300, deadline=None)
 def test_print_json_matches_indented_json_dumps(obj):
     buf = io.StringIO()
@@ -730,7 +754,8 @@ def test_print_json_matches_indented_json_dumps(obj):
     assert buf.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("obj", [np.int64(1), {1, 2}, [object()], {1: 2}])
+@pytest.mark.parametrize("obj", [np.int64(1), {1, 2}, [object()], {1: 2},
+                                 [{"a": 1}, {1: 2}], [{1: 2}, {1: 3}], [[1], [object()]]])
 def test_print_json_refuses_what_it_cannot_write(obj):
     """Non-JSON values raise TypeError as in json.dumps; so do non-str keys,
     which json.dumps would write and no output of the CLI has."""

@@ -3,23 +3,25 @@
 import itertools
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdcone import core, linalg
 from psdcone.core import (MAX_VERTICES, PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
                           SymmetricMatrix, as_face, complete_graph,
                           cycle_graph, edge_complex, face_key,
                           induced_subcomplex, induced_vertex_map, path_graph,
                           tolerance_scale, underlying_graph)
-from psdcone.chordal import clique_complex
+from psdcone.chordal import clique_complex, is_chordal
 from psdcone.cycle import CycleMatrix, _edge_params, cycle_edge_complex
 from psdcone.errors import AsymmetricInput
 from psdcone.instances import random_complex, random_params
 
-from oracles import dominated_scan, has_face_scan, pattern_graph
+from oracles import dominated_scan, has_face_scan, pattern_graph, pattern_mask_from_edges
 
 
 def graphs(max_m=7):
@@ -62,6 +64,39 @@ class TestGraph:
         assert not mask.flags.writeable
         for i, j in itertools.product(range(g.m), repeat=2):
             assert mask[i, j] == (i == j or g.has_edge(i, j))
+
+    @given(st.integers(1, 64), st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_pattern_mask_is_bitwise_the_edge_array_mask(self, m, density, seed):
+        """Density 0 gives no edges and 1 the complete graph; numpy vertices too."""
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((m, m)) < density, 1)
+        for g in (Graph.from_edges(m, zip(*np.nonzero(upper))),
+                  Graph.from_json_dict({"m": m, "edges": [[int(j) + 1, int(i) + 1]
+                                                          for i, j in zip(*np.nonzero(upper))]})):
+            mask, ref = g.pattern_mask, pattern_mask_from_edges(g)
+            assert (mask.dtype, mask.shape, mask.flags.writeable) == (ref.dtype, ref.shape, False)
+            assert mask.flags.c_contiguous and mask.tobytes() == ref.tobytes()
+
+    def test_numpy_vertices_are_stored_as_ints(self):
+        """np.int64 vertices would make np.int64 bitsets, which wrap at bit 63."""
+        g = Graph.from_edges(64, zip(*np.nonzero(np.triu(np.ones((64, 64), dtype=bool), 1))))
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert g.adjacency_bits[0] == (1 << 64) - 2 and is_chordal(g)[0]
+
+    @given(graphs(64), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_json_reader_builds_the_checked_graph(self, g, seed):
+        """Edges in any order, either orientation and repeated read as from_edges
+        builds them, and the graph passes the full check."""
+        rng = np.random.default_rng(seed)
+        pairs = [[i + 1, j + 1] if rng.random() < 0.5 else [j + 1, i + 1] for i, j in g.edges]
+        pairs += [pairs[k] for k in rng.integers(0, len(pairs), len(pairs) // 3)] if pairs else []
+        rng.shuffle(pairs)
+        read = Graph.from_json_dict({"m": g.m, "edges": pairs})
+        assert read == g and all(type(v) is int for e in read.edges for v in e)
+        read.__post_init__()
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -257,6 +292,24 @@ class TestSymmetricMatrix:
         arr = arr + arr.T
         arr *= 1.0 + 1e-13 * rng.standard_normal((m, m))  # asymmetry below the bound
         assert SymmetricMatrix(arr).a.tobytes() == ((arr + arr.T) / 2.0).tobytes()
+
+    @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_scale_is_computed_once_from_the_symmetrized_entries(self, m, seed):
+        """D A D rounds to a slightly asymmetric array; the scale is that of the
+        mean that is stored, whichever constructor built the matrix, and the
+        pattern check and is_psd read it without computing it again."""
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((m, m))
+        d = np.diag(10.0 ** rng.uniform(-3, 3, m))
+        for sig in (SymmetricMatrix(d @ (b @ b.T) @ d), SymmetricMatrix._trusted(b + b.T)):
+            counted = mock.Mock(wraps=tolerance_scale)
+            with mock.patch.object(core, "tolerance_scale", counted), \
+                    mock.patch.object(linalg, "tolerance_scale", counted):
+                first, second = sig.scale(), sig.scale()
+                sig.respects_pattern(complete_graph(m))
+                linalg.is_psd(sig)
+            assert first == second == tolerance_scale(sig.a) and counted.call_count == 1
 
     def test_pattern(self):
         sig = SymmetricMatrix(np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]))
