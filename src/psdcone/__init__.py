@@ -15,15 +15,14 @@ _PUBLIC = {
     "chordal": ("EliminationOrdering", "chordal_fiber", "clique_complex", "is_chordal",
                 "is_surjective"),
     "core": ("FactorMatrix", "FactorParams", "Graph", "SimplicialComplex", "SymmetricMatrix",
-             "complete_graph", "cycle_graph", "edge_complex", "induced_subcomplex",
-             "path_graph", "underlying_graph"),
+             "cycle_graph", "edge_complex", "induced_subcomplex", "underlying_graph"),
     "cycle": ("CycleFiber", "CycleMatrix", "MembershipVerdict", "counterexample_det",
               "counterexample_sigma", "cycle_edge_complex", "cycle_fiber", "cycle_membership",
               "matching_sum", "quartic_coefficients"),
+    "decide": ("Decision", "membership"),
     "latent": ("LatentSystem", "build_digraph", "conditional_precision",
                "covariance_identity", "simulate_y"),
-    "linalg": ("PsdReport", "cholesky", "is_psd", "schur_complement", "sign_flip",
-               "tridiagonal_det"),
+    "linalg": ("PsdReport", "is_psd", "schur_complement", "sign_flip"),
     "param": ("RankOneTerm", "build_factor_matrix", "cone_add", "extreme_decomposition", "phi",
               "submatrix_witness"),
     "quotient": ("QuotientWitness", "complex_quotient", "graph_quotient", "schur_witness"),

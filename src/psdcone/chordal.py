@@ -179,37 +179,41 @@ def ordering_clique_complex(g: Graph, ordering: EliminationOrdering) -> Simplici
     return SimplicialComplex._trusted(g.m, tuple(sorted(cliques, key=len)))
 
 
-def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL,
-                  chordality: tuple | None = None,
-                  cliques: SimplicialComplex | None = None) -> FactorParams:
+def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> FactorParams:
     """A preimage of sigma under the clique-complex parametrization of a chordal graph.
 
     Permute by a perfect elimination ordering, factor, and assign each factor
     column to the clique given by its support.  Supports of distinct nonzero
     columns are distinct (each contains its own pivot as least element), so
-    every column lands on its own face.  ``chordality`` is ``is_chordal(g)``
-    and ``cliques`` is ``ordering_clique_complex(g, ordering)`` when the
-    caller already holds them; each is computed here otherwise.
+    every column lands on its own face.
     """
     if sigma.m != g.m:
         raise ValueError("matrix and graph sizes differ")
-    ok, info = is_chordal(g) if chordality is None else chordality
+    ok, info = is_chordal(g)
     if not ok:
         raise NotChordal(f"graph has chordless cycle {tuple(v + 1 for v in info)}")
     if not sigma.respects_pattern(g):
         raise PatternViolation("matrix has a nonzero entry at a non-edge of the graph")
+    return _fiber(g, sigma, info, None, tol)
+
+
+def _fiber(g: Graph, sigma: SymmetricMatrix, ordering: EliminationOrdering,
+           delta: SimplicialComplex | None, tol: float) -> FactorParams:
+    """chordal_fiber on a sigma that respects the pattern of g, with a perfect
+    elimination ordering of g; delta is g's clique complex, or None to build it."""
     report = is_psd(sigma, tol)
     if not report.is_psd:
         raise NotPsd(f"min eigenvalue {report.min_eigenvalue:.3e}")
 
-    perm = list(info.order)
+    perm = list(ordering.order)
     ix = np.ix_(perm, perm)
     arr = np.array(sigma.a[ix])
     # exact zeros off the pattern make the factor's clique structure exact
     arr[~g.pattern_mask[ix]] = 0.0
     cols = _semidef_cholesky(arr, tol)
 
-    delta = ordering_clique_complex(g, info) if cliques is None else cliques
+    if delta is None:
+        delta = ordering_clique_complex(g, ordering)
     values: dict = {}
     for rows, vals in filter(None, cols):  # None: a zero pivot's column
         supp = [(perm[i], v) for i, v in zip(rows, vals) if v != 0.0]

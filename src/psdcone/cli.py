@@ -21,10 +21,10 @@ from operator import itemgetter
 import numpy as np
 
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
-                   edge_complex, load_json, underlying_graph)
+                   load_json, underlying_graph)
 from .errors import (AsymmetricInput, Degenerate, InternalInconsistency,
                      NotChordal, NotMember, NotPsd, PatternViolation,
-                     PsdConeError, TooManyCliques, ZeroDiagonal,
+                     PsdConeError, TooManyCliques, Undecidable, ZeroDiagonal,
                      ZeroDiagonalParam)
 from .linalg import DEFAULT_TOL, schur_complement
 
@@ -33,12 +33,14 @@ from .linalg import DEFAULT_TOL, schur_complement
 # before the command first runs; from then on each name is a plain global.
 # Looking a name up on the module loads it too, so patching
 # ``psdcone.cli.<name>`` before any command has run patches what the command
-# calls.  clique_complex is not called here; it is listed because
-# perfbench/spans.py wraps it by this name.  "selftest" is the module itself.
+# calls.  The chordal names are not called here (membership and fiber reach
+# them through decide); they are listed because perfbench/spans.py wraps them
+# by these names.  "decide" and "selftest" are the modules themselves.
 _DEFERRED = {
-    "chordal": ("chordal_fiber", "clique_complex", "is_chordal", "ordering_clique_complex"),
+    "chordal": ("chordal_fiber", "clique_complex", "is_chordal"),
     "cycle": ("CycleMatrix", "counterexample_det", "counterexample_sigma",
-              "cycle_certificate", "cycle_fiber", "cycle_membership"),
+              "cycle_fiber", "cycle_membership"),
+    "decide": ("decide",),
     "latent": ("build_digraph", "simulate_y"),
     "param": ("phi",),
     "quotient": ("complex_quotient", "schur_witness"),
@@ -75,6 +77,7 @@ ERROR_CODES = {
     ZeroDiagonal: "zero_diagonal",
     ZeroDiagonalParam: "zero_diagonal_param",
     TooManyCliques: "too_many_cliques",
+    Undecidable: "undecidable",
     InternalInconsistency: "internal_inconsistency",
     AsymmetricInput: "asymmetric_input",
     json.JSONDecodeError: "parse_error",
@@ -177,58 +180,6 @@ def _load_graph_or_complex(path):
     raise ValueError(f"{path}: expected a graph ('edges') or complex ('facets') JSON")
 
 
-def _cycle_order(g: Graph) -> list[int] | None:
-    """g's vertices in walk order from 0, or None unless g is one cycle on all m >= 3."""
-    if g.m < 3 or len(g.edges) != g.m or any(g.degree(v) != 2 for v in range(g.m)):
-        return None
-    # 2-regular, so the walk from 0 goes round 0's cycle: one cycle iff it repeats nothing
-    order, prev = [0], None
-    while len(order) < g.m:
-        nxt = min(w for w in g.neighbors(order[-1]) if w != prev)
-        prev = order[-1]
-        order.append(nxt)
-    return order if len(set(order)) == g.m else None
-
-
-def _check_certificate(gamma: FactorParams, sigma: SymmetricMatrix):
-    """Raise InternalInconsistency unless phi(gamma) reproduces sigma."""
-    if np.abs(phi(gamma.complex, gamma).a - sigma.a).max() > 1e-8 * sigma.scale():
-        raise InternalInconsistency("certificate does not reproduce the input")
-
-
-def _decide_cycle(sigma: SymmetricMatrix, g: Graph, order: list[int], delta,
-                  tol: float) -> int:
-    """The membership verdict on the chordless cycle g walked in order."""
-    idx = np.array(order)
-    cyc = CycleMatrix(tuple(sigma.a[idx, idx].tolist()),
-                      tuple(sigma.a[idx, np.roll(idx, -1)].tolist()))
-    try:
-        verdict = cycle_membership(cyc, tol=tol)
-    except NotPsd as exc:
-        _print_json({"member": False, "method": "cycle",
-                     "reason": "not_psd", "message": str(exc)})
-        return 1
-    out = verdict.to_json_dict()
-    out["vertex_order"] = [v + 1 for v in order]
-    if not verdict.member:
-        out["violated"] = {"flip_determinant": verdict.flip_determinant,
-                           "det": verdict.det}
-        _print_json(out)
-        return 1
-    if delta is None:
-        delta = edge_complex(g)
-    try:
-        cert = cycle_certificate(cyc, delta, order, tol=tol, verdict=verdict)
-    except (Degenerate, NotMember):
-        out["certificate"] = None
-    else:
-        _check_certificate(cert, sigma)
-        out["certificate"] = cert.to_json_dict()
-        out["complex"] = delta.to_json_dict()
-    _print_json(out)
-    return 0
-
-
 def cmd_phi(args) -> int:
     delta = SimplicialComplex.from_json_dict(load_json(args.complex))
     gamma = FactorParams.from_json_dict(delta, load_json(args.params))
@@ -241,16 +192,7 @@ def cmd_fiber(args) -> int:
         raise ValueError("only --chordal fibers are implemented; pass --chordal")
     sigma = SymmetricMatrix.from_json_dict(load_json(args.matrix))
     g, delta = _load_graph_or_complex(args.graph)
-    chordality = cliques = None
-    if delta is not None:
-        chordality = is_chordal(g)
-        if chordality[0]:
-            cliques = ordering_clique_complex(g, chordality[1])
-            if delta != cliques:
-                return _error_json("invalid_input", "the complex is not the clique complex "
-                                   "of its graph, on which chordal fibers live")
-    gamma = chordal_fiber(g, sigma, tol=args.tol, chordality=chordality, cliques=cliques)
-    _print_json(gamma.to_json_dict())
+    _print_json(decide.chordal_certificate(sigma, g, delta, args.tol).to_json_dict())
     return 0
 
 
@@ -349,38 +291,9 @@ def cmd_simulate(args) -> int:
 def cmd_membership(args) -> int:
     sigma = SymmetricMatrix.from_json_dict(load_json(args.matrix))
     g, delta = _load_graph_or_complex(args.graph)
-    if sigma.m != g.m:
-        return _error_json("invalid_input", "matrix and graph sizes differ")
-    if not sigma.respects_pattern(g):
-        return _error_json("pattern_violation",
-                           "matrix has a nonzero entry at a non-edge of the graph")
-
-    order = _cycle_order(g)
-    # a chordless cycle of length >= 4 is never chordal
-    if order is None or g.m == 3:
-        chordality = is_chordal(g)
-        chordal_ok, ordering = chordality
-        if chordal_ok and (delta is None or delta == ordering_clique_complex(g, ordering)):
-            try:
-                gamma = chordal_fiber(g, sigma, tol=args.tol, chordality=chordality,
-                                      cliques=delta)
-            except NotPsd as exc:
-                _print_json({"member": False, "method": "chordal",
-                             "reason": "not_psd", "message": str(exc)})
-                return 1
-            _check_certificate(gamma, sigma)
-            _print_json({"member": True, "boundary": False, "method": "chordal",
-                         "certificate": gamma.to_json_dict(),
-                         "complex": gamma.complex.to_json_dict()})
-            return 0
-
-    if order is not None and (delta is None or delta == edge_complex(g)):
-        return _decide_cycle(sigma, g, order, delta, args.tol)
-
-    return _error_json(
-        "undecidable",
-        "graph is neither chordal nor a chordless cycle; no exact test applies",
-    )
+    decision = decide.membership(sigma, g, delta, args.tol)
+    _print_json(decision.to_json_dict())
+    return 0 if decision.member else 1
 
 
 def cmd_selftest(args) -> int:
@@ -424,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the chordal Cholesky construction (required)")
     p.add_argument("--matrix", required=True)
     p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_fiber, uses=("chordal",))
+    p.set_defaults(func=cmd_fiber, uses=("decide",))
 
     p = sub.add_parser("cycle-check", parents=[tol],
                       help="membership test for a cycle-patterned matrix")
@@ -477,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="decide membership for chordal or cycle graphs")
     p.add_argument("--matrix", required=True)
     p.add_argument("--graph", required=True, help="graph or complex JSON file")
-    p.set_defaults(func=cmd_membership, uses=("chordal", "cycle", "param"))
+    p.set_defaults(func=cmd_membership, uses=("decide",))
 
     p = sub.add_parser("selftest", parents=[seed], help="run reduced property suites")
     p.add_argument("--n", type=_at_least_one, default=100, help="instances per suite")

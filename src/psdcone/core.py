@@ -142,18 +142,10 @@ class Graph:
                                          for i, j in edges))
 
 
-def path_graph(m: int) -> Graph:
-    return Graph.from_edges(m, ((i, i + 1) for i in range(m - 1)))
-
-
 def cycle_graph(m: int) -> Graph:
     if m < 3:
         raise ValueError("cycle needs m >= 3")
     return Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
-
-
-def complete_graph(m: int) -> Graph:
-    return Graph.from_edges(m, itertools.combinations(range(m), 2))
 
 
 @dataclass(frozen=True)
@@ -478,10 +470,6 @@ class FactorParams:
 
     def gamma_singleton(self, i: int) -> float:
         return self.get((i,), i)
-
-    def gamma_edge(self, i: int, j: int) -> float:
-        """gamma_{i,{i,j}}: the parameter of vertex i on edge {i,j}."""
-        return self.get((i, j) if i < j else (j, i), i)
 
     def items(self):
         """Nonzero incidences in canonical order (stored faces are canonical)."""

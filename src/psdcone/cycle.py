@@ -361,7 +361,8 @@ def _edge_params(delta: SimplicialComplex, tails, heads, labels=None) -> FactorP
     """Parameters with tails[k] at vertex k and heads[k] at vertex k+1 of edge k;
     vertex k of the cycle is vertex ``labels[k]`` of ``delta`` (k by default).
 
-    ``delta`` is the edge complex of that cycle.
+    ``delta`` is the edge complex of that cycle, so every key is one of its
+    canonical edges and only finiteness is checked.
     """
     m = len(tails)
     values = {}
@@ -370,7 +371,7 @@ def _edge_params(delta: SimplicialComplex, tails, heads, labels=None) -> FactorP
         face = (u, v) if u < v else (v, u)
         values[(face, u)] = tails[k]
         values[(face, v)] = heads[k]
-    return FactorParams(delta, values)
+    return FactorParams._trusted(delta, values)
 
 
 def _propagate_forward(d, c, tol):
@@ -444,16 +445,15 @@ def _unreversed(pairs):
     return [pairs[-k % m][::-1] for k in range(m)]
 
 
-def _fiber_edges(sigma: CycleMatrix, tol: float,
-                 verdict: MembershipVerdict | None) -> list[tuple[list, list]]:
-    """The fiber representatives as (tails, heads) lists, as in _edge_params.
+def _fiber_edges(verdict: MembershipVerdict, tol: float) -> list[tuple[list, list]]:
+    """The fiber representatives of the matrix that ``verdict`` decided at tol,
+    as (tails, heads) lists, as in _edge_params.
 
-    Solved on the correlation form R and mapped back by gamma -> D^1/2 gamma,
-    which is exact because the supports do not change.
+    Solved on the verdict's correlation form R and mapped back by
+    gamma -> D^1/2 gamma, which is exact because the supports do not change.
+    Raises Degenerate when the smallest pivot of the verdict is at most tol.
     """
-    m = sigma.m
-    if verdict is None:
-        verdict = cycle_membership(sigma, tol)
+    m = len(verdict.r)
     if not verdict.member:
         raise NotMember(f"correlation-form slack {verdict.slack_r!r} negative")
     if verdict.min_pivot <= tol:
@@ -515,29 +515,17 @@ def _fiber_edges(sigma: CycleMatrix, tol: float,
     return reps
 
 
-def cycle_fiber(sigma: CycleMatrix, tol: float = DEFAULT_TOL,
-                verdict: MembershipVerdict | None = None) -> CycleFiber:
+def cycle_fiber(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> CycleFiber:
     """Solve for the fiber over a positive definite member (diagonal parameters zero).
 
     With every cycle entry nonzero, the squared edge-0 parameter satisfies a
     quartic whose two nonnegative roots both propagate to full solutions.
     With a zero entry (rotated to edge 0), one of that edge's two parameters
     must vanish and each choice determines the rest of the cycle walk.
-    Both are solved on the correlation form.  ``verdict`` is
-    ``cycle_membership(sigma, tol)`` when the caller already holds it; it is
-    computed here otherwise.  Raises Degenerate when the smallest pivot of
-    the verdict is at most tol.
+    Both are solved on the correlation form.  Raises Degenerate when the
+    smallest pivot is at most tol.
     """
     delta = cycle_edge_complex(sigma.m)
     reps = [_edge_params(delta, tails, heads)
-            for tails, heads in _fiber_edges(sigma, tol, verdict)]
+            for tails, heads in _fiber_edges(cycle_membership(sigma, tol), tol)]
     return CycleFiber(sigma.m, reps, 2 ** (sigma.m + 1))
-
-
-def cycle_certificate(sigma: CycleMatrix, delta: SimplicialComplex, labels,
-                      tol: float = DEFAULT_TOL,
-                      verdict: MembershipVerdict | None = None) -> FactorParams:
-    """The first representative of ``cycle_fiber(sigma, tol, verdict)``, built once
-    on ``delta``: the edge complex of a cycle whose vertex k is ``labels[k]``."""
-    tails, heads = _fiber_edges(sigma, tol, verdict)[0]
-    return _edge_params(delta, tails, heads, labels)

@@ -47,3 +47,7 @@ class TooManyCliques(PsdConeError):
 
 class InternalInconsistency(PsdConeError):
     """Two provably-equivalent computations disagreed beyond tolerance."""
+
+
+class Undecidable(PsdConeError):
+    """No exact membership test applies: the graph is neither chordal nor a chordless cycle."""

@@ -132,15 +132,6 @@ def _pivot_root(d, k: int, below, tol: float, scale: float):
     return None
 
 
-def cholesky(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Dense semidefinite Cholesky factor (no pivoting; see module docstring)."""
-    ell = np.zeros((sigma.m, sigma.m))
-    for k, col in enumerate(_semidef_cholesky(sigma.a, tol)):
-        if col:
-            ell[col[0], k] = col[1]
-    return ell
-
-
 def schur_complement(matrix: SymmetricMatrix, block: set, tol: float = DEFAULT_TOL) -> SymmetricMatrix:
     """M/M_{U,U}: the kept block minus M_{A,U} M_{U,U}^{-1} M_{U,A}.
 
@@ -213,12 +204,3 @@ def path_det(diag, off2):
     for k in range(n):
         prev, cur = cur, diag[k] * cur - (off2[k - 1] * prev if k else 0.0)
     return cur
-
-
-def tridiagonal_det(diagonal, offdiagonal) -> float:
-    """Determinant of the symmetric tridiagonal matrix with the given bands.
-
-    Three-term recurrence d_k = a_k d_{k-1} - b_{k-1}^2 d_{k-2}; the empty
-    matrix has determinant 1.
-    """
-    return float(path_det(diagonal, [b * b for b in np.asarray(offdiagonal, dtype=float)]))

@@ -18,7 +18,7 @@ from psdcone.core import (PATTERN_TOL, Face, FactorParams, Graph, SimplicialComp
                           induced_vertex_map, tolerance_scale)
 from psdcone.cycle import CycleMatrix, cycle_edge_complex
 from psdcone.errors import NotPsd, ZeroDiagonal
-from psdcone.linalg import DEFAULT_TOL
+from psdcone.linalg import DEFAULT_TOL, _semidef_cholesky, path_det
 from psdcone.param import RAY_DROP_TOL, _lq_columns, _nonzero_columns
 from psdcone.quotient import QuotientWitness
 from psdcone.volume import _batch_masks
@@ -105,7 +105,7 @@ def closure_mobius_coefficients(diag, off_sq) -> tuple[float, float, float, floa
 
 def random_cycle_member_via_params(rng, m: int, zero_edges=()):
     """``instances.random_cycle_member`` as it read its entries back through
-    ``FactorParams.gamma_edge`` and built the dense matrix with ``to_symmetric``;
+    ``gamma_edge`` and built the dense matrix with ``to_symmetric``;
     the library version must draw the same stream and return equal values."""
     delta = cycle_edge_complex(m)
     while True:
@@ -120,9 +120,9 @@ def random_cycle_member_via_params(rng, m: int, zero_edges=()):
             values[(face, u)] = pu
             values[(face, v)] = pv
         gamma = FactorParams(delta, values)
-        diag = [sum(gamma.gamma_edge(i, j) ** 2 for j in ((i - 1) % m, (i + 1) % m))
+        diag = [sum(gamma_edge(gamma, i, j) ** 2 for j in ((i - 1) % m, (i + 1) % m))
                 for i in range(m)]
-        cyc = [gamma.gamma_edge(k, (k + 1) % m) * gamma.gamma_edge((k + 1) % m, k)
+        cyc = [gamma_edge(gamma, k, (k + 1) % m) * gamma_edge(gamma, (k + 1) % m, k)
                for k in range(m)]
         sigma = CycleMatrix.from_arrays(diag, cyc)
         arr = sigma.to_symmetric()
@@ -149,6 +149,24 @@ def phi_symmetrized(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricM
     """``param.phi`` as it symmetrized its (already symmetric) outer-product sum."""
     out = phi_outer_sum(delta, gamma)
     return SymmetricMatrix((out + out.T) / 2.0)
+
+
+def cholesky(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The dense factor of ``linalg._semidef_cholesky``'s columns (no pivoting)."""
+    ell = np.zeros((sigma.m, sigma.m))
+    for k, col in enumerate(_semidef_cholesky(sigma.a, tol)):
+        if col:
+            ell[col[0], k] = col[1]
+    return ell
+
+
+def tridiagonal_det(diagonal, offdiagonal) -> float:
+    """Determinant of the symmetric tridiagonal matrix with the given bands.
+
+    Three-term recurrence d_k = a_k d_{k-1} - b_{k-1}^2 d_{k-2}; the empty
+    matrix has determinant 1.
+    """
+    return float(path_det(diagonal, [b * b for b in np.asarray(offdiagonal, dtype=float)]))
 
 
 def semidef_cholesky_dense(arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -409,6 +427,19 @@ def sequential_count_stream(m: int, quota: int, seed_seq: np.random.SeedSequence
             print(f"[volume m={m}] {taken}/{quota} psd samples after {drawn} draws "
                   f"(acceptance {taken / drawn:.3g})", file=sys.stderr)
     return taken, members, drawn
+
+
+def path_graph(m: int) -> Graph:
+    return Graph.from_edges(m, ((i, i + 1) for i in range(m - 1)))
+
+
+def complete_graph(m: int) -> Graph:
+    return Graph.from_edges(m, itertools.combinations(range(m), 2))
+
+
+def gamma_edge(gamma: FactorParams, i: int, j: int) -> float:
+    """gamma_{i,{i,j}}: the parameter of vertex i on edge {i,j}."""
+    return gamma.get((i, j) if i < j else (j, i), i)
 
 
 def is_clique(g: Graph, vertices) -> bool:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from psdcone.chordal import is_surjective
-from psdcone.core import complete_graph, edge_complex
+from psdcone.core import edge_complex
 from psdcone.cycle import (CycleMatrix, counterexample_det,
                            counterexample_sigma, cycle_determinant,
                            cycle_fiber, cycle_membership, matching_sum)
@@ -27,7 +27,7 @@ from psdcone.selftest import (check_chordal, check_cone, check_cycle_fiber,
                               chordal_instance, cone_instance, suite_schur)
 from psdcone.volume import _batch_masks, volume_table
 
-from oracles import expand_edge_signs, random_tree
+from oracles import complete_graph, expand_edge_signs, gamma_edge, random_tree
 
 TOL = 1e-9
 
@@ -41,7 +41,7 @@ def _canonical_edge_signs(gamma, m):
     out = []
     for k in range(m):
         u, v = k, (k + 1) % m
-        p, q = gamma.gamma_edge(u, v), gamma.gamma_edge(v, u)
+        p, q = gamma_edge(gamma, u, v), gamma_edge(gamma, v, u)
         if p < 0 or (p == 0 and q < 0):
             p, q = -p, -q
         out.extend((p, q))
@@ -144,7 +144,7 @@ def _canonical_raw(gamma, m):
     out = []
     for k in range(m):
         u, v = k, (k + 1) % m
-        out.extend((gamma.gamma_edge(u, v), gamma.gamma_edge(v, u)))
+        out.extend((gamma_edge(gamma, u, v), gamma_edge(gamma, v, u)))
     return np.array(out)
 
 

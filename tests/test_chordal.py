@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdcone.chordal import (EliminationOrdering, _chordless_cycle_from, _perfect_check,
+from psdcone.chordal import (EliminationOrdering, _chordless_cycle_from, _fiber, _perfect_check,
                              chordal_fiber, clique_complex, is_chordal,
                              maximum_cardinality_search, is_surjective,
                              ordering_clique_complex)
 from psdcone.core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
-                          complete_graph, cycle_graph, edge_complex,
-                          path_graph)
+                          cycle_graph, edge_complex)
 from psdcone.cycle import CycleMatrix, counterexample_sigma, cycle_membership
+from psdcone.decide import chordal_certificate
 from psdcone.errors import NotChordal, NotPsd, PatternViolation
 from psdcone.instances import random_chordal_graph, random_params
 from psdcone.param import phi
 
-from oracles import (chordless_cycle_from_mcs, find_chordless_cycle, is_clique,
+from oracles import (chordless_cycle_from_mcs, complete_graph, find_chordless_cycle, is_clique,
+                     path_graph,
                      perfect_check_scan, random_tree)
 
 
@@ -267,21 +268,23 @@ class TestChordalFiber:
         with pytest.raises(NotChordal):
             chordal_fiber(cycle_graph(4), SymmetricMatrix(np.eye(4)))
         with pytest.raises(NotChordal):
-            chordal_fiber(cycle_graph(4), SymmetricMatrix(np.eye(4)),
-                          chordality=is_chordal(cycle_graph(4)))
+            chordal_certificate(SymmetricMatrix(np.eye(4)), cycle_graph(4))
 
     @pytest.mark.parametrize("m", [2, 9, 33, 64])
     def test_passed_chordality_gives_bitwise_equal_fiber(self, m):
+        """_fiber, given the ordering and optionally the clique complex (as a
+        membership decision holds them), builds chordal_fiber's parameters."""
         rng = np.random.default_rng(m)
         for _ in range(5):
             g = random_chordal_graph(rng, m)
             delta = clique_complex(g)
             sig = phi(delta, random_params(rng, delta, density=0.7))
             fresh = chordal_fiber(g, sig)
-            passed = chordal_fiber(g, sig, chordality=is_chordal(g))
-            assert passed.complex == fresh.complex == delta
-            assert [(k, v.hex()) for k, v in passed.values.items()] == \
-                [(k, v.hex()) for k, v in fresh.values.items()]
+            for cliques in (None, delta):
+                passed = _fiber(g, sig, is_chordal(g)[1], cliques, 1e-9)
+                assert passed.complex == fresh.complex == delta
+                assert [(k, v.hex()) for k, v in passed.values.items()] == \
+                    [(k, v.hex()) for k, v in fresh.values.items()]
 
     def test_rejects_pattern_violation(self):
         arr = np.eye(3)

@@ -18,10 +18,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psdcone import chordal, cli, selftest
-from psdcone.core import FactorParams, SimplicialComplex, SymmetricMatrix
+from psdcone import chordal, cli, decide, selftest
+from psdcone.core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
+                          underlying_graph)
 from psdcone.cli import main
-from psdcone.instances import random_cycle_member, random_cycle_pattern_matrix
+from psdcone.errors import PsdConeError
+from psdcone.instances import (random_chordal_graph, random_cycle_member,
+                               random_cycle_pattern_matrix, random_params)
 from psdcone.param import phi
 
 from test_cycle_congruence import cycle_case
@@ -95,11 +98,9 @@ def test_fiber_on_the_clique_complex_file_matches_the_graph_file(files, monkeypa
     def counting(name, original):
         return lambda *args: calls.append(name) or original(*args)
 
-    decide = counting("is_chordal", chordal.is_chordal)
-    build = counting("cliques", chordal.ordering_clique_complex)
-    for module in (chordal, cli):
-        monkeypatch.setattr(module, "is_chordal", decide)
-        monkeypatch.setattr(module, "ordering_clique_complex", build)
+    monkeypatch.setattr(chordal, "is_chordal", counting("is_chordal", chordal.is_chordal))
+    monkeypatch.setattr(chordal, "ordering_clique_complex",
+                        counting("cliques", chordal.ordering_clique_complex))
     outputs = []
     for path in (graph, complex_):
         calls.clear()
@@ -230,10 +231,89 @@ def test_membership_rechecks_either_certificate(files, monkeypatch, edges):
     m = max(max(e) for e in edges)
     mpath = files("i.json", {"m": m, "entries": np.eye(m).tolist()})
     gpath = files("g.json", {"m": m, "edges": edges})
-    monkeypatch.setattr(cli, "phi", lambda delta, gamma: SymmetricMatrix(np.zeros((m, m))))
+    monkeypatch.setattr(decide, "phi", lambda delta, gamma: SymmetricMatrix(np.zeros((m, m))))
     rc, out = run_cli(["membership", "--matrix", mpath, "--graph", gpath])
     assert rc == 2
     assert json.loads(out)["error"]["code"] == "internal_inconsistency"
+
+
+def test_fiber_rechecks_what_it_prints(files, monkeypatch):
+    """A chordal member under a diagonal congruence in 10^+-6 whose factor
+    misses it by more than 1e-8 * max|entry|: fiber --chordal refuses to print
+    that preimage, as membership refuses to certify it."""
+    rng = np.random.default_rng(1)
+    m = int(rng.integers(3, 12))
+    g = random_chordal_graph(rng, m)
+    delta = chordal.clique_complex(g)
+    a = phi(delta, random_params(rng, delta, density=0.7)).a
+    d = 10.0 ** rng.uniform(-6, 6, m)
+    gpath = files("g.json", g.to_json_dict())
+    unscaled = files("a.json", {"m": m, "entries": a.tolist()})
+    scaled = files("s.json", {"m": m, "entries": (d[:, None] * a * d[None, :]).tolist()})
+    for command in (["membership"], ["fiber", "--chordal"]):
+        assert run_cli(command + ["--matrix", unscaled, "--graph", gpath])[0] == 0
+        rc, out = run_cli(command + ["--matrix", scaled, "--graph", gpath])
+        assert rc == 2 and json.loads(out)["error"]["code"] == "internal_inconsistency"
+    monkeypatch.setattr(decide, "phi", lambda delta, gamma: SymmetricMatrix(np.zeros((m, m))))
+    rc, out = run_cli(["fiber", "--chordal", "--matrix", unscaled, "--graph", gpath])
+    assert rc == 2 and json.loads(out)["error"]["code"] == "internal_inconsistency"
+
+
+C5 = {"m": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}
+P3 = {"m": 3, "edges": [[1, 2], [2, 3]]}
+# per case: the matrix entries, the graph or complex file, the exit code, and
+# the method (exit codes 0 and 1) or the error code (exit code 2)
+MEMBERSHIP_CASES = {
+    "chordal member": ([[2.0, 0.8, 0.0], [0.8, 1.5, -0.4], [0.0, -0.4, 1.0]], P3, 0, "chordal"),
+    "chordal not psd": (np.diag([1.0, 1.0, -1.0]).tolist(), P3, 1, "chordal"),
+    "cycle member": (np.eye(5).tolist(), C5, 0, "cycle"),
+    "cycle non-member": ([[1.0, 0.5, 0.0, -0.6], [0.5, 1.0, 0.5, 0.0], [0.0, 0.5, 1.0, 0.5],
+                          [-0.6, 0.0, 0.5, 1.0]],
+                         {"m": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}, 1, "cycle"),
+    "cycle not psd": (np.diag([1.0, 1.0, 1.0, 1.0, -1.0]).tolist(), C5, 1, "cycle"),
+    # vertex 1 has a zero row, so the member is singular and its fiber is not solved
+    "cycle degenerate member": ([[0.0] * 4, [0.0, 1.0, 0.5, 0.0], [0.0, 0.5, 1.0, 0.5],
+                                 [0.0, 0.0, 0.5, 1.0]],
+                                {"m": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}, 0, "cycle"),
+    "triangle edge complex": ([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]],
+                              {"m": 3, "facets": [[1, 2], [1, 3], [2, 3]]}, 0, "cycle"),
+    "undecidable": (np.eye(5).tolist(), {"m": 5, "edges": C5["edges"] + [[1, 3]]}, 2,
+                    "undecidable"),
+    "pattern violation": ((np.eye(5) + 0.1).tolist(), C5, 2, "pattern_violation"),
+    "size mismatch": (np.eye(4).tolist(), C5, 2, "invalid_input"),
+    # chordal, but its clique complex has the facet {1, 3, 4}; not a cycle
+    "complex not of the graph": (np.eye(4).tolist(),
+                                 {"m": 4, "facets": [[1, 2, 3], [1, 4], [3, 4]]}, 2,
+                                 "undecidable"),
+}
+
+
+@pytest.mark.parametrize("case", list(MEMBERSHIP_CASES))
+def test_library_membership_prints_what_the_command_prints(files, case):
+    """psdcone.membership's JSON form and member flag are the subcommand's
+    stdout and exit code, and its errors are the subcommand's error JSON."""
+    entries, graph, rc, what = MEMBERSHIP_CASES[case]
+    matrix = {"m": len(entries), "entries": entries}
+    expected = run_cli(["membership", "--matrix", files("s.json", matrix),
+                        "--graph", files("g.json", graph)])
+    out = json.loads(expected[1])
+    assert expected[0] == rc and (out["error"]["code"] if rc == 2 else out["method"]) == what
+
+    sigma = SymmetricMatrix.from_json_dict(matrix)
+    delta = SimplicialComplex.from_json_dict(graph) if "facets" in graph else None
+    g = Graph.from_json_dict(graph) if delta is None else underlying_graph(delta)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            decision = decide.membership(sigma, g, delta)
+        except (PsdConeError, ValueError) as exc:
+            got = cli._error_json(cli._code_for(exc), str(exc))
+        else:
+            cli._print_json(decision.to_json_dict())
+            got = 0 if decision.member else 1
+    assert (got, buf.getvalue()) == expected
+    if case == "cycle degenerate member":
+        assert decision.certificate is None and out["certificate"] is None
 
 
 def test_membership_certificate_reproduces_input(files):
@@ -829,7 +909,6 @@ def test_membership_builds_the_clique_complex_once(files, monkeypatch):
     expected = {path: run_cli(["membership", "--matrix", sigma, "--graph", path])
                 for path in (graph, complex_)}
     monkeypatch.setattr(chordal, "ordering_clique_complex", counting)
-    monkeypatch.setattr(cli, "ordering_clique_complex", counting)
     for path in (graph, complex_):
         builds.clear()
         rc, out = run_cli(["membership", "--matrix", sigma, "--graph", path])
@@ -915,7 +994,7 @@ def test_long_cycles_skip_the_chordality_test(files, monkeypatch):
     i5 = files("i5.json", {"m": 5, "entries": np.eye(5).tolist()})
     c5 = files("c5.json", {"m": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]})
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "is_chordal", refuse)
+        patch.setattr(chordal, "is_chordal", refuse)
         rc, out = run_cli(["membership", "--matrix", i5, "--graph", c5])
     assert rc == 0 and json.loads(out)["method"] == "cycle"
     i3 = files("i3.json", {"m": 3, "entries": np.eye(3).tolist()})

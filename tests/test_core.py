@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 
 from psdcone import core, linalg
 from psdcone.core import (MAX_VERTICES, PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
-                          SymmetricMatrix, as_face, complete_graph,
-                          cycle_graph, edge_complex, face_key,
-                          induced_subcomplex, induced_vertex_map, path_graph,
-                          tolerance_scale, underlying_graph)
+                          SymmetricMatrix, as_face, cycle_graph, edge_complex, face_key,
+                          induced_subcomplex, induced_vertex_map, tolerance_scale,
+                          underlying_graph)
 from psdcone.chordal import clique_complex, is_chordal
 from psdcone.cycle import CycleMatrix, _edge_params, cycle_edge_complex
 from psdcone.errors import AsymmetricInput
 from psdcone.instances import random_complex, random_params
 
-from oracles import dominated_scan, has_face_scan, pattern_graph, pattern_mask_from_edges
+from oracles import (complete_graph, dominated_scan, gamma_edge, has_face_scan, path_graph,
+                     pattern_graph, pattern_mask_from_edges)
 
 
 def graphs(max_m=7):
@@ -403,8 +403,8 @@ class TestFactorParams:
         delta = SimplicialComplex.from_facets(3, [[0, 1], [1, 2]])
         g = FactorParams(delta, {((0,), 0): 2.0, ((0, 1), 1): -3.0})
         assert g.gamma_singleton(0) == 2.0
-        assert g.gamma_edge(1, 0) == -3.0
-        assert g.gamma_edge(0, 1) == 0.0  # unset incidences read as zero
+        assert gamma_edge(g, 1, 0) == -3.0
+        assert gamma_edge(g, 0, 1) == 0.0  # unset incidences read as zero
 
     def test_get_reads_stored_keys_and_checks_the_rest(self, monkeypatch):
         delta = SimplicialComplex.from_facets(3, [[0, 1], [1, 2]])
@@ -413,10 +413,10 @@ class TestFactorParams:
         has_face = SimplicialComplex.has_face
         monkeypatch.setattr(SimplicialComplex, "has_face",
                             lambda self, f: queried.append(f) or has_face(self, f))
-        assert g.get((0, 1), 1) == -3.0 and g.gamma_edge(2, 1) == 0.5
+        assert g.get((0, 1), 1) == -3.0 and gamma_edge(g, 2, 1) == 0.5
         assert queried == []  # stored keys were checked at construction
         assert g.get([1, 0], 1) == -3.0 and g.get((1, 0), 1) == -3.0
-        assert g.get((0, 1), 0) == 0.0 and g.gamma_edge(0, 1) == 0.0
+        assert g.get((0, 1), 0) == 0.0 and gamma_edge(g, 0, 1) == 0.0
         for face, vertex in (((0, 2), 0), ((0, 1), 2), ((0, 1, 2), 1), ((3,), 3)):
             with pytest.raises(KeyError):
                 g.get(face, vertex)

@@ -1,23 +1,25 @@
 """Cycle membership, the counterexample family, quartic fiber solving."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from psdcone import cycle
-from psdcone.core import SymmetricMatrix
-from psdcone.cycle import (CycleFiber, CycleMatrix, counterexample_det,
-                           counterexample_sigma, cycle_certificate,
-                           cycle_determinant, cycle_edge_complex, cycle_fiber,
-                           cycle_membership, matching_sum, quartic_coefficients)
+from psdcone import cycle, decide
+from psdcone.core import FactorParams, Graph, SymmetricMatrix, cycle_graph, edge_complex
+from psdcone.cycle import (CycleFiber, CycleMatrix, _edge_params, _fiber_edges,
+                           counterexample_det, counterexample_sigma, cycle_determinant,
+                           cycle_edge_complex, cycle_fiber, cycle_membership, matching_sum,
+                           quartic_coefficients)
 from psdcone.errors import Degenerate, NotMember, NotPsd, PatternViolation
 from psdcone.instances import (random_cycle_member, random_cycle_pattern_matrix,
                                random_psd_cycle_matrix)
-from psdcone.linalg import is_psd, sign_flip, tridiagonal_det
+from psdcone.linalg import is_psd, sign_flip
 from psdcone.param import phi
 
-from oracles import closure_mobius_coefficients, expand_edge_signs, with_value
+from oracles import (closure_mobius_coefficients, expand_edge_signs, gamma_edge,
+                     tridiagonal_det, with_value)
 
 
 def identity_cycle(m):
@@ -242,19 +244,19 @@ class TestCycleFiber:
         rep_a, rep_b = fib.representatives
         # forward branch: gamma_21 = 0, gamma_23 = 1, gamma_32 = 0,
         #                 gamma_31 = 1, gamma_13 = 0, gamma_12 = 1  (1-based labels)
-        assert rep_a.gamma_edge(1, 0) == 0.0
-        assert rep_a.gamma_edge(1, 2) == pytest.approx(1.0)
-        assert rep_a.gamma_edge(2, 1) == 0.0
-        assert rep_a.gamma_edge(2, 0) == pytest.approx(1.0)
-        assert rep_a.gamma_edge(0, 2) == 0.0
-        assert rep_a.gamma_edge(0, 1) == pytest.approx(1.0)
+        assert gamma_edge(rep_a, 1, 0) == 0.0
+        assert gamma_edge(rep_a, 1, 2) == pytest.approx(1.0)
+        assert gamma_edge(rep_a, 2, 1) == 0.0
+        assert gamma_edge(rep_a, 2, 0) == pytest.approx(1.0)
+        assert gamma_edge(rep_a, 0, 2) == 0.0
+        assert gamma_edge(rep_a, 0, 1) == pytest.approx(1.0)
         # dual branch
-        assert rep_b.gamma_edge(0, 1) == 0.0
-        assert rep_b.gamma_edge(0, 2) == pytest.approx(1.0)
-        assert rep_b.gamma_edge(2, 0) == 0.0
-        assert rep_b.gamma_edge(2, 1) == pytest.approx(1.0)
-        assert rep_b.gamma_edge(1, 2) == 0.0
-        assert rep_b.gamma_edge(1, 0) == pytest.approx(1.0)
+        assert gamma_edge(rep_b, 0, 1) == 0.0
+        assert gamma_edge(rep_b, 0, 2) == pytest.approx(1.0)
+        assert gamma_edge(rep_b, 2, 0) == 0.0
+        assert gamma_edge(rep_b, 2, 1) == pytest.approx(1.0)
+        assert gamma_edge(rep_b, 1, 2) == 0.0
+        assert gamma_edge(rep_b, 1, 0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_round_trip(self, m):
@@ -297,16 +299,16 @@ class TestCycleFiber:
             dense = sig.to_symmetric()
             u, v = r, (r + 1) % m
             forward, backward = fib.representatives
-            assert forward.gamma_edge(v, u) == 0.0 and forward.gamma_edge(u, v) != 0.0
-            assert backward.gamma_edge(u, v) == 0.0 and backward.gamma_edge(v, u) != 0.0
+            assert gamma_edge(forward, v, u) == 0.0 and gamma_edge(forward, u, v) != 0.0
+            assert gamma_edge(backward, u, v) == 0.0 and gamma_edge(backward, v, u) != 0.0
             for rep, base_rep in zip(fib.representatives, base_reps):
                 err = np.abs(phi(fib.complex, rep).a - dense.a).max()
                 assert err <= 1e-9 * dense.scale()
                 for k in range(m):
                     a, b = k, (k + 1) % m
                     shifted = ((a + r) % m, (b + r) % m)
-                    assert rep.gamma_edge(*shifted) == base_rep.gamma_edge(a, b)
-                    assert rep.gamma_edge(*shifted[::-1]) == base_rep.gamma_edge(b, a)
+                    assert gamma_edge(rep, *shifted) == gamma_edge(base_rep, a, b)
+                    assert gamma_edge(rep, *shifted[::-1]) == gamma_edge(base_rep, b, a)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_sign_expansion_count(self, m):
@@ -331,7 +333,7 @@ class TestCycleFiber:
         fib = cycle_fiber(sig)
         target = flipped.to_symmetric()
         for rep in fib.representatives:
-            moved = with_value(rep, (1, 2), 1, -rep.gamma_edge(1, 2))
+            moved = with_value(rep, (1, 2), 1, -gamma_edge(rep, 1, 2))
             assert np.abs(phi(rep.complex, moved).a - target.a).max() \
                 <= 1e-9 * target.scale()
 
@@ -341,22 +343,46 @@ class TestCycleFiber:
 
     @pytest.mark.parametrize("m", [3, 5, 8, 16])
     def test_passed_verdict_gives_bitwise_equal_fiber(self, m):
+        """_fiber_edges from a verdict, as a membership decision holds it, builds
+        cycle_fiber's representatives."""
         rng = np.random.default_rng(400 + m)
         for zero_edges in ((), (int(rng.integers(0, m)),)) * 5:
             sig, _ = random_cycle_member(rng, m, zero_edges=zero_edges)
             own = cycle_fiber(sig)
-            passed = cycle_fiber(sig, verdict=cycle_membership(sig))
-            assert own.count_total == passed.count_total
+            passed = [_edge_params(cycle_edge_complex(m), tails, heads)
+                      for tails, heads in _fiber_edges(cycle_membership(sig), 1e-9)]
             assert [{k: v.hex() for k, v in rep.values.items()} for rep in own.representatives] \
-                == [{k: v.hex() for k, v in rep.values.items()} for rep in passed.representatives]
+                == [{k: v.hex() for k, v in rep.values.items()} for rep in passed]
 
     def test_passed_verdict_is_checked(self):
         nonmember = counterexample_sigma(4, -1.4)
         with pytest.raises(NotMember):
-            cycle_fiber(nonmember, verdict=cycle_membership(nonmember))
+            _fiber_edges(cycle_membership(nonmember), 1e-9)
         singular = CycleMatrix.from_arrays([2.0, 2.0, 2.0], [1.0, -1.0, 1.0])
         with pytest.raises(Degenerate):
-            cycle_fiber(singular, verdict=cycle_membership(singular))
+            _fiber_edges(cycle_membership(singular), 1e-9)
+
+    @pytest.mark.parametrize("m", [3, 5, 8, 16])
+    def test_trusted_edge_params_equal_validated_ones(self, m):
+        """On a relabelled cycle every key _edge_params builds is a canonical edge
+        of the edge complex, so the validating constructor accepts the same
+        values; a non-finite value is refused with the same message."""
+        rng = np.random.default_rng(900 + m)
+        for _ in range(5):
+            labels = rng.permutation(m).tolist()
+            g = Graph.from_edges(m, [(labels[k], labels[(k + 1) % m]) for k in range(m)])
+            tails, heads = rng.standard_normal(m).tolist(), rng.standard_normal(m).tolist()
+            trusted = _edge_params(edge_complex(g), tails, heads, labels)
+            assert FactorParams(edge_complex(g), dict(trusted.values)) == trusted
+            k = m // 2
+            u, v = labels[k], labels[(k + 1) % m]
+            heads[k] = math.inf
+            bad = {**trusted.values, (tuple(sorted((u, v))), v): math.inf}
+            with pytest.raises(ValueError) as checked:
+                FactorParams(edge_complex(g), bad)
+            with pytest.raises(ValueError, match="non-finite parameter") as built:
+                _edge_params(edge_complex(g), tails, heads, labels)
+            assert str(built.value) == str(checked.value)
 
     def test_fibers_reuse_the_verdicts_correlation_form(self, monkeypatch):
         """The correlation form is computed once, by cycle_membership, and kept
@@ -372,8 +398,10 @@ class TestCycleFiber:
         monkeypatch.setattr(cycle, "_correlation", counting)
         cycle_fiber(sig)
         assert len(calls) == 1
-        cycle_fiber(sig, verdict=verdict)
-        cycle_certificate(sig, cycle_edge_complex(6), range(6), verdict=verdict)
+        _fiber_edges(verdict, 1e-9)
+        assert len(calls) == 1
+        calls.clear()
+        assert decide.membership(sig.to_symmetric(), cycle_graph(6)).certificate is not None
         assert len(calls) == 1
         assert set(verdict.to_json_dict()) == {"member", "boundary", "slack", "det",
                                                "flip_determinant", "method"}

@@ -11,11 +11,10 @@ from psdcone.core import SymmetricMatrix
 from psdcone.cycle import counterexample_sigma
 from psdcone.errors import NotPsd, SingularBlock
 from psdcone.instances import random_chordal_graph, random_params
-from psdcone.linalg import (_semidef_cholesky, cholesky, is_psd, schur_complement,
-                            sign_flip, tridiagonal_det)
+from psdcone.linalg import _semidef_cholesky, is_psd, schur_complement, sign_flip
 from psdcone.param import phi
 
-from oracles import random_psd_matrix, semidef_cholesky_dense
+from oracles import cholesky, random_psd_matrix, semidef_cholesky_dense, tridiagonal_det
 
 
 def assert_factor_matches_dense(arr, tol=1e-9):

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdcone.core import (FactorParams, SimplicialComplex, SymmetricMatrix,
-                          complete_graph, cycle_graph, edge_complex,
-                          underlying_graph)
+                          cycle_graph, edge_complex, underlying_graph)
 from psdcone.instances import random_complex, random_params
 from psdcone.linalg import is_psd, sign_flip
 from psdcone.param import (PHI_DENSE_FACE, build_factor_matrix, cone_add,
                            extreme_decomposition, phi, submatrix_witness)
 
-from oracles import phi_outer_sum, phi_symmetrized, scaled_params, with_value
+from oracles import (complete_graph, gamma_edge, phi_outer_sum, phi_symmetrized,
+                     scaled_params, with_value)
 
 
 def three_chain():
@@ -141,7 +141,7 @@ class TestPhi:
         rng = np.random.default_rng(7)
         delta = edge_complex(cycle_graph(5))
         gamma = random_params(rng, delta)
-        flipped = with_value(gamma, (1, 2), 1, -gamma.gamma_edge(1, 2))
+        flipped = with_value(gamma, (1, 2), 1, -gamma_edge(gamma, 1, 2))
         lhs = phi(delta, flipped).a
         rhs = sign_flip(phi(delta, gamma), 1, 2).a
         assert np.abs(lhs - rhs).max() <= 1e-12

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from psdcone.chordal import chordal_fiber, is_surjective
 from psdcone.core import (FactorParams, Graph, SimplicialComplex,
-                          complete_graph, cycle_graph, edge_complex,
-                          underlying_graph)
+                          cycle_graph, edge_complex, underlying_graph)
 from psdcone.cycle import CycleMatrix, cycle_membership
 from psdcone.errors import ZeroDiagonal
 from psdcone.instances import random_complex, random_params
@@ -16,7 +15,7 @@ from psdcone.linalg import schur_complement
 from psdcone.param import cone_add, phi, submatrix_witness
 from psdcone.quotient import complex_quotient, graph_quotient, schur_witness
 
-from oracles import (chain_quotient_faces, complex_quotient_by_faces,
+from oracles import (chain_quotient_faces, complete_graph, complex_quotient_by_faces,
                      cone_add_by_column, is_clique, schur_witness_by_pairs,
                      submatrix_witness_by_column)
 

@@ -76,7 +76,7 @@ def psdcone_modules(*names):
 CASES = {
     "phi": (["phi", "--complex", "c.json", "--params", "p.json"], 0, ["param"]),
     "fiber": (["fiber", "--chordal", "--matrix", "s.json", "--graph", "g.json"], 0,
-              ["chordal"]),
+              ["chordal", "cycle", "decide", "param"]),
     "cycle-check": (["cycle-check", "--matrix", "s.json"], 0, ["cycle"]),
     "cycle-fiber": (["cycle-fiber", "--matrix", "s.json"], 0, ["cycle"]),
     "counterexample": (["counterexample", "--m", "5", "--rho", "1.25"], 0, ["cycle"]),
@@ -89,7 +89,7 @@ CASES = {
     "simulate": (["simulate", "--complex", "c.json", "--params", "p.json", "--n", "20"], 0,
                  ["latent", "param"]),
     "membership": (["membership", "--matrix", "s.json", "--graph", "g.json"], 0,
-                   ["chordal", "cycle", "param"]),
+                   ["chordal", "cycle", "decide", "param"]),
     "selftest": (["selftest", "--n", "1", "--suite", "cycle"], 0,
                  ["chordal", "cycle", "instances", "param", "quotient", "selftest"]),
     "selftest --help": (["selftest", "--help"], 0, []),
@@ -148,17 +148,17 @@ print(json.dumps({"loaded_at_import": loaded_at_import, "submodules": mods,
 
 
 PUBLIC = {
-    "CycleFiber", "CycleMatrix", "EliminationOrdering", "FactorMatrix", "FactorParams", "Graph",
-    "LatentSystem", "MembershipVerdict", "PsdReport", "QuotientWitness", "RankOneTerm",
-    "SimplicialComplex", "SymmetricMatrix", "VolumeEstimate", "build_digraph",
-    "build_factor_matrix", "cholesky", "chordal_fiber", "clique_complex", "complete_graph",
+    "CycleFiber", "CycleMatrix", "Decision", "EliminationOrdering", "FactorMatrix",
+    "FactorParams", "Graph", "LatentSystem", "MembershipVerdict", "PsdReport",
+    "QuotientWitness", "RankOneTerm", "SimplicialComplex", "SymmetricMatrix", "VolumeEstimate",
+    "build_digraph", "build_factor_matrix", "chordal_fiber", "clique_complex",
     "complex_quotient", "conditional_precision", "cone_add", "counterexample_det",
     "counterexample_sigma", "covariance_identity", "cycle_edge_complex", "cycle_fiber",
     "cycle_graph", "cycle_membership", "edge_complex", "estimate_volume",
     "extreme_decomposition", "graph_quotient", "induced_subcomplex", "is_chordal", "is_psd",
-    "is_surjective", "matching_sum", "path_graph", "phi", "quartic_coefficients",
+    "is_surjective", "matching_sum", "membership", "phi", "quartic_coefficients",
     "schur_complement", "schur_witness", "sign_flip", "simulate_y", "submatrix_witness",
-    "tridiagonal_det", "underlying_graph", "volume_table",
+    "underlying_graph", "volume_table",
 }
 
 
