@@ -25,7 +25,7 @@ Face = tuple[int, ...]
 
 ASYMMETRY_RTOL = 1e-12
 
-# Off-pattern entries up to this fraction of the matrix scale count as zeros.
+# Off-pattern entries up to this fraction of sqrt(|d_i d_j|) count as zeros.
 PATTERN_TOL = 1e-12
 
 # Entries must be below 2**1023 in magnitude: below it no sum or difference
@@ -38,9 +38,16 @@ MAX_VERTICES = 64
 
 
 def tolerance_scale(values) -> float:
-    """max(1, largest absolute entry), 1 for no entries: the reference magnitude for tolerances."""
+    """max(1, largest absolute entry), 1 for no entries: the absolute checks' unit."""
     arr = np.asarray(values, dtype=float)
     return max(1.0, float(np.abs(arr).max())) if arr.size else 1.0
+
+
+def within_units(diff: np.ndarray, diag, tol: float) -> bool:
+    """Whether every |diff_ij| <= tol * sqrt(|d_i d_j|), the unit of Cholesky's
+    error bounds (Demmel 1989); beside a zero d_i, diff must vanish exactly."""
+    s = np.sqrt(np.abs(diag))
+    return bool((np.abs(diff) <= tol * (s[:, None] * s)).all())
 
 
 def face_key(face: Iterable[int]) -> tuple[int, Face]:
@@ -345,7 +352,7 @@ def _entry_bound(arr: np.ndarray) -> float:
 class SymmetricMatrix:
     """Dense real symmetric matrix; ingest symmetrizes and rejects asymmetric input."""
 
-    __slots__ = ("a", "_scale")
+    __slots__ = ("a",)
 
     def __init__(self, array):
         arr = np.asarray(array, dtype=float)
@@ -360,7 +367,6 @@ class SymmetricMatrix:
         sym = (arr + arr.T) / 2.0
         sym.setflags(write=False)
         self.a = sym
-        self._scale = None
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "SymmetricMatrix":
@@ -370,7 +376,6 @@ class SymmetricMatrix:
         arr.setflags(write=False)
         out = cls.__new__(cls)
         out.a = arr
-        out._scale = None
         return out
 
     @property
@@ -378,21 +383,18 @@ class SymmetricMatrix:
         return self.a.shape[0]
 
     def scale(self) -> float:
-        """tolerance_scale of the (read-only) entries, computed on the first call."""
-        if self._scale is None:
-            self._scale = tolerance_scale(self.a)
-        return self._scale
+        """tolerance_scale of the entries."""
+        return tolerance_scale(self.a)
 
     def submatrix(self, subset: Iterable[int]) -> "SymmetricMatrix":
         idx = sorted(set(subset))
         return SymmetricMatrix(self.a[np.ix_(idx, idx)])
 
     def respects_pattern(self, g: Graph, tol: float = PATTERN_TOL) -> bool:
-        """No off-pattern entry exceeds tol relative to the matrix scale."""
+        """No off-pattern entry (i, j) exceeds tol * sqrt(|a_ii a_jj|) in magnitude."""
         if g.m != self.m:
             raise ValueError("matrix and graph sizes differ")
-        thr = tol * self.scale()
-        return not np.any((np.abs(self.a) > thr) & ~g.pattern_mask)
+        return within_units(np.where(g.pattern_mask, 0.0, self.a), self.a.diagonal(), tol)
 
     def allclose(self, other: "SymmetricMatrix", rtol: float = 1e-9) -> bool:
         ref = max(self.scale(), other.scale())

@@ -31,9 +31,8 @@ from .core import (PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
                    SymmetricMatrix, cycle_graph, edge_complex, tolerance_scale)
 from .errors import (Degenerate, InternalInconsistency, NotMember, NotPsd,
                      PatternViolation)
-# is_psd is not called here; it stays importable from this module because
-# perfbench/spans.py wraps it by this name.
-from .linalg import DEFAULT_TOL, is_psd, path_det  # noqa: F401
+# is_psd is not called here; perfbench/spans.py wraps it by this name
+from .linalg import DEFAULT_TOL, is_psd, path_det, zero_pivot  # noqa: F401
 
 
 @functools.lru_cache(maxsize=64)  # one entry per documented size m <= 64
@@ -215,11 +214,9 @@ def _bordered_ldl(e, r, tol: float) -> tuple[float, float, float]:
     (the bordered tridiagonal), whose fill ``f`` carries the wrap entry along
     the path.  Negating the wrap entry negates every fill and leaves the
     pivots of vertices 0..m-2 unchanged, so the flip determinant differs
-    only in the closing 2x2 block.  A pivot below -tol raises NotPsd.  A
-    pivot p in [-tol, tol] gives a zero column, which contributes 0 to the
-    determinants.  In a PSD active block every 2x2 minor p q - v_j^2 through
-    it is nonnegative, and q <= 1 in the correlation form, so the rest of
-    its row v needs |v|^2 <= p; beyond p + tol the input is not PSD.
+    only in the closing 2x2 block.  A pivot p <= tol goes through
+    ``zero_pivot``, the library's one rule for it: NotPsd, a zero column,
+    which contributes 0 to the determinants, or the pivot tol.
     """
     m = len(r)
     p = e[0]
@@ -231,31 +228,22 @@ def _bordered_ldl(e, r, tol: float) -> tuple[float, float, float]:
         a = r[k]
         lo = min(lo, p)
         if p <= tol:
-            if p < -tol:
-                raise NotPsd(f"pivot {p:.3e} at vertex {k} below -{tol:.0e}")
-            if a * a + f * f > p + tol:
-                raise NotPsd(f"zero pivot {p:.3e} at vertex {k} with squared residual "
-                             f"row {a * a + f * f:.3e}, above pivot + {tol:.0e}")
-            lead = 0.0
-            p, f = e[k + 1], 0.0
-        else:
-            lead *= p
-            corner -= f * f / p
-            p, f = e[k + 1] - a * a / p, -a * f / p
+            if zero_pivot(p, a * a + f * f, tol, f"vertex {k}"):
+                lead = 0.0
+                p, f = e[k + 1], 0.0
+                continue
+            p = tol
+        lead *= p
+        corner -= f * f / p
+        p, f = e[k + 1] - a * a / p, -a * f / p
     g, g_flip = r[m - 2] + f, r[m - 2] - f
-    det2 = p * corner - g * g
-    flip2 = p * corner - g_flip * g_flip
-    if p <= tol:
-        if p < -tol:
-            raise NotPsd(f"pivot {p:.3e} at vertex {m - 2} below -{tol:.0e}")
-        if g * g > p + tol:
-            raise NotPsd(f"zero pivot {p:.3e} at vertex {m - 2} with squared residual "
-                         f"row {g * g:.3e}, above pivot + {tol:.0e}")
-        last = corner
-    else:
-        last = det2 / p
-    if last < -tol:
-        raise NotPsd(f"pivot {last:.3e} at vertex {m - 1} below -{tol:.0e}")
+    zero = p <= tol and zero_pivot(p, g * g, tol, f"vertex {m - 2}")
+    q = p if zero else max(p, tol)
+    det2 = q * corner - g * g
+    flip2 = q * corner - g_flip * g_flip
+    last = corner if zero else det2 / q
+    if not last > tol:
+        zero_pivot(last, 0.0, tol, f"vertex {m - 1}")
     return min(lo, p, last), lead * det2, lead * flip2
 
 

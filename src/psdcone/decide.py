@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chordal, cycle
-from .core import FactorParams, Graph, SimplicialComplex, SymmetricMatrix, edge_complex
+from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix, edge_complex,
+                   within_units)
 from .errors import (Degenerate, InternalInconsistency, NotPsd, PatternViolation,
                      Undecidable)
 from .linalg import DEFAULT_TOL
@@ -134,6 +135,6 @@ def _decide_cycle(sigma: SymmetricMatrix, g: Graph, order: list[int], complex,
 
 
 def _check_certificate(gamma: FactorParams, sigma: SymmetricMatrix):
-    """Raise InternalInconsistency unless phi(gamma) reproduces sigma."""
-    if np.abs(phi(gamma.complex, gamma).a - sigma.a).max() > 1e-8 * sigma.scale():
+    """Raise InternalInconsistency unless |phi(gamma) - sigma| <= 1e-8 sqrt(|s_ii s_jj|)."""
+    if not within_units(phi(gamma.complex, gamma).a - sigma.a, sigma.a.diagonal(), 1e-8):
         raise InternalInconsistency("certificate does not reproduce the input")

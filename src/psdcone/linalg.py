@@ -1,11 +1,11 @@
 """Numerical kernels: PSD tests, semidefinite Cholesky, Schur complements, sign flips.
 
-All tolerances are relative to max(1, largest absolute entry) of the input.
-The Cholesky here deliberately does *no* pivoting and, on a sparse matrix,
-works only on the fill pattern: in a perfect elimination ordering there is no
-fill (Rose 1970), so each factor column lives on a clique, which the chordal
-fiber reads as a face.  A dense matrix takes the dense update, with the same
-columns.  Pivots within tolerance of zero produce an exactly-zero column instead.
+PSD is decided in the correlation units of the input diagonal, with
+``zero_pivot`` the one rule for a pivot near zero, here and in ``cycle``; only
+``is_psd``, which no decision calls, uses max(1, largest absolute entry).  The
+Cholesky does *no* pivoting and, on a sparse matrix, works only on the fill
+pattern: in a perfect elimination ordering there is no fill (Rose 1970), so
+each factor column lives on a clique, which the chordal fiber reads as a face.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import SymmetricMatrix, tolerance_scale
+from .core import SymmetricMatrix
 from .errors import NotPsd, SingularBlock
 
 DEFAULT_TOL = 1e-9
@@ -37,17 +37,21 @@ class PsdReport:
                 f"tolerance_used={self.tolerance_used!r})")
 
 
-def min_eigenvalue(arr: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(arr)[0])
-
-
 def is_psd(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     """Eigenvalue-based PSD verdict: min eigenvalue >= -tol * max(1, max|entry|)."""
-    arr = sigma.a
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
-    lo = min_eigenvalue(arr)
+    lo = float(np.linalg.eigvalsh(sigma.a)[0])
     return PsdReport(lo >= -tol * sigma.scale(), lo, tol)
+
+
+def zero_pivot(p: float, r: float, tol: float, at: str) -> bool:
+    """The rule for a correlation-form pivot p <= tol at ``at`` whose rest of row
+    v has squared length r: True for a zero column, which leaves out a block of
+    least eigenvalue p/2 - sqrt(p^2/4 + r) >= -tol exactly when r <= tol (p + tol);
+    False to eliminate it as the pivot tol, adding tol - p <= 2 tol to the
+    diagonal; p < -tol, or NaN, raises NotPsd."""
+    if not p >= -tol:
+        raise NotPsd(f"pivot {p:.3e} at {at} below -{tol:.0e}")
+    return r <= tol * (p + tol)
 
 
 # Above this many entry updates per column, counted from arr's nonzeros below
@@ -62,33 +66,43 @@ def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     """Columns of the lower-triangular L with L L^T = arr for PSD arr: None at a
     zero pivot, else (rows, values) with rows ascending from the pivot.
 
-    Pivots below -tol*scale raise NotPsd; pivots of at most tol*scale give a
-    zero column unless a non-negligible residual column sits under them.  A
-    sparse arr is factored on its fill pattern: each pivot updates only its
-    column's rows, adding the fill it makes (George & Liu 1981), and entries get
-    the dense update's IEEE operations, less ±0.0 subtractions.  An arr past
-    DENSE_UPDATES_PER_COLUMN takes the dense update, with the same columns; the
-    count leaves out fill, which a perfect elimination ordering does not make.
+    ``zero_pivot`` gets p = d_k / a_kk and r = sum_i (v_i / sqrt(a_kk a_ii))^2
+    for a pivot d_k <= tol a_kk over its column v (Demmel 1989), and a pivot
+    it does not zero is eliminated as tol a_kk; a negative diagonal is not
+    PSD, and a zero one needs a zero row.  A sparse arr is factored on its
+    fill pattern: each pivot updates only its column's rows, adding the fill
+    it makes (George & Liu 1981), and entries get the dense update's IEEE
+    operations, less ±0.0 subtractions.  An arr past DENSE_UPDATES_PER_COLUMN
+    takes the dense update, with the same columns; the count leaves out fill,
+    which a perfect elimination ordering does not make.
     """
     a = np.asarray(arr, dtype=float)
     n = a.shape[0]
-    scale = tolerance_scale(a)
+    diag = np.diagonal(a).tolist()
+    for k, x in enumerate(diag):
+        if x < 0.0:
+            raise NotPsd(f"negative diagonal entry {x!r} at position {k}")
+        if x == 0.0 and np.any(a[k]):
+            raise NotPsd(f"nonzero entry in the row of the zero diagonal at position {k}")
     lower = np.tril(a, -1)
     below = np.count_nonzero(lower, axis=0)
     if below @ (below + 1) > 2 * DENSE_UPDATES_PER_COLUMN * n:
-        return _dense_columns(a, tol, scale)
+        return _dense_columns(a, tol, diag)
     # flat positions in row-major order, as np.nonzero gives them
     ii, jj = np.divmod(np.flatnonzero(lower), n)
     # work[k]: row -> entry (row, k) of the trailing matrix, lower triangle
-    work = [{k: d} for k, d in enumerate(np.diagonal(a).tolist())]
+    work = [{k: d} for k, d in enumerate(diag)]
     for i, j, v in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
         work[j][i] = v
     cols = []
     for k, col in enumerate(work):
-        root = _pivot_root(col.pop(k), k, col.values(), tol, scale)
-        if root is None:
-            cols.append(None)  # column of L stays zero
-            continue
+        d = col.pop(k)
+        if not (diag[k] and d / diag[k] > tol):
+            if _zero_column(d, k, sorted(col.items()), diag, tol):
+                cols.append(None)  # column of L stays zero
+                continue
+            d = tol * diag[k]
+        root = math.sqrt(d)
         rows = sorted(col)
         vals = [col[i] / root for i in rows]
         for t, j in enumerate(rows):
@@ -99,37 +113,34 @@ def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL) -> list:
     return cols
 
 
-def _dense_columns(a: np.ndarray, tol: float, scale: float) -> list:
+def _dense_columns(a: np.ndarray, tol: float, diag: list) -> list:
     """_semidef_cholesky's columns by the dense right-looking update, every row below kept."""
     n = a.shape[0]
     work = np.array(a)
     cols = []
-    for k in range(n):
-        below = work[k + 1:, k]
-        root = _pivot_root(work[k, k], k, below, tol, scale)
-        if root is None:
-            cols.append(None)
-            continue
-        col = below / root
-        work[k + 1:, k + 1:] -= np.outer(col, col)
-        cols.append((list(range(k, n)), [root, *col.tolist()]))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: a later pivot's NotPsd
+        for k in range(n):
+            d, below = work[k, k], work[k + 1:, k]
+            if not (diag[k] and d / diag[k] > tol):
+                if _zero_column(d, k, enumerate(below.tolist(), k + 1), diag, tol):
+                    cols.append(None)
+                    continue
+                d = tol * diag[k]
+            root = math.sqrt(d)  # np.sqrt's bits
+            col = below / root
+            work[k + 1:, k + 1:] -= np.outer(col, col)
+            cols.append((list(range(k, n)), [root, *col.tolist()]))
     return cols
 
 
-def _pivot_root(d, k: int, below, tol: float, scale: float):
-    """sqrt(d) for the pivot d at position k, or None for a zero pivot; NotPsd
-    for d below -tol*scale or a zero pivot over a residual column ``below``
-    that is not negligible.  math.sqrt gives np.sqrt's bits."""
-    if d < -tol * scale:
-        raise NotPsd(f"pivot {d:.3e} at position {k} below -{tol:.0e}*scale")
-    if d > tol * scale:
-        return math.sqrt(d)
-    resid = max(map(abs, below), default=0.0)
-    if resid > 10.0 * math.sqrt(max(tol, 1e-14)) * scale:
-        raise NotPsd(
-            f"zero pivot at position {k} with residual column {resid:.3e}"
-        )
-    return None
+def _zero_column(d, k: int, below, diag: list, tol: float) -> bool:
+    """``zero_pivot`` at position k over its (row, entry) pairs, rows ascending so
+    that both updates sum alike; a zero diagonal's row is zero, with nothing to check."""
+    if not diag[k]:
+        return True
+    s = math.sqrt(diag[k])
+    r = sum(t * t for t in (v / s / math.sqrt(diag[i]) for i, v in below if v))
+    return zero_pivot(d / diag[k], r, tol, f"position {k}")
 
 
 def schur_complement(matrix: SymmetricMatrix, block: set, tol: float = DEFAULT_TOL) -> SymmetricMatrix:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
-                   _dominated, _vertex_bitsets, as_face, induced_vertex_map,
-                   tolerance_scale)
+                   _dominated, _vertex_bitsets, as_face, induced_vertex_map)
 from .errors import ZeroDiagonal
 from .linalg import DEFAULT_TOL
 from .param import _combine_columns, _nonzero_columns, phi
@@ -129,10 +128,11 @@ def schur_witness(delta: SimplicialComplex, gamma: FactorParams, u: int,
         raise ValueError("vertex outside ground set")
     m = delta.m
     cols = dict(_nonzero_columns(gamma))
-    sigma_uu = sum(col[u] ** 2 for col in cols.values())
-    scale = tolerance_scale(list(cols.values())) ** 2
-    if sigma_uu <= tol * scale:
-        raise ZeroDiagonal(f"diagonal value {sigma_uu!r} at vertex {u} too small")
+    # the diagonal of phi(gamma), summed column by column
+    diag = sum((col ** 2 for col in cols.values()), np.zeros(m))
+    sigma_uu = diag[u]
+    if sigma_uu <= tol * diag.max():
+        raise ZeroDiagonal(f"diagonal value {float(sigma_uu)!r} at vertex {u} too small")
     root = np.sqrt(sigma_uu)
 
     quot = complex_quotient(delta, [u])

@@ -7,7 +7,9 @@ instances.  The helpers at the end build or inspect test inputs.
 
 import heapq
 import itertools
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -15,7 +17,7 @@ from psdcone.chordal import (_chordless_cycle_through, _perfect_check, is_chorda
                              maximum_cardinality_search)
 from psdcone.core import (PATTERN_TOL, Face, FactorParams, Graph, SimplicialComplex,
                           SymmetricMatrix, as_face, face_key, induced_subcomplex,
-                          induced_vertex_map, tolerance_scale)
+                          induced_vertex_map)
 from psdcone.cycle import CycleMatrix, cycle_edge_complex
 from psdcone.errors import NotPsd, ZeroDiagonal
 from psdcone.linalg import DEFAULT_TOL, _semidef_cholesky, path_det
@@ -171,22 +173,37 @@ def tridiagonal_det(diagonal, offdiagonal) -> float:
 
 def semidef_cholesky_dense(arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``linalg._semidef_cholesky`` as a dense loop: each pivot updates the
-    whole trailing block, and the factor comes back as an n x n array."""
+    whole trailing block, and the factor comes back as an n x n array.
+
+    Its PSD rule is written out here: a negative diagonal, or a nonzero row at
+    a zero one, is not PSD; the pivot d counts as p = d / a_kk, and one at most
+    tol needs p at least -tol.  With its rest of row squared in units of
+    sqrt(a_kk a_ii) at most tol (p + tol), its column stays zero; else it is
+    eliminated as the pivot tol a_kk.
+    """
     n = arr.shape[0]
-    scale = tolerance_scale(arr)
+    diag = np.diagonal(arr).tolist()
+    for k, x in enumerate(diag):
+        if x < 0.0:
+            raise NotPsd(f"negative diagonal entry {x!r} at position {k}")
+        if x == 0.0 and np.any(arr[k]):
+            raise NotPsd(f"nonzero entry in the row of the zero diagonal at position {k}")
+    s = [math.sqrt(x) for x in diag]
     work = np.array(arr, dtype=float)
     ell = np.zeros((n, n))
     for k in range(n):
+        if diag[k] == 0.0:
+            continue  # a zero row: the column of L stays zero
         d = work[k, k]
-        if d < -tol * scale:
-            raise NotPsd(f"pivot {d:.3e} at position {k} below -{tol:.0e}*scale")
-        if d <= tol * scale:
-            resid = np.abs(work[k + 1:, k]).max() if k + 1 < n else 0.0
-            if resid > 10.0 * np.sqrt(max(tol, 1e-14)) * scale:
-                raise NotPsd(
-                    f"zero pivot at position {k} with residual column {resid:.3e}"
-                )
-            continue  # column of L stays zero
+        p = d / diag[k]
+        if not p > tol:
+            if not p >= -tol:
+                raise NotPsd(f"pivot {p:.3e} at position {k} below -{tol:.0e}")
+            r = sum(t * t for t in (v / s[k] / s[i]
+                                    for i, v in enumerate(work[k + 1:, k].tolist(), k + 1) if v))
+            if r <= tol * (p + tol):
+                continue  # column of L stays zero
+            d = tol * diag[k]
         root = np.sqrt(d)
         ell[k, k] = root
         if k + 1 < n:
@@ -194,6 +211,29 @@ def semidef_cholesky_dense(arr: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndar
             ell[k + 1:, k] = col
             work[k + 1:, k + 1:] -= np.outer(col, col)
     return ell
+
+
+def exact_psd(arr, shift: float = 0.0) -> bool:
+    """Whether arr + shift * diag(arr), for a matrix of floats arr, is PSD, decided
+    exactly: every float is a dyadic rational, so a Fraction LDL^T has no
+    rounding.  A negative pivot is not PSD; a zero pivot needs an exactly zero
+    rest of its row, and drops out."""
+    a = [[Fraction(x) for x in row] for row in np.asarray(arr, dtype=float).tolist()]
+    n = len(a)
+    for k in range(n):
+        a[k][k] += Fraction(shift) * a[k][k]
+    for k in range(n):
+        p = a[k][k]
+        if p < 0 or (p == 0 and any(a[i][k] for i in range(k + 1, n))):
+            return False
+        if p == 0:
+            continue
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] / p
+                for j in range(k + 1, i + 1):
+                    a[i][j] -= f * a[j][k]
+    return True
 
 
 def perfect_check_scan(g: Graph, order) -> tuple[int, int, int] | None:
@@ -325,10 +365,11 @@ def schur_witness_by_pairs(delta: SimplicialComplex, gamma: FactorParams, u: int
         raise ValueError("vertex outside ground set")
     m = delta.m
     cols = dict(_nonzero_columns(gamma))
-    sigma_uu = sum(col[u] ** 2 for col in cols.values())
-    scale = tolerance_scale(list(cols.values())) ** 2
-    if sigma_uu <= tol * scale:
-        raise ZeroDiagonal(f"diagonal value {sigma_uu!r} at vertex {u} too small")
+    # the diagonal of phi(gamma), each entry summed as the scalar sum would be
+    diag = sum((col ** 2 for col in cols.values()), np.zeros(m))
+    sigma_uu = diag[u]
+    if sigma_uu <= tol * diag.max():
+        raise ZeroDiagonal(f"diagonal value {float(sigma_uu)!r} at vertex {u} too small")
     root = np.sqrt(sigma_uu)
 
     quot = complex_quotient_by_faces(delta, [u])
@@ -459,10 +500,10 @@ def pattern_mask_from_edges(g: Graph) -> np.ndarray:
 
 
 def pattern_graph(sigma: SymmetricMatrix, tol: float = PATTERN_TOL) -> Graph:
-    """Graph of off-diagonal entries exceeding tol relative to the matrix scale."""
-    thr = tol * sigma.scale()
+    """Graph of the off-diagonal entries (i, j) above tol * sqrt(|a_ii a_jj|)."""
+    a = sigma.a
     edges = [(i, j) for i in range(sigma.m) for j in range(i + 1, sigma.m)
-             if abs(sigma.a[i, j]) > thr]
+             if abs(a[i, j]) > tol * (np.sqrt(abs(a[i, i])) * np.sqrt(abs(a[j, j])))]
     return Graph.from_edges(sigma.m, edges)
 
 

@@ -238,9 +238,10 @@ def test_membership_rechecks_either_certificate(files, monkeypatch, edges):
 
 
 def test_fiber_rechecks_what_it_prints(files, monkeypatch):
-    """A chordal member under a diagonal congruence in 10^+-6 whose factor
-    misses it by more than 1e-8 * max|entry|: fiber --chordal refuses to print
-    that preimage, as membership refuses to certify it."""
+    """A chordal member under a diagonal congruence in 10^+-6, whose factor
+    once lost its small-diagonal vertices: both commands print a preimage
+    within 1e-8 of sqrt(sigma_ii sigma_jj); and a preimage that misses the
+    input is refused."""
     rng = np.random.default_rng(1)
     m = int(rng.integers(3, 12))
     g = random_chordal_graph(rng, m)
@@ -249,11 +250,16 @@ def test_fiber_rechecks_what_it_prints(files, monkeypatch):
     d = 10.0 ** rng.uniform(-6, 6, m)
     gpath = files("g.json", g.to_json_dict())
     unscaled = files("a.json", {"m": m, "entries": a.tolist()})
-    scaled = files("s.json", {"m": m, "entries": (d[:, None] * a * d[None, :]).tolist()})
+    b = d[:, None] * a * d[None, :]
+    scaled = files("s.json", {"m": m, "entries": b.tolist()})
     for command in (["membership"], ["fiber", "--chordal"]):
         assert run_cli(command + ["--matrix", unscaled, "--graph", gpath])[0] == 0
         rc, out = run_cli(command + ["--matrix", scaled, "--graph", gpath])
-        assert rc == 2 and json.loads(out)["error"]["code"] == "internal_inconsistency"
+        assert rc == 0
+        printed = json.loads(out)
+        params = printed["certificate"] if command == ["membership"] else printed
+        image = phi(delta, FactorParams.from_json_dict(delta, params)).a
+        assert np.all(np.abs(image - b) <= 1e-8 * np.sqrt(np.outer(np.diag(b), np.diag(b))))
     monkeypatch.setattr(decide, "phi", lambda delta, gamma: SymmetricMatrix(np.zeros((m, m))))
     rc, out = run_cli(["fiber", "--chordal", "--matrix", unscaled, "--graph", gpath])
     assert rc == 2 and json.loads(out)["error"]["code"] == "internal_inconsistency"

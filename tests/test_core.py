@@ -2,15 +2,14 @@
 
 import itertools
 import json
+import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdcone import core, linalg
 from psdcone.core import (MAX_VERTICES, PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
                           SymmetricMatrix, as_face, cycle_graph, edge_complex, face_key,
                           induced_subcomplex, induced_vertex_map, tolerance_scale,
@@ -47,11 +46,13 @@ def vertex_sets(draw, max_m=64):
 
 
 def respects_pattern_loop(sigma, g, tol=PATTERN_TOL):
-    """Oracle: the entrywise scan over the upper triangle."""
-    thr = tol * sigma.scale()
+    """Oracle: the entrywise scan over the upper triangle, each entry against
+    tol * (sqrt(|a_ii|) * sqrt(|a_jj|)), which is 0 beside a zero diagonal."""
+    a = sigma.a
     for i in range(sigma.m):
         for j in range(i + 1, sigma.m):
-            if abs(sigma.a[i, j]) > thr and not g.has_edge(i, j):
+            unit = math.sqrt(abs(a[i, i])) * math.sqrt(abs(a[j, j]))
+            if abs(a[i, j]) > tol * unit and not g.has_edge(i, j):
                 return False
     return True
 
@@ -295,21 +296,14 @@ class TestSymmetricMatrix:
 
     @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_scale_is_computed_once_from_the_symmetrized_entries(self, m, seed):
+    def test_scale_is_that_of_the_symmetrized_entries(self, m, seed):
         """D A D rounds to a slightly asymmetric array; the scale is that of the
-        mean that is stored, whichever constructor built the matrix, and the
-        pattern check and is_psd read it without computing it again."""
+        mean that is stored, whichever constructor built the matrix."""
         rng = np.random.default_rng(seed)
         b = rng.standard_normal((m, m))
         d = np.diag(10.0 ** rng.uniform(-3, 3, m))
         for sig in (SymmetricMatrix(d @ (b @ b.T) @ d), SymmetricMatrix._trusted(b + b.T)):
-            counted = mock.Mock(wraps=tolerance_scale)
-            with mock.patch.object(core, "tolerance_scale", counted), \
-                    mock.patch.object(linalg, "tolerance_scale", counted):
-                first, second = sig.scale(), sig.scale()
-                sig.respects_pattern(complete_graph(m))
-                linalg.is_psd(sig)
-            assert first == second == tolerance_scale(sig.a) and counted.call_count == 1
+            assert sig.scale() == tolerance_scale(sig.a) == max(1.0, np.abs(sig.a).max())
 
     def test_pattern(self):
         sig = SymmetricMatrix(np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]))
@@ -317,7 +311,8 @@ class TestSymmetricMatrix:
         assert pattern_graph(sig) == Graph.from_edges(3, [(0, 1)])
 
     def test_pattern_threshold_is_strict(self):
-        thr = PATTERN_TOL * 4.0
+        """The entry (0, 2) is measured in sqrt(a_00 a_22) = 2."""
+        thr = PATTERN_TOL * 2.0
         for off, ok in ((thr, True), (-thr, True), (thr * (1 - 1e-15), True),
                         (thr * (1 + 1e-15), False), (-thr * (1 + 1e-15), False)):
             arr = np.diag([4.0, 1.0, 1.0])
@@ -336,14 +331,13 @@ class TestSymmetricMatrix:
         rng = np.random.default_rng(seed)
         upper = np.triu(rng.random((m, m)) < rng.random(), 1)
         g = Graph.from_edges(m, zip(*np.nonzero(upper)))
-        thr = PATTERN_TOL * max(1.0, top)
+        thr = PATTERN_TOL * top  # the unit sqrt(a_ii a_jj) of every entry
         arr = np.where(upper | upper.T, rng.uniform(-top, top, (m, m)), 0.0)
         near = thr * rng.choice([1.0, 1 - 1e-15, 1 + 1e-15], (m, m)) * rng.choice([-1, 1], (m, m))
         arr = np.where(~(upper | upper.T) & (rng.random((m, m)) < p_off), near, arr)
         arr = np.triu(arr, 1) + np.triu(arr, 1).T
         np.fill_diagonal(arr, top)
         sig = SymmetricMatrix(arr)
-        assert sig.scale() == max(1.0, top)
         assert sig.respects_pattern(g) == respects_pattern_loop(sig, g)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=40))

@@ -14,7 +14,8 @@ from psdcone.instances import random_chordal_graph, random_params
 from psdcone.linalg import _semidef_cholesky, is_psd, schur_complement, sign_flip
 from psdcone.param import phi
 
-from oracles import cholesky, random_psd_matrix, semidef_cholesky_dense, tridiagonal_det
+from oracles import (cholesky, exact_psd, random_psd_matrix, semidef_cholesky_dense,
+                     tridiagonal_det)
 
 
 def assert_factor_matches_dense(arr, tol=1e-9):
@@ -155,6 +156,73 @@ class TestFillPatternCholesky:
         assert_factor_matches_dense(np.diag([1.0, -1.0]))
         assert_factor_matches_dense(np.array([[0.0, 1.0], [1.0, 1.0]]))
         assert_factor_matches_dense(np.zeros((3, 3)))
+
+    def test_overflowing_dense_update_is_not_psd(self):
+        """Entries 1e10 beside the diagonal 1e-300 give factor entries near 1e160,
+        whose products overflow in the dense update: the next pivot is -inf,
+        and no warning is raised."""
+        arr = np.ones((8, 8)) + 7 * np.eye(8)
+        arr[0, 0] = 1e-300
+        arr[0, 1:] = arr[1:, 0] = 1e10
+        with pytest.raises(NotPsd, match="pivot -inf at position 1 "):
+            _semidef_cholesky(arr)
+
+
+def _exact_case(m, kind, seed):
+    """D S D with D in 10^+-6 for an S of one kind: an integer Gram matrix less
+    0, 1 or 2 times I; a Gram matrix of rank 1..m; or one of rank below m
+    moved by a few tol times its diagonal, which puts pivots near zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        b = rng.integers(-2, 3, (m, m)).astype(float)
+        s = b @ b.T - int(rng.integers(0, 3)) * np.eye(m)
+    else:
+        rank = int(rng.integers(1, m + 1 if kind == "low_rank" else max(m, 2)))
+        b = rng.standard_normal((m, rank))
+        s = b @ b.T
+        if kind == "near_zero_pivot":
+            s += rng.choice([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]) * 1e-9 * np.diag(
+                np.diag(s))
+    d = 10.0 ** rng.uniform(-6.0, 6.0, m)
+    return SymmetricMatrix(d[:, None] * s * d[None, :]).a
+
+
+class TestExactOracle:
+    """The kernel's PSD decisions against exact rational arithmetic.
+
+    With T = diag(Sigma): if Sigma - 2 tol T is PSD, every correlation-form
+    pivot is at least 2 tol and the kernel accepts.  If the kernel accepts with
+    z pivots at most tol, Sigma + 2 (1 + z) tol T is PSD: each such pivot p
+    either has a zero column, leaving out a block whose least eigenvalue is at
+    least -tol, or is eliminated as tol, adding tol - p <= 2 tol to the
+    diagonal (``linalg.zero_pivot``); with no such pivot this is the bound
+    2 tol.  Rounding is far below tol at m <= 8 (Demmel 1989).
+    """
+
+    def test_hand_values(self):
+        assert exact_psd(np.eye(3)) and exact_psd(np.ones((3, 3))) and exact_psd(np.zeros((2, 2)))
+        assert not exact_psd(np.diag([1.0, -1.0]))
+        assert not exact_psd([[0.0, 1.0], [1.0, 1.0]])
+        assert not exact_psd([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
+        # determinant -2**-52: no float eigenvalue test resolves its sign
+        assert not exact_psd([[1.0, 1.0], [1.0, 1.0 - 2.0 ** -52]])
+        # the diagonal shift is exact: I - 1 * I is the zero matrix
+        assert exact_psd(np.eye(2), -1.0) and not exact_psd(np.eye(2), -1.5)
+
+    @given(st.integers(1, 8), st.sampled_from(["integer", "low_rank", "near_zero_pivot"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_decides_within_its_bound(self, m, kind, seed):
+        tol = 1e-9
+        arr = _exact_case(m, kind, seed)
+        try:
+            cols = _semidef_cholesky(arr, tol)
+        except NotPsd:
+            assert not exact_psd(arr, -2 * tol)
+            return
+        small = sum(arr[k, k] != 0.0 and (col is None or col[1][0] ** 2 <= 2 * tol * arr[k, k])
+                    for k, col in enumerate(cols))
+        assert exact_psd(arr, 2 * (1 + small) * tol)
 
 
 class TestSchurComplement:

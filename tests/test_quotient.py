@@ -16,7 +16,7 @@ from psdcone.param import cone_add, phi, submatrix_witness
 from psdcone.quotient import complex_quotient, graph_quotient, schur_witness
 
 from oracles import (chain_quotient_faces, complete_graph, complex_quotient_by_faces,
-                     cone_add_by_column, is_clique, schur_witness_by_pairs,
+                     cone_add_by_column, is_clique, scaled_params, schur_witness_by_pairs,
                      submatrix_witness_by_column)
 
 
@@ -136,8 +136,19 @@ class TestSchurWitness:
     def test_zero_diagonal_rejected(self):
         delta = edge_complex(complete_graph(3))
         gamma = FactorParams(delta, {((0, 1), 0): 1.0, ((0, 1), 1): 1.0})
-        with pytest.raises(ZeroDiagonal):
+        with pytest.raises(ZeroDiagonal, match=r"^diagonal value 0\.0 at vertex 2 too small$"):
             schur_witness(delta, gamma, 2)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-6, 1e-9, 1e3])
+    def test_small_parameters_are_not_a_zero_diagonal(self, scale):
+        """sigma_uu is measured against the largest diagonal entry of phi(gamma),
+        so scaling every parameter scales the witness and keeps it exact."""
+        delta = SimplicialComplex.from_facets(4, [(0, 1, 2), (2, 3)])
+        gamma = scaled_params(random_params(np.random.default_rng(0), delta), scale)
+        for fn in (schur_witness, schur_witness_by_pairs):
+            witness = fn(delta, gamma, 2)
+            target = schur_complement(phi(delta, gamma), {2})
+            assert np.abs(witness.image().a - target.a).max() <= 1e-12 * np.abs(target.a).max()
 
     def test_converse_fails_on_triangle(self):
         """Every Schur complement of the 0.9-equicorrelation matrix lies in the
