@@ -14,14 +14,16 @@ image cone and PSD-ness:
   vertices (a rotation or reflection of the cycle for the commands that
   read the cycle from the matrix alone).
 
-Four contracts are checked on every call:
+Five contracts are checked on every call:
 
 - ``exit``: the exit code is the untransformed call's;
 - ``code``: an exit 2 carries an error code of ``cli.ERROR_CODES`` (or
   ``invalid_input``, the code of every other input error);
 - ``traceback``: no traceback is printed, and no exception leaves ``main``;
 - ``preimage``: every printed preimage reproduces its input within 1e-8 of
-  sqrt(|sigma_ii sigma_jj|) at every entry (i, j), recomputed here with numpy.
+  sqrt(|sigma_ii sigma_jj|) at every entry (i, j), recomputed here with numpy;
+- ``psd``: a ``membership`` verdict (exit 0 or 1) is ``not_psd`` exactly
+  when ``linalg.is_psd`` at the default tolerance says the input is not PSD.
 
 A cycle determinant pushed out of the normal float range exits 2 with
 ``invalid_input`` by design (README); such calls are counted apart as
@@ -47,7 +49,7 @@ import traceback
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CONTRACTS = ("exit", "code", "traceback", "preimage")
+CONTRACTS = ("exit", "code", "traceback", "preimage", "psd")
 TRANSFORMS = ("congruence", "scale", "relabel")
 PREIMAGE_RTOL = 1e-8
 NOT_PSD_SHIFT = 0.05
@@ -135,10 +137,11 @@ def transformed(rng, name: str, a: np.ndarray, edges, cycle_labels: bool):
 
 
 class Runner:
-    def __init__(self, main, codes, directory):
+    def __init__(self, main, codes, directory, psd):
         self.main = main
         self.codes = codes
         self.directory = directory
+        self.psd = psd
         self.count = 0
         self.calls: dict = {}
         self.violations: dict = {}
@@ -153,7 +156,7 @@ class Runner:
 
     def call(self, label: str, argv: list, a: np.ndarray):
         """Run argv; (exit code or None when unrepresentable) after the
-        code, traceback and preimage contracts."""
+        code, traceback, preimage and psd contracts."""
         self.calls[label] = self.calls.get(label, 0) + 1
         out_buf, err_buf = io.StringIO(), io.StringIO()
         try:
@@ -180,6 +183,10 @@ class Runner:
             for records in preimages(argv[0], out):
                 if not reproduces(records, a):
                     self.violate(label, "preimage", argv, "")
+        if argv[0] == "membership" and rc in (0, 1):
+            psd = self.psd(a)
+            if psd == (out.get("reason") == "not_psd"):
+                self.violate(label, "psd", argv, f"is_psd {psd}, exit {rc}")
         return rc
 
     def violate(self, label: str, contract: str, argv, detail):
@@ -198,11 +205,17 @@ def main() -> int:
 
     sys.path.insert(0, os.path.abspath(args.src))
     import psdcone.cli
+    from psdcone.core import SymmetricMatrix
+    from psdcone.linalg import is_psd
+
+    def psd(a) -> bool:
+        got = is_psd(SymmetricMatrix(a))
+        return getattr(got, "is_psd", got)  # trees where is_psd returned a PsdReport
 
     codes = set(psdcone.cli.ERROR_CODES.values()) | {"invalid_input"}
     rng = np.random.default_rng(SEED)
     with tempfile.TemporaryDirectory(prefix="scale-contract-") as tmp:
-        runner = Runner(psdcone.cli.main, codes, tmp)
+        runner = Runner(psdcone.cli.main, codes, tmp, psd)
         for family, a, edges in instances(rng):
             commands = [["membership"], ["fiber", "--chordal"]]
             if family.startswith("cycle"):

@@ -22,7 +22,7 @@ _PUBLIC = {
     "decide": ("Decision", "membership"),
     "latent": ("LatentSystem", "build_digraph", "conditional_precision",
                "covariance_identity", "simulate_y"),
-    "linalg": ("PsdReport", "is_psd", "schur_complement", "sign_flip"),
+    "linalg": ("is_psd", "schur_complement", "sign_flip"),
     "param": ("RankOneTerm", "build_factor_matrix", "cone_add", "extreme_decomposition", "phi",
               "submatrix_witness"),
     "quotient": ("QuotientWitness", "complex_quotient", "graph_quotient", "schur_witness"),

@@ -137,15 +137,15 @@ def is_chordal(g: Graph):
     return False, witness
 
 
-def clique_complex(g: Graph, guard: int = CLIQUE_GUARD) -> SimplicialComplex:
+def clique_complex(g: Graph) -> SimplicialComplex:
     """Simplicial complex of all cliques; facets via Bron-Kerbosch with pivoting."""
     cliques: list[tuple[int, ...]] = []
 
     def expand(r: set, p: set, x: set):
         if not p and not x:
             cliques.append(tuple(sorted(r)))
-            if len(cliques) > guard:
-                raise TooManyCliques(f"more than {guard} maximal cliques")
+            if len(cliques) > CLIQUE_GUARD:
+                raise TooManyCliques(f"more than {CLIQUE_GUARD} maximal cliques")
             return
         pivot = max(sorted(p | x), key=lambda u: len(g.neighbors(u) & p))
         for v in sorted(p - g.neighbors(pivot)):

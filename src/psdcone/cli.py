@@ -20,7 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
+from .core import (MAX_VERTICES, FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    load_json, underlying_graph)
 from .errors import (AsymmetricInput, Degenerate, InternalInconsistency,
                      NotChordal, NotMember, NotPsd, PatternViolation,
@@ -224,6 +224,8 @@ def cmd_cycle_fiber(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if not 3 <= args.m <= MAX_VERTICES:  # the matrix is printed dense
+        raise ValueError(f"--m must be between 3 and {MAX_VERTICES}, got {args.m}")
     sigma = counterexample_sigma(args.m, args.rho)
     out = sigma.to_symmetric().to_json_dict()
     out["det_closed_form"] = counterexample_det(args.m, args.rho)
@@ -315,14 +317,25 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a float strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:  # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(f"must be between 0 and 1, exclusive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psdcone",
         description="PSD cones with prescribed zeros: parametrization, membership, fibers",
     )
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                     help="relative tolerance for PSD and membership decisions")
+    tol.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                     help="relative tolerance for PSD and membership decisions, in (0, 1)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
-                   SymmetricMatrix, cycle_graph, edge_complex, tolerance_scale)
+                   SymmetricMatrix, cycle_graph, edge_complex)
 from .errors import (Degenerate, InternalInconsistency, NotMember, NotPsd,
                      PatternViolation)
 # is_psd is not called here; perfbench/spans.py wraps it by this name
@@ -63,9 +63,6 @@ class CycleMatrix:
     @property
     def m(self) -> int:
         return len(self.diag)
-
-    def scale(self) -> float:
-        return tolerance_scale(self.diag + self.cyc)
 
     def to_array(self) -> np.ndarray:
         m = self.m

@@ -82,7 +82,7 @@ def random_psd_cycle_matrix(rng: np.random.Generator, m: int) -> CycleMatrix:
         diag = np.abs(rng.standard_normal(m))
         cyc = rng.standard_normal(m)
         cand = CycleMatrix.from_arrays(diag, cyc)
-        if is_psd(cand.to_symmetric(), 0.0).is_psd:
+        if is_psd(cand.to_symmetric(), 0.0):
             return cand
 
 

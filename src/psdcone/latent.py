@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import FactorParams, SimplicialComplex, SymmetricMatrix
 from .errors import InternalInconsistency, ZeroDiagonalParam
-from .linalg import DEFAULT_TOL
 from .param import phi
 
 
@@ -123,7 +122,7 @@ def simulate_y(delta: SimplicialComplex, gamma: FactorParams, n: int,
 
 
 def conditional_precision(delta: SimplicialComplex, gamma: FactorParams,
-                          tol: float = DEFAULT_TOL, rtol: float = 1e-9) -> SymmetricMatrix:
+                          rtol: float = 1e-9) -> SymmetricMatrix:
     """Inverse conditional covariance of the dual system; equals the image.
 
     The joint covariance of (observables, hidden sums) has top-left block

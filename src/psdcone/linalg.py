@@ -1,8 +1,8 @@
-"""Numerical kernels: PSD tests, semidefinite Cholesky, Schur complements, sign flips.
+"""Numerical kernels: the PSD test, semidefinite Cholesky, Schur complements, sign flips.
 
 PSD is decided in the correlation units of the input diagonal, with
-``zero_pivot`` the one rule for a pivot near zero, here and in ``cycle``; only
-``is_psd``, which no decision calls, uses max(1, largest absolute entry).  The
+``zero_pivot`` the one rule for a pivot near zero, here and in ``cycle``;
+``is_psd`` is that decision on its own, by the Cholesky below.  The
 Cholesky does *no* pivoting and, on a sparse matrix, works only on the fill
 pattern: in a perfect elimination ordering there is no fill (Rose 1970), so
 each factor column lives on a clique, which the chordal fiber reads as a face.
@@ -22,25 +22,13 @@ DEFAULT_TOL = 1e-9
 COND_LIMIT = 1e12
 
 
-class PsdReport:
-    """Outcome of a positive-semidefiniteness check."""
-
-    __slots__ = ("is_psd", "min_eigenvalue", "tolerance_used")
-
-    def __init__(self, is_psd: bool, min_eigenvalue: float, tolerance_used: float):
-        self.is_psd = is_psd
-        self.min_eigenvalue = min_eigenvalue
-        self.tolerance_used = tolerance_used
-
-    def __repr__(self):
-        return (f"PsdReport(is_psd={self.is_psd}, min_eigenvalue={self.min_eigenvalue!r}, "
-                f"tolerance_used={self.tolerance_used!r})")
-
-
-def is_psd(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
-    """Eigenvalue-based PSD verdict: min eigenvalue >= -tol * max(1, max|entry|)."""
-    lo = float(np.linalg.eigvalsh(sigma.a)[0])
-    return PsdReport(lo >= -tol * sigma.scale(), lo, tol)
+def is_psd(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> bool:
+    """Whether sigma is PSD by the decisions' rule: ``_semidef_cholesky`` at tol."""
+    try:
+        _semidef_cholesky(sigma.a, tol)
+    except NotPsd:
+        return False
+    return True
 
 
 def zero_pivot(p: float, r: float, tol: float, at: str) -> bool:
@@ -48,10 +36,15 @@ def zero_pivot(p: float, r: float, tol: float, at: str) -> bool:
     v has squared length r: True for a zero column, which leaves out a block of
     least eigenvalue p/2 - sqrt(p^2/4 + r) >= -tol exactly when r <= tol (p + tol);
     False to eliminate it as the pivot tol, adding tol - p <= 2 tol to the
-    diagonal; p < -tol, or NaN, raises NotPsd."""
+    diagonal; p < -tol, or NaN, raises NotPsd, and so does r > 0 at tol = 0,
+    where the zero pivot has no pivot tol to be eliminated as."""
     if not p >= -tol:
         raise NotPsd(f"pivot {p:.3e} at {at} below -{tol:.0e}")
-    return r <= tol * (p + tol)
+    if r <= tol * (p + tol):
+        return True
+    if not tol:
+        raise NotPsd(f"zero pivot at {at} beside a nonzero entry")
+    return False
 
 
 # Above this many entry updates per column, counted from arr's nonzeros below
@@ -143,7 +136,7 @@ def _zero_column(d, k: int, below, diag: list, tol: float) -> bool:
     return zero_pivot(d / diag[k], r, tol, f"position {k}")
 
 
-def schur_complement(matrix: SymmetricMatrix, block: set, tol: float = DEFAULT_TOL) -> SymmetricMatrix:
+def schur_complement(matrix: SymmetricMatrix, block: set) -> SymmetricMatrix:
     """M/M_{U,U}: the kept block minus M_{A,U} M_{U,U}^{-1} M_{U,A}.
 
     The eliminated block must be well conditioned (condition number below 1e12).
@@ -179,39 +172,24 @@ def sign_flip(sigma: SymmetricMatrix, i: int, j: int) -> SymmetricMatrix:
 def tridiagonal_minors(diag, off2):
     """Yield the leading principal minors of symmetric tridiagonal matrices.
 
-    Batch-first: ``diag`` has shape (..., n) and ``off2`` shape (..., n-1)
-    holding the *squared* off-diagonal entries; minor k+1 is
-    ``diag[..., k] * minor_k - off2[..., k-1] * minor_(k-1)`` with minor_0 = 1.
+    Indexed by path position first: ``diag[k]`` is diagonal entry k, a float
+    for one matrix or row k of an (n, batch) array for a batch, and
+    ``off2[k]`` the *squared* off-diagonal entry (k, k+1); minor k+1 is
+    ``diag[k] * minor_k - off2[k-1] * minor_(k-1)`` with minor_0 = 1.
     Minors are streamed, not stored, and the weights may have either sign.
     """
-    a = np.asarray(diag, dtype=float)
-    w = np.asarray(off2, dtype=float)
-    n = a.shape[-1]
-    if w.shape[-1] != max(n - 1, 0):
-        raise ValueError(f"need {max(n - 1, 0)} off-diagonal entries, got {w.shape[-1]}")
-    prev, cur = 0.0, 1.0
-    for k in range(n):
-        prev, cur = cur, a[..., k] * cur - (w[..., k - 1] * prev if k else 0.0)
-        yield cur
-
-
-def path_det(diag, off2):
-    """Last of ``tridiagonal_minors`` (the determinant); 1 for the empty matrix.
-
-    A batch (a ``diag`` array of two or more dimensions) goes through
-    ``tridiagonal_minors``.  A single matrix runs the same recurrence on
-    Python floats, which avoids numpy's per-element overhead; every step is
-    the same IEEE operation, so it equals the batch form's row bitwise.
-    """
-    if getattr(diag, "ndim", 1) > 1:
-        det = 1.0
-        for det in tridiagonal_minors(diag, off2):
-            pass
-        return det
     n = len(diag)
     if len(off2) != max(n - 1, 0):
         raise ValueError(f"need {max(n - 1, 0)} off-diagonal entries, got {len(off2)}")
     prev, cur = 0.0, 1.0
     for k in range(n):
         prev, cur = cur, diag[k] * cur - (off2[k - 1] * prev if k else 0.0)
-    return cur
+        yield cur
+
+
+def path_det(diag, off2):
+    """Last of ``tridiagonal_minors`` (the determinant); 1 for the empty matrix."""
+    det = 1.0
+    for det in tridiagonal_minors(diag, off2):
+        pass
+    return det

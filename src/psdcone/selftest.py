@@ -172,7 +172,7 @@ def suite_cycle(rng, n):
         if verdict.boundary:
             continue
         flips_psd = all(
-            is_psd(sign_flip(dense, e, (e + 1) % m)).is_psd
+            is_psd(sign_flip(dense, e, (e + 1) % m))
             for e in range(m)
         )
         if verdict.member != flips_psd:

@@ -33,6 +33,11 @@ from .linalg import path_det, tridiagonal_minors
 DEFAULT_BATCH = 100_000
 # Each worker is one process; a larger request fails before any is started.
 MAX_WORKERS = 64
+# The PSD acceptance rate falls about 2.5-fold per vertex (near 2e-6 at m = 16
+# and 5e-8 at m = 20) and a candidate costs about 1e-7 s on one worker (2-vCPU
+# host): a PSD sample takes about 0.05 s at m = 16 and 2 s at m = 20, so a
+# larger m is refused before any draw.
+MAX_M = 16
 # The helper thread fills BUFFERS arrays of CHUNK normals in turn: 128k
 # normals (1 MB) in flight.  Larger chunks ran slower.
 CHUNK = 32_768
@@ -79,10 +84,10 @@ def _batch_masks(diag: np.ndarray, cyc: np.ndarray) -> tuple[np.ndarray, np.ndar
     sq = cyc ** 2
     pd = np.ones(diag.shape[0], dtype=bool)
     # path minors 1..m-1 are leading minors of the cycle; minor m is the full path
-    for k, full_path in enumerate(tridiagonal_minors(diag, sq[:, : m - 1]), 1):
+    for k, full_path in enumerate(tridiagonal_minors(diag.T, sq[:, : m - 1].T), 1):
         if k < m:
             pd &= full_path > 0
-    interior = path_det(diag[:, 1: m - 1], sq[:, 1: m - 2])
+    interior = path_det(diag[:, 1: m - 1].T, sq[:, 1: m - 2].T)
     msum = full_path - sq[:, m - 1] * interior
     cycprod = np.prod(cyc, axis=1)
     sign = 1.0 if m % 2 == 1 else -1.0
@@ -246,8 +251,8 @@ def estimate_volume(m: int, n_samples: int, seed: int, workers: int = 1,
     Deterministic for fixed (m, n_samples, seed, workers): worker streams are
     spawned from the seed and merged counts do not depend on scheduling.
     """
-    if m < 3:
-        raise ValueError("need m >= 3")
+    if not 3 <= m <= MAX_M:
+        raise ValueError(f"need 3 <= m <= {MAX_M}, got {m}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     workers = max(1, int(workers))

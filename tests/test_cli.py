@@ -337,7 +337,8 @@ def test_membership_certificate_reproduces_input(files):
     delta = SimplicialComplex.from_json_dict(v["complex"])
     cert = FactorParams.from_json_dict(delta, v["certificate"])
     image = phi(delta, cert)
-    assert np.abs(image.a - sig.to_symmetric().a).max() <= 1e-8 * sig.scale()
+    dense = sig.to_symmetric()
+    assert np.abs(image.a - dense.a).max() <= 1e-8 * dense.scale()
 
 
 @pytest.mark.parametrize("kind", ["graph", "complex"])
@@ -779,6 +780,35 @@ def test_selftest_needs_at_least_one_instance(n):
     rc, out, err = outcome(["selftest", "--n", n])
     assert rc == 2 and out == ""
     assert f"argument --n: must be at least 1, got {n}" in err
+
+
+@pytest.mark.parametrize("command", [c for c in SUBCOMMANDS if "--tol" in SUBCOMMANDS[c][0]])
+@pytest.mark.parametrize("tol", ["0", "-1", "1", "2", "nan", "inf", "-inf", "1e-9x"])
+def test_tol_outside_the_open_unit_interval_is_refused(command, tol):
+    """Before any file is read: 0 has no pivot tol to eliminate a zero pivot
+    as, and NaN, inf or a tol of 1 or more decided members as not PSD or
+    broke the certificate re-check."""
+    rc, out, err = outcome([command, *SUBCOMMANDS[command][1], f"--tol={tol}"])
+    assert rc == 2 and out == ""
+    assert ("argument --tol: must be between 0 and 1, exclusive" in err
+            or "argument --tol: invalid float value" in err)
+
+
+@pytest.mark.parametrize("argv", [["counterexample", "--m", "100000", "--rho", "0.5"],
+                                  ["counterexample", "--m", "2", "--rho", "0.5"],
+                                  ["volume", "--m", "17", "--samples", "1"],
+                                  ["volume", "--m", "70", "--samples", "10"]])
+def test_m_outside_its_bound_is_refused(argv):
+    """counterexample prints its m x m matrix dense; volume's acceptance rate
+    falls about 2.5-fold per vertex."""
+    rc, out = run_cli(argv)
+    assert rc == 2
+    assert json.loads(out)["error"]["code"] == "invalid_input"
+
+
+def test_counterexample_at_the_largest_m():
+    rc, out = run_cli(["counterexample", "--m", "64", "--rho", "0.5"])
+    assert rc == 0 and json.loads(out)["m"] == 64
 
 
 def test_byte_identical_stdout(files):

@@ -15,7 +15,7 @@ from psdcone.core import (MAX_VERTICES, PATTERN_TOL, FactorParams, Graph, Simpli
                           induced_subcomplex, induced_vertex_map, tolerance_scale,
                           underlying_graph)
 from psdcone.chordal import clique_complex, is_chordal
-from psdcone.cycle import CycleMatrix, _edge_params, cycle_edge_complex
+from psdcone.cycle import _edge_params, cycle_edge_complex
 from psdcone.errors import AsymmetricInput
 from psdcone.instances import random_complex, random_params
 
@@ -345,9 +345,6 @@ class TestSymmetricMatrix:
     def test_tolerance_scale(self, xs):
         """One helper gives the scalar loops' values bitwise, and 1 for no entries."""
         assert tolerance_scale(xs) == max(1.0, max(abs(x) for x in xs))
-        m = len(xs) // 2
-        cyc = CycleMatrix.from_arrays(xs[:m], xs[m:2 * m])
-        assert cyc.scale() == max(1.0, max(abs(v) for v in cyc.diag + cyc.cyc))
         arr = np.diag(xs)
         assert SymmetricMatrix(arr).scale() == max(1.0, float(np.abs(arr).max()))
         assert tolerance_scale([]) == tolerance_scale(np.zeros((0, 0))) == 1.0

@@ -257,9 +257,9 @@ def test_scalar_matching_sum_equals_batch_form_bitwise():
         diag = np.abs(rng.standard_normal((300, m))) * 10.0 ** rng.uniform(-3, 3, (300, 1))
         cyc = rng.standard_normal((300, m)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
         sq = cyc ** 2
-        for full_path in tridiagonal_minors(diag, sq[:, : m - 1]):
+        for full_path in tridiagonal_minors(diag.T, sq[:, : m - 1].T):
             pass
-        batch = full_path - sq[:, m - 1] * path_det(diag[:, 1: m - 1], sq[:, 1: m - 2])
+        batch = full_path - sq[:, m - 1] * path_det(diag[:, 1: m - 1].T, sq[:, 1: m - 2].T)
         for row in range(300):
             scalar = matching_sum(CycleMatrix.from_arrays(diag[row], cyc[row]))
             assert scalar.hex() == float(batch[row]).hex(), (m, row)

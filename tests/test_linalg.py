@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from psdcone import linalg
 from psdcone.chordal import is_chordal, ordering_clique_complex
-from psdcone.core import SymmetricMatrix
-from psdcone.cycle import counterexample_sigma
+from psdcone.core import SymmetricMatrix, cycle_graph
+from psdcone.cycle import CycleMatrix, counterexample_sigma, cycle_membership
+from psdcone.decide import membership
 from psdcone.errors import NotPsd, SingularBlock
 from psdcone.instances import random_chordal_graph, random_params
 from psdcone.linalg import _semidef_cholesky, is_psd, schur_complement, sign_flip
 from psdcone.param import phi
 
-from oracles import (cholesky, exact_psd, random_psd_matrix, semidef_cholesky_dense,
-                     tridiagonal_det)
+from oracles import (cholesky, exact_psd, path_graph, random_psd_matrix,
+                     semidef_cholesky_dense, tridiagonal_det)
 
 
 def assert_factor_matches_dense(arr, tol=1e-9):
@@ -44,21 +45,44 @@ def assert_factor_matches_dense(arr, tol=1e-9):
 
 class TestIsPsd:
     def test_identity(self):
-        rep = is_psd(SymmetricMatrix(np.eye(3)))
-        assert rep.is_psd
-        assert rep.min_eigenvalue == pytest.approx(1.0)
+        assert is_psd(SymmetricMatrix(np.eye(3))) is True
 
     def test_indefinite(self):
-        assert not is_psd(SymmetricMatrix(np.diag([1.0, -1.0]))).is_psd
+        assert is_psd(SymmetricMatrix(np.diag([1.0, -1.0]))) is False
 
     def test_equicorrelation_eigenvalues(self):
         # 1*I + 0.9*(J - I): eigenvalues 1 + 2*0.9 and 1 - 0.9 (twice)
         arr = np.full((3, 3), 0.9)
         np.fill_diagonal(arr, 1.0)
-        rep = is_psd(SymmetricMatrix(arr))
-        assert rep.is_psd
+        assert is_psd(SymmetricMatrix(arr))
         eigs = np.linalg.eigvalsh(arr)
         assert np.allclose(sorted(eigs), [0.1, 0.1, 2.8])
+
+
+class TestZeroTolerance:
+    """At tol 0 a zero pivot beside a nonzero entry is not PSD; it has no pivot
+    tol to be eliminated as."""
+
+    PATH = [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
+
+    def test_chordal_path(self):
+        sigma = SymmetricMatrix(self.PATH)
+        with pytest.raises(NotPsd, match="zero pivot at position 1"):
+            _semidef_cholesky(sigma.a, 0.0)
+        assert membership(sigma, path_graph(3), tol=0.0).not_psd is not None
+        assert is_psd(sigma, 0.0) is False
+
+    def test_four_cycle(self):
+        sigma = CycleMatrix.from_arrays([1.0] * 4, [1.0, 0.5, 0.5, 0.5])
+        with pytest.raises(NotPsd, match="zero pivot at vertex 1"):
+            cycle_membership(sigma, 0.0)
+        assert membership(sigma.to_symmetric(), cycle_graph(4), tol=0.0).not_psd is not None
+        assert is_psd(sigma.to_symmetric(), 0.0) is False
+
+    def test_exact_zero_columns_stay_psd(self):
+        assert is_psd(SymmetricMatrix(np.ones((3, 3))), 0.0)
+        assert cycle_membership(CycleMatrix.from_arrays([1.0] * 4, [1.0, 0.0, 1.0, 0.0]),
+                                0.0).member
 
 
 class TestCholesky:
@@ -188,7 +212,7 @@ def _exact_case(m, kind, seed):
 
 
 class TestExactOracle:
-    """The kernel's PSD decisions against exact rational arithmetic.
+    """The kernel's PSD decisions, and ``is_psd``'s, against exact rational arithmetic.
 
     With T = diag(Sigma): if Sigma - 2 tol T is PSD, every correlation-form
     pivot is at least 2 tol and the kernel accepts.  If the kernel accepts with
@@ -215,11 +239,13 @@ class TestExactOracle:
     def test_kernel_decides_within_its_bound(self, m, kind, seed):
         tol = 1e-9
         arr = _exact_case(m, kind, seed)
+        psd = is_psd(SymmetricMatrix(arr), tol)
         try:
             cols = _semidef_cholesky(arr, tol)
         except NotPsd:
-            assert not exact_psd(arr, -2 * tol)
+            assert not psd and not exact_psd(arr, -2 * tol)
             return
+        assert psd
         small = sum(arr[k, k] != 0.0 and (col is None or col[1][0] ** 2 <= 2 * tol * arr[k, k])
                     for k, col in enumerate(cols))
         assert exact_psd(arr, 2 * (1 + small) * tol)
@@ -259,7 +285,7 @@ class TestSchurComplement:
                 comp = schur_complement(sig, u)
             except SingularBlock:
                 continue
-            assert is_psd(comp, 1e-8).is_psd
+            assert is_psd(comp, 1e-8)
 
 
 class TestSignFlip:

@@ -111,7 +111,7 @@ class TestPhi:
         for _ in range(50):
             delta = random_complex(rng, int(rng.integers(2, 8)))
             gamma = random_params(rng, delta, density=0.8)
-            assert is_psd(phi(delta, gamma)).is_psd
+            assert is_psd(phi(delta, gamma))
 
     @given(st.integers(0, 10_000), st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdcone.cli import main
+from psdcone.core import SymmetricMatrix
+from psdcone.linalg import is_psd
 
 _SPEC = importlib.util.spec_from_file_location(
     "scale_contract", Path(__file__).resolve().parents[1] / "scripts" / "scale_contract.py")
@@ -73,7 +75,9 @@ PATH = [(0, 1), (1, 2)]
 
 
 def assert_not_psd(a, edges):
-    """membership exits 1 not_psd, and fiber --chordal exits 2 not_psd."""
+    """membership exits 1 not_psd, fiber --chordal exits 2 not_psd, and
+    is_psd says False."""
+    assert is_psd(SymmetricMatrix(a)) is False
     with tempfile.TemporaryDirectory() as directory:
         rc, out = run(directory, ["membership"], a, edges)
         assert rc == 1 and out["member"] is False and out["reason"] == "not_psd"

@@ -149,8 +149,8 @@ print(json.dumps({"loaded_at_import": loaded_at_import, "submodules": mods,
 
 PUBLIC = {
     "CycleFiber", "CycleMatrix", "Decision", "EliminationOrdering", "FactorMatrix",
-    "FactorParams", "Graph", "LatentSystem", "MembershipVerdict", "PsdReport",
-    "QuotientWitness", "RankOneTerm", "SimplicialComplex", "SymmetricMatrix", "VolumeEstimate",
+    "FactorParams", "Graph", "LatentSystem", "MembershipVerdict", "QuotientWitness",
+    "RankOneTerm", "SimplicialComplex", "SymmetricMatrix", "VolumeEstimate",
     "build_digraph", "build_factor_matrix", "chordal_fiber", "clique_complex",
     "complex_quotient", "conditional_precision", "cone_add", "counterexample_det",
     "counterexample_sigma", "covariance_identity", "cycle_edge_complex", "cycle_fiber",

@@ -74,6 +74,8 @@ class TestEstimateVolume:
             estimate_volume(3, 0, seed=0)
         with pytest.raises(ValueError, match="workers"):
             estimate_volume(3, 10, seed=0, workers=volume.MAX_WORKERS + 1)
+        with pytest.raises(ValueError, match=f"m <= {volume.MAX_M}, got {volume.MAX_M + 1}"):
+            estimate_volume(volume.MAX_M + 1, 1, seed=0)
 
 
 @contextlib.contextmanager
@@ -211,7 +213,7 @@ class TestStagedCandidates:
                 return coords[rows, j]
 
             rows, d, c = volume._staged_candidates(draw, n, m)
-            minors = list(tridiagonal_minors(diag, cyc[:, : m - 1] ** 2))[: m - 1]
+            minors = list(tridiagonal_minors(diag.T, cyc[:, : m - 1].T ** 2))[: m - 1]
             expected = np.flatnonzero(np.all(np.array(minors) > 0, axis=0))
             assert expected.size > 0 and expected[0] >= 5
             assert np.array_equal(rows, expected), m
