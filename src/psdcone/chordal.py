@@ -17,7 +17,7 @@ from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    _bit_positions, as_face, underlying_graph)
 from .errors import InternalInconsistency, NotChordal, PatternViolation, TooManyCliques
 # is_psd is not called here; perfbench/spans.py wraps it by this name
-from .linalg import DEFAULT_TOL, _semidef_cholesky, is_psd  # noqa: F401
+from .linalg import DEFAULT_TOL, _semidef_cholesky, check_tol, is_psd  # noqa: F401
 
 CLIQUE_GUARD = 10 ** 6
 
@@ -187,6 +187,7 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) ->
     columns are distinct (each contains its own pivot as least element), so
     every column lands on its own face.
     """
+    check_tol(tol)
     if sigma.m != g.m:
         raise ValueError("matrix and graph sizes differ")
     ok, info = is_chordal(g)

@@ -26,7 +26,7 @@ from .errors import (AsymmetricInput, Degenerate, InternalInconsistency,
                      NotChordal, NotMember, NotPsd, PatternViolation,
                      PsdConeError, TooManyCliques, Undecidable, ZeroDiagonal,
                      ZeroDiagonalParam)
-from .linalg import DEFAULT_TOL, schur_complement
+from .linalg import DEFAULT_TOL, check_tol, schur_complement
 
 # The names the commands take from modules that not every command runs, by
 # module.  main loads a command's modules (its ``uses`` in build_parser)
@@ -318,14 +318,16 @@ def _at_least_one(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type: a float strictly between 0 and 1."""
+    """argparse type: a float that ``check_tol`` accepts."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value < 1.0:  # NaN fails the comparison too
-        raise argparse.ArgumentTypeError(f"must be between 0 and 1, exclusive, got {text}")
-    return value
+    try:
+        return check_tol(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be between 0 and 1, exclusive, got {text}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,7 +32,7 @@ from .core import (PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
 from .errors import (Degenerate, InternalInconsistency, NotMember, NotPsd,
                      PatternViolation)
 # is_psd is not called here; perfbench/spans.py wraps it by this name
-from .linalg import DEFAULT_TOL, is_psd, path_det, zero_pivot  # noqa: F401
+from .linalg import DEFAULT_TOL, check_tol, is_psd, path_det, zero_pivot  # noqa: F401
 
 
 @functools.lru_cache(maxsize=64)  # one entry per documented size m <= 64
@@ -244,6 +244,12 @@ def _bordered_ldl(e, r, tol: float) -> tuple[float, float, float]:
     return min(lo, p, last), lead * det2, lead * flip2
 
 
+def _agreement(tol: float, m: int) -> float:
+    """sqrt(tol), but at least the 4 m eps two O(m) recurrences may round apart
+    (a PSD cycle's expansion and LDL^T slacks differ by under 0.4 m eps)."""
+    return max(math.sqrt(tol), 4 * m * sys.float_info.epsilon)
+
+
 def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Membership of a PSD cycle-patterned matrix in the image cone, in O(m).
 
@@ -254,13 +260,13 @@ def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> Membership
     expansion of R is evaluated independently and must agree; ties within
     tolerance resolve to member with the boundary flag set.
     """
-    s, e, r = _correlation(sigma, tol)
+    s, e, r = _correlation(sigma, check_tol(tol))
     min_pivot, det_r, flip_r = _bordered_ldl(e, r, tol)
     slack_r = min(det_r, flip_r)
 
     slack_matching = matching_sum(CycleMatrix(e, r)) - 2.0 * abs(math.prod(r))
-    if abs(slack_matching - slack_r) > math.sqrt(tol) * max(1.0, abs(slack_matching),
-                                                            abs(slack_r)):
+    if abs(slack_matching - slack_r) > _agreement(tol, len(r)) * max(
+            1.0, abs(slack_matching), abs(slack_r)):
         raise InternalInconsistency(
             f"matching expansion {slack_matching!r} vs pivot product {slack_r!r}"
         )
@@ -372,7 +378,7 @@ def _propagate_forward(d, c, tol):
     for i in range(1, m):
         t = d[i] - prev * prev
         if t < 0:
-            if t < -math.sqrt(tol):
+            if t < -_agreement(tol, m):
                 raise Degenerate(f"negative propagated square {t:.3e} at vertex {i}")
             t = 0.0
         p = math.sqrt(t)
@@ -386,7 +392,7 @@ def _propagate_forward(d, c, tol):
         prev = q
     t0 = d[0] - prev * prev
     if t0 < 0:
-        if t0 < -math.sqrt(tol):
+        if t0 < -_agreement(tol, m):
             raise Degenerate(f"negative closing square {t0:.3e}")
         t0 = 0.0
     pairs[0] = (math.sqrt(t0), 0.0)
@@ -408,7 +414,8 @@ def _propagate_root(d, c, t0, tol):
         if t[i] <= 0.0:
             return None
     closure = abs(d[0] - c[m - 1] * c[m - 1] / t[m - 1] - t[0])
-    if closure > math.sqrt(tol):
+    # t0, a quartic root, is known to about sqrt(eps) near a double root
+    if closure > max(math.sqrt(tol), math.sqrt(sys.float_info.epsilon)):
         return None
     pairs = []
     for k in range(m):
@@ -465,7 +472,7 @@ def _fiber_edges(verdict: MembershipVerdict, tol: float) -> list[tuple[list, lis
             )
         disc = b * b - 4.0 * a * cc
         if disc < 0.0:
-            if disc < -math.sqrt(tol) * max(1.0, b * b):
+            if disc < -_agreement(tol, m) * max(1.0, b * b):
                 raise InternalInconsistency(f"negative discriminant {disc!r} for a member")
             disc = 0.0
         q = -0.5 * (b + math.sqrt(disc))

@@ -17,7 +17,7 @@ from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix, edge
                    within_units)
 from .errors import (Degenerate, InternalInconsistency, NotPsd, PatternViolation,
                      Undecidable)
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, check_tol
 from .param import phi
 
 
@@ -67,6 +67,7 @@ def membership(sigma: SymmetricMatrix, graph: Graph, complex: SimplicialComplex 
     Raises ValueError when the sizes differ, PatternViolation when sigma is
     nonzero off the graph, and Undecidable when neither test applies.
     """
+    check_tol(tol)
     if not sigma.respects_pattern(graph):  # a ValueError when the sizes differ
         raise PatternViolation("matrix has a nonzero entry at a non-edge of the graph")
     order = _cycle_order(graph)

@@ -22,8 +22,17 @@ DEFAULT_TOL = 1e-9
 COND_LIMIT = 1e12
 
 
+def check_tol(tol: float) -> float:
+    """A decision's tol, refused with ValueError unless 0 < tol < 1 (NaN too)."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be between 0 and 1, exclusive, got {tol!r}")
+    return tol
+
+
 def is_psd(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> bool:
-    """Whether sigma is PSD by the decisions' rule: ``_semidef_cholesky`` at tol."""
+    """Whether sigma is PSD by the decisions' rule: ``_semidef_cholesky`` at tol (or 0)."""
+    if tol:
+        check_tol(tol)
     try:
         _semidef_cholesky(sigma.a, tol)
     except NotPsd:

@@ -8,14 +8,13 @@ supports are strictly smaller faces) down to smaller faces.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (Face, FactorMatrix, FactorParams, SimplicialComplex,
                    SymmetricMatrix, as_face, face_key, induced_subcomplex,
-                   induced_vertex_map)
+                   induced_vertex_map, tolerance_scale)
 
 RAY_DROP_TOL = 1e-12
 
@@ -96,60 +95,53 @@ def _nonzero_columns(gamma: FactorParams):
         yield face, _column(entries, gamma.complex.m)
 
 
-def _lq_columns(block: np.ndarray) -> np.ndarray:
-    """Lower-trapezoidal L with L L^T = block block^T (QR of the transpose).
-
-    Column j of L has support in rows j.., which is what keeps re-factored
-    columns inside nested sub-faces; QR on the raw columns avoids squaring
-    the conditioning the way forming the Gram matrix would.
-    """
-    r = np.linalg.qr(block.T, mode="r")
-    return r.T
-
-
 def _combine_columns(delta: SimplicialComplex, blocks) -> FactorParams:
     """Merge a multiset of face-supported columns into one parameter vector.
 
     blocks: iterable of (face, k x m array whose rows are columns with support
     inside the face); several blocks may name the same face.  The result
     gamma satisfies Gamma(gamma) Gamma(gamma)^T = sum of the column outer
-    products.  Faces are processed largest-first (ties by the canonical
-    order); at each face the stacked columns, in the order they arrived, are
-    re-factored into triangular form, the leading column is kept, and the
-    trailing columns are pushed onto the faces given by their supports.
+    products.  A face's columns, in the order they arrived, are re-factored
+    into lower-trapezoidal L = R^T (QR of their rows: no Gram matrix squares
+    the conditioning); L's leading column is kept, and column j >= 1, on rows
+    j.., is pushed onto the strictly smaller face of its support.  So faces go
+    one size at a time, largest first, each complete when its size starts:
+    one stacked QR per row count (bitwise the per-face QR; one row is its own
+    R), then the faces emit and push in canonical order.
     """
-    pending: dict[Face, list[np.ndarray]] = {}
-    heap: list[tuple[int, Face]] = []
-    scale = 1.0
-
-    def push(face: Face, rows: np.ndarray):
-        if face not in pending:
-            heapq.heappush(heap, (-len(face), face))
-            pending[face] = []
-        pending[face].append(rows)
-
+    blocks = [(face, np.asarray(rows, dtype=float)) for face, rows in blocks]
+    drop = RAY_DROP_TOL * (tolerance_scale(np.concatenate([r for _, r in blocks]))
+                           if blocks else 1.0)
+    pending: dict[Face, list[list[float]]] = {}  # face -> its rows, face-local
     for face, rows in blocks:
         if not delta.has_face(face):
             raise ValueError(f"column support {face} is not a face")
-        rows = np.asarray(rows, dtype=float)
-        scale = max(scale, float(np.abs(rows).max()))
-        push(as_face(face), rows)
+        face = as_face(face)
+        pending.setdefault(face, []).extend(rows[:, list(face)].tolist())
 
     out: dict[tuple[Face, int], float] = {}
-    while heap:
-        _, face = heapq.heappop(heap)
-        verts = np.array(face)
-        ell = _lq_columns(np.vstack(pending.pop(face))[:, verts].T)
-        for i, v in zip(face, ell[:, 0].tolist()):
-            if v != 0.0:
-                out[(face, i)] = v
-        trailing = ell[:, 1:]
-        supp = np.abs(trailing) > RAY_DROP_TOL * scale
-        full = np.zeros((trailing.shape[1], delta.m))
-        full[:, verts] = np.where(supp, trailing, 0.0).T
-        for j in np.flatnonzero(supp.any(axis=0)).tolist():
-            push(tuple(verts[supp[:, j]].tolist()), full[j:j + 1])
-    return FactorParams(delta, out)
+    while pending:
+        size = max(map(len, pending))
+        level = sorted(f for f in pending if len(f) == size)
+        by_rows: dict[int, list[Face]] = {}
+        for face in level:
+            by_rows.setdefault(len(pending[face]), []).append(face)
+        factored = {}
+        for k, faces in by_rows.items():
+            x = np.array([row for f in faces for row in pending.pop(f)]).reshape(-1, k, size)
+            r = x if k == 1 else np.linalg.qr(x, mode="r")
+            factored.update(zip(faces, zip(r[:, 0].tolist(), r[:, 1:].tolist(),
+                                           (np.abs(r[:, 1:]) > drop).tolist())))
+        for face in level:
+            lead, trailing, supp = factored[face]
+            for i, v in zip(face, lead):
+                if v != 0.0:
+                    out[(face, i)] = v
+            for row, on in zip(trailing, supp):
+                if any(on):
+                    pending.setdefault(tuple(v for v, b in zip(face, on) if b), []).append(
+                        [t for t, b in zip(row, on) if b])
+    return FactorParams._trusted(delta, out)
 
 
 def cone_add(delta: SimplicialComplex, g1: FactorParams, g2: FactorParams) -> FactorParams:
@@ -179,8 +171,7 @@ def extreme_decomposition(delta: SimplicialComplex, gamma: FactorParams) -> list
     terms: list[RankOneTerm] = []
     for facet in sorted(groups, key=face_key):
         idx = list(facet)
-        block = np.array([c[idx] for c in groups[facet]]).T
-        ell = _lq_columns(block)
+        ell = np.linalg.qr(np.array([c[idx] for c in groups[facet]]), mode="r").T
         for j in range(ell.shape[1]):
             col = ell[:, j]
             if np.linalg.norm(col) <= RAY_DROP_TOL * scale:

@@ -16,7 +16,7 @@ import numpy as np
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    _dominated, _vertex_bitsets, as_face, induced_vertex_map)
 from .errors import ZeroDiagonal
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, check_tol
 from .param import _combine_columns, _nonzero_columns, phi
 
 
@@ -122,6 +122,7 @@ def schur_witness(delta: SimplicialComplex, gamma: FactorParams, u: int,
     Columns landing on the same face are merged by re-factoring: the face's
     original column first, then its pair columns in pair order.
     """
+    check_tol(tol)
     if gamma.complex != delta:
         raise ValueError("parameters belong to a different complex")
     if not 0 <= u < delta.m:

@@ -16,12 +16,12 @@ import numpy as np
 from psdcone.chordal import (_chordless_cycle_through, _perfect_check, is_chordal,
                              maximum_cardinality_search)
 from psdcone.core import (PATTERN_TOL, Face, FactorParams, Graph, SimplicialComplex,
-                          SymmetricMatrix, as_face, face_key, induced_subcomplex,
+                          SymmetricMatrix, _malformed, as_face, face_key, induced_subcomplex,
                           induced_vertex_map)
 from psdcone.cycle import CycleMatrix, cycle_edge_complex
 from psdcone.errors import NotPsd, ZeroDiagonal
 from psdcone.linalg import DEFAULT_TOL, _semidef_cholesky, path_det
-from psdcone.param import RAY_DROP_TOL, _lq_columns, _nonzero_columns
+from psdcone.param import RAY_DROP_TOL, _nonzero_columns
 from psdcone.quotient import QuotientWitness
 from psdcone.volume import _batch_masks
 
@@ -279,6 +279,11 @@ def complex_quotient_by_faces(delta: SimplicialComplex, block) -> SimplicialComp
     return SimplicialComplex.from_facets(len(keep), facets)
 
 
+def _lq_columns(block: np.ndarray) -> np.ndarray:
+    """Lower-trapezoidal L with L L^T = block block^T (QR of the transpose)."""
+    return np.linalg.qr(block.T, mode="r").T
+
+
 def combine_columns_by_column(delta: SimplicialComplex, columns) -> FactorParams:
     """``param._combine_columns`` on (face, length-m vector) pairs, one column
     at a time."""
@@ -320,6 +325,26 @@ def combine_columns_by_column(delta: SimplicialComplex, columns) -> FactorParams
                     full[i] = v
             push(sub, full)
     return FactorParams(delta, out)
+
+
+def combine_blocks_by_column(delta: SimplicialComplex, blocks) -> FactorParams:
+    """``param._combine_columns`` on its (face, k x m block) input, one row at
+    a time through ``combine_columns_by_column``."""
+    return combine_columns_by_column(delta, [(face, row) for face, rows in blocks
+                                             for row in np.asarray(rows, dtype=float)])
+
+
+def params_from_json_by_record(delta: SimplicialComplex, d) -> FactorParams:
+    """``FactorParams.from_json_dict`` making every record's face canonical and
+    building through the validating constructor."""
+    vals = {}
+    try:
+        for rec in d["values"]:
+            face = as_face(int(v) - 1 for v in rec["face"])
+            vals[(face, int(rec["vertex"]) - 1)] = float(rec["gamma"])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise _malformed("params", exc) from None
+    return FactorParams(delta, vals)
 
 
 def cone_add_by_column(delta: SimplicialComplex, g1: FactorParams,

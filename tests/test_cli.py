@@ -794,6 +794,20 @@ def test_tol_outside_the_open_unit_interval_is_refused(command, tol):
             or "argument --tol: invalid float value" in err)
 
 
+@pytest.mark.parametrize("tol", ["1e-300", "1e-40"])
+def test_cycle_commands_at_a_tol_below_rounding(files, tol):
+    """The PD 4-cycle (unit diagonal, 0.3 on its edges) prints what it prints at
+    the default tol: the cycle checks' bounds keep a rounding floor."""
+    matrix = files("s.json", {"m": 4, "entries": (np.eye(4) + 0.3 * (
+        np.roll(np.eye(4), 1, axis=1) + np.roll(np.eye(4), -1, axis=1))).tolist()})
+    graph = files("g.json", {"m": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]})
+    for argv in (["membership", "--matrix", matrix, "--graph", graph],
+                 ["cycle-check", "--matrix", matrix], ["cycle-fiber", "--matrix", matrix]):
+        rc, out, err = outcome(argv + ["--tol", tol])
+        assert (rc, out, err) == outcome(argv)
+        assert rc == 0 and out
+
+
 @pytest.mark.parametrize("argv", [["counterexample", "--m", "100000", "--rho", "0.5"],
                                   ["counterexample", "--m", "2", "--rho", "0.5"],
                                   ["volume", "--m", "17", "--samples", "1"],

@@ -19,8 +19,9 @@ from psdcone.cycle import _edge_params, cycle_edge_complex
 from psdcone.errors import AsymmetricInput
 from psdcone.instances import random_complex, random_params
 
-from oracles import (complete_graph, dominated_scan, gamma_edge, has_face_scan, path_graph,
-                     pattern_graph, pattern_mask_from_edges)
+from oracles import (complete_graph, dominated_scan, gamma_edge, has_face_scan,
+                     params_from_json_by_record, path_graph, pattern_graph,
+                     pattern_mask_from_edges)
 
 
 def graphs(max_m=7):
@@ -356,6 +357,67 @@ class TestSymmetricMatrix:
         assert np.array_equal(again.a, sig.a)
 
 
+def _with(records, k, **fields):
+    """records with fields of record k replaced (the others shared)."""
+    return records[:k] + [dict(records[k], **fields)] + records[k + 1:]
+
+
+# One edit of a params file's records at record k, given m; each makes the
+# reader take another path: the cache, a repeated incidence, or a fault.
+RECORD_EDITS = {
+    "rotate": lambda recs, k, m: recs[k:] + recs[:k],
+    "repeat": lambda recs, k, m: recs + [dict(recs[k], gamma=0.75)],
+    "reversed face": lambda recs, k, m: _with(recs, k, face=recs[k]["face"][::-1]),
+    "repeated vertex": lambda recs, k, m: _with(recs, k, face=recs[k]["face"] * 2),
+    "string labels": lambda recs, k, m: _with(recs, k, face=[str(v) for v in recs[k]["face"]],
+                                              vertex=str(recs[k]["vertex"])),
+    "float labels": lambda recs, k, m: _with(recs, k, face=[v + 0.5 for v in recs[k]["face"]],
+                                             vertex=float(recs[k]["vertex"])),
+    "bad string label": lambda recs, k, m: _with(recs, k, face=["x"]),
+    "outside ground set": lambda recs, k, m: _with(recs, k, face=recs[k]["face"] + [m + 1]),
+    "not a face": lambda recs, k, m: _with(recs, k, face=list(range(1, m + 1))),
+    "empty face": lambda recs, k, m: _with(recs, k, face=[]),
+    "vertex not in face": lambda recs, k, m: _with(recs, k, vertex=m + 1),
+    "nan gamma": lambda recs, k, m: _with(recs, k, gamma=float("nan")),
+    "inf gamma": lambda recs, k, m: _with(recs, k, gamma="-inf"),
+    "null gamma": lambda recs, k, m: _with(recs, k, gamma=None),
+    "unhashable label": lambda recs, k, m: _with(recs, k, face=recs[k]["face"] + [[1]]),
+    "face not a list": lambda recs, k, m: _with(recs, k, face=None),
+}
+
+
+@st.composite
+def params_files(draw):
+    """(complex, params JSON): a random complex's parameters with up to four
+    RECORD_EDITS at drawn records."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    delta = random_complex(rng, draw(st.integers(1, 6)), max_size=4)
+    records = random_params(rng, delta, density=draw(st.sampled_from([0.3, 1.0]))
+                            ).to_json_dict()["values"]
+    for edit in draw(st.lists(st.sampled_from(sorted(RECORD_EDITS)), max_size=4)):
+        if records:
+            k = draw(st.integers(0, len(records) - 1))
+            face = records[k]["face"]
+            if isinstance(face, list) and all(type(v) is int for v in face):  # as edits expect
+                records = RECORD_EDITS[edit](records, k, delta.m)
+    return delta, {"values": records}
+
+
+def _assert_same_reading(delta, d):
+    """FactorParams.from_json_dict and the per-record reader return equal
+    parameters, in equal order, or raise one exception with one message."""
+    def read(fn):
+        try:
+            return fn(delta, d)
+        except (ValueError, TypeError, KeyError) as exc:
+            return exc
+    got, want = read(FactorParams.from_json_dict), read(params_from_json_by_record)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want and list(got.values) == list(want.values)
+
+
 class TestFactorParams:
     def test_rejects_bad_incidence(self):
         delta = SimplicialComplex.from_facets(3, [[0, 1], [1, 2]])
@@ -433,3 +495,35 @@ class TestFactorParams:
         g = FactorParams(delta, {((0, 1), 0): 1.5, ((1,), 1): -0.25})
         again = FactorParams.from_json_dict(delta, g.to_json_dict())
         assert again == g
+
+    @pytest.mark.parametrize("edit", sorted(RECORD_EDITS))
+    def test_reader_matches_per_record_oracle_per_edit(self, edit):
+        rng = np.random.default_rng(7)
+        delta = random_complex(rng, 5, max_size=3)
+        records = random_params(rng, delta).to_json_dict()["values"]
+        for k in range(len(records)):
+            _assert_same_reading(delta, {"values": RECORD_EDITS[edit](records, k, delta.m)})
+
+    @given(params_files())
+    @settings(max_examples=200, deadline=None)
+    def test_reader_matches_per_record_oracle(self, case):
+        _assert_same_reading(*case)
+
+    def test_reader_checks_each_distinct_file_face_once(self, monkeypatch):
+        delta = SimplicialComplex.from_facets(3, [[0, 1, 2]])
+        queried = []
+        has_face = SimplicialComplex.has_face
+        monkeypatch.setattr(SimplicialComplex, "has_face",
+                            lambda self, f: queried.append(f) or has_face(self, f))
+        records = [{"face": face, "vertex": v, "gamma": 1.0}
+                   for face in ([1, 2, 3], [3, 2, 1], [1, 2, 3]) for v in (1, 2, 3)]
+        FactorParams.from_json_dict(delta, {"values": records})
+        assert sorted(queried) == [(0, 1, 2), (0, 1, 2)]  # two spellings of one face
+
+    def test_unhashable_face_label_keeps_its_message(self):
+        delta = SimplicialComplex.from_facets(2, [[0, 1]])
+        with pytest.raises(ValueError) as exc:
+            FactorParams.from_json_dict(delta, {"values": [
+                {"face": [1, [2]], "vertex": 1, "gamma": 1.0}]})
+        assert str(exc.value) == ("params JSON: int() argument must be a string, a bytes-like "
+                                  "object or a real number, not 'list'")

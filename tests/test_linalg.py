@@ -1,19 +1,23 @@
 """Numerical kernel checks against hand values and dense oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdcone import linalg
-from psdcone.chordal import is_chordal, ordering_clique_complex
-from psdcone.core import SymmetricMatrix, cycle_graph
-from psdcone.cycle import CycleMatrix, counterexample_sigma, cycle_membership
-from psdcone.decide import membership
+from psdcone.chordal import chordal_fiber, is_chordal, ordering_clique_complex
+from psdcone.core import FactorParams, SimplicialComplex, SymmetricMatrix, cycle_graph
+from psdcone.cycle import (CycleMatrix, _bordered_ldl, counterexample_sigma, cycle_fiber,
+                           cycle_membership)
+from psdcone.decide import chordal_certificate, membership
 from psdcone.errors import NotPsd, SingularBlock
 from psdcone.instances import random_chordal_graph, random_params
 from psdcone.linalg import _semidef_cholesky, is_psd, schur_complement, sign_flip
 from psdcone.param import phi
+from psdcone.quotient import schur_witness
 
 from oracles import (cholesky, exact_psd, path_graph, random_psd_matrix,
                      semidef_cholesky_dense, tridiagonal_det)
@@ -61,7 +65,8 @@ class TestIsPsd:
 
 class TestZeroTolerance:
     """At tol 0 a zero pivot beside a nonzero entry is not PSD; it has no pivot
-    tol to be eliminated as."""
+    tol to be eliminated as.  Both kernels and ``is_psd`` take tol 0; the
+    decisions refuse it."""
 
     PATH = [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
 
@@ -69,20 +74,69 @@ class TestZeroTolerance:
         sigma = SymmetricMatrix(self.PATH)
         with pytest.raises(NotPsd, match="zero pivot at position 1"):
             _semidef_cholesky(sigma.a, 0.0)
-        assert membership(sigma, path_graph(3), tol=0.0).not_psd is not None
         assert is_psd(sigma, 0.0) is False
+        with pytest.raises(ValueError, match="tol must be between 0 and 1"):
+            membership(sigma, path_graph(3), tol=0.0)
 
     def test_four_cycle(self):
         sigma = CycleMatrix.from_arrays([1.0] * 4, [1.0, 0.5, 0.5, 0.5])
         with pytest.raises(NotPsd, match="zero pivot at vertex 1"):
-            cycle_membership(sigma, 0.0)
-        assert membership(sigma.to_symmetric(), cycle_graph(4), tol=0.0).not_psd is not None
+            _bordered_ldl(sigma.diag, sigma.cyc, 0.0)
         assert is_psd(sigma.to_symmetric(), 0.0) is False
+        with pytest.raises(ValueError, match="tol must be between 0 and 1"):
+            cycle_membership(sigma, 0.0)
 
     def test_exact_zero_columns_stay_psd(self):
         assert is_psd(SymmetricMatrix(np.ones((3, 3))), 0.0)
-        assert cycle_membership(CycleMatrix.from_arrays([1.0] * 4, [1.0, 0.0, 1.0, 0.0]),
-                                0.0).member
+        _, det, flip = _bordered_ldl((1.0,) * 4, (1.0, 0.0, 1.0, 0.0), 0.0)
+        assert min(det, flip) >= 0.0
+
+
+# The PD 4-cycle with unit diagonal and 0.3 on its edges, and a triangle's
+# parameters: inputs every decision entry point accepts at the default tol.
+PD_FOUR_CYCLE = CycleMatrix.from_arrays([1.0] * 4, [0.3] * 4)
+TRIANGLE = SimplicialComplex.from_facets(3, [[0, 1, 2]])
+DECISIONS = {
+    "membership": lambda tol: membership(PD_FOUR_CYCLE.to_symmetric(), cycle_graph(4), tol=tol),
+    "chordal_certificate": lambda tol: chordal_certificate(
+        SymmetricMatrix(np.eye(3)), path_graph(3), tol=tol),
+    "chordal_fiber": lambda tol: chordal_fiber(path_graph(3), SymmetricMatrix(np.eye(3)), tol),
+    "cycle_membership": lambda tol: cycle_membership(PD_FOUR_CYCLE, tol),
+    "cycle_fiber": lambda tol: cycle_fiber(PD_FOUR_CYCLE, tol),
+    "schur_witness": lambda tol: schur_witness(
+        TRIANGLE, FactorParams(TRIANGLE, {((0, 1, 2), i): 1.0 for i in range(3)}), 0, tol=tol),
+}
+
+
+class TestTolContract:
+    """Decisions take a tol in (0, 1) only; ``is_psd`` takes 0 as well."""
+
+    @pytest.mark.parametrize("entry", sorted(DECISIONS))
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, math.inf, math.nan])
+    def test_decisions_refuse_tol_outside_the_open_unit_interval(self, entry, tol):
+        with pytest.raises(ValueError, match="tol must be between 0 and 1, exclusive"):
+            DECISIONS[entry](tol)
+
+    @pytest.mark.parametrize("entry", sorted(DECISIONS))
+    @pytest.mark.parametrize("tol", [1e-300, 1e-40, 1e-9, 0.5])
+    def test_decisions_take_tol_inside_it(self, entry, tol):
+        DECISIONS[entry](tol)
+
+    def test_cycle_membership_below_rounding(self):
+        """The expansion and the pivot product differ in the last bit; the
+        cross-check's rounding floor takes that at any tol."""
+        for tol in (1e-300, 1e-40):
+            verdict = cycle_membership(PD_FOUR_CYCLE, tol)
+            assert verdict == cycle_membership(PD_FOUR_CYCLE)
+            assert verdict.member and verdict.det == 0.64
+
+    @pytest.mark.parametrize("tol", [-1.0, 1.0, 2.0, math.inf, math.nan])
+    def test_is_psd_refuses_tol_outside_zero_to_one(self, tol):
+        with pytest.raises(ValueError, match="tol must be between 0 and 1"):
+            is_psd(PD_FOUR_CYCLE.to_symmetric(), tol)
+
+    def test_is_psd_takes_zero(self):
+        assert is_psd(PD_FOUR_CYCLE.to_symmetric(), 0.0)
 
 
 class TestCholesky:

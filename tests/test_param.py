@@ -2,18 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psdcone.core import (FactorParams, SimplicialComplex, SymmetricMatrix,
                           cycle_graph, edge_complex, underlying_graph)
 from psdcone.instances import random_complex, random_params
 from psdcone.linalg import is_psd, sign_flip
-from psdcone.param import (PHI_DENSE_FACE, build_factor_matrix, cone_add,
-                           extreme_decomposition, phi, submatrix_witness)
+from psdcone.param import (PHI_DENSE_FACE, RAY_DROP_TOL, _combine_columns,
+                           build_factor_matrix, cone_add, extreme_decomposition, phi,
+                           submatrix_witness)
 
-from oracles import (complete_graph, gamma_edge, phi_outer_sum, phi_symmetrized,
-                     scaled_params, with_value)
+from oracles import (combine_blocks_by_column, complete_graph, gamma_edge, phi_outer_sum,
+                     phi_symmetrized, scaled_params, with_value)
 
 
 def three_chain():
@@ -271,3 +272,74 @@ class TestSubmatrixWitness:
             target = phi(delta, gamma).submatrix(sub)
             assert np.abs(phi(witness.complex, witness).a - target.a).max() \
                 <= 1e-10 * target.scale()
+
+
+@st.composite
+def column_blocks(draw):
+    """(m, facets, blocks): a complex on up to 7 vertices and blocks of 1-4
+    rows on its faces, entries zero off the face and now and then near the
+    drop threshold."""
+    m = draw(st.integers(1, 7))
+    facets = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=6, unique=True),
+                           min_size=1, max_size=4))
+    faces = SimplicialComplex.from_facets(m, facets).faces
+    entry = st.one_of(st.floats(-10.0, 10.0, allow_subnormal=False),
+                      st.sampled_from([0.0, RAY_DROP_TOL, -0.5 * RAY_DROP_TOL, 1e-11]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 12))):
+        face = draw(st.sampled_from(faces))
+        rows = [[draw(entry) if v in face else 0.0 for v in range(m)]
+                for _ in range(draw(st.integers(1, 4)))]
+        blocks.append((face, rows))
+    return m, facets, blocks
+
+
+def _same_faces(n, size, rows, m):
+    """n faces of one size in one facet, each with the same number of rows."""
+    faces = [tuple(range(k, k + size)) for k in range(n)]
+    return m, [list(range(m))], [
+        (f, [[float((3 * k + j + v) % 7 - 3) if v in f else 0.0 for v in range(m)]
+             for j in range(rows)]) for k, f in enumerate(faces)]
+
+
+class TestCombineColumns:
+    """The level-by-level re-factoring against one QR per face, row by row."""
+
+    @given(column_blocks())
+    @example(_same_faces(4, 3, 2, 6))  # one stacked QR for the whole level
+    @example((4, [[0, 1, 2], [2, 3]], [((0, 1, 2), [[1.0, -2.0, 3.0, 0.0]]),
+                                        ((2, 3), [[0.0, 0.0, 1.5, -1.0]]),
+                                        ((1,), [[0.0, 4.0, 0.0, 0.0]])]))  # single rows
+    @example((3, [[0, 1, 2]], [((0, 1, 2), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                                ((1, 2), [[0.0, 1.0, 1.0]])]))  # a push onto a pending face
+    @example((3, [[0, 1, 2]], [((0, 1, 2), [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 1e-14],
+                                            [1.0, 2.0 + 1e-14, 4.0]])]))  # dropped entries
+    @settings(max_examples=200, deadline=None)
+    def test_equals_column_oracle(self, case):
+        m, facets, blocks = case
+        delta = SimplicialComplex.from_facets(m, facets)
+        blocks = [(face, np.array(rows)) for face, rows in blocks]
+        got = _combine_columns(delta, blocks)
+        want = combine_blocks_by_column(delta, blocks)
+        assert got.complex == want.complex
+        assert list(got.values) == list(want.values)
+        assert ([float(v).hex() for v in got.values.values()]
+                == [float(v).hex() for v in want.values.values()])
+
+    def test_one_row_qr_is_the_row(self):
+        """LAPACK's Householder step on one row has tau = 0, so R is the row."""
+        rng = np.random.default_rng(0)
+        for s in range(1, 8):
+            for row in (rng.normal(size=s), -np.abs(rng.normal(size=s)), np.zeros(s) - 0.0,
+                        rng.normal(size=s) * 1e-310):
+                r = np.linalg.qr(row[None], mode="r")
+                assert r.tobytes() == row[None].tobytes()
+
+    def test_stacked_qr_is_the_per_matrix_qr(self):
+        rng = np.random.default_rng(1)
+        for k in range(1, 8):
+            for s in range(1, 8):
+                stack = rng.normal(size=(5, k, s))
+                stacked = np.linalg.qr(stack, mode="r")
+                for x, r in zip(stack, stacked):
+                    assert np.linalg.qr(x, mode="r").tobytes() == r.tobytes()
