@@ -490,25 +490,21 @@ class FactorParams:
 
     @classmethod
     def from_json_dict(cls, delta: SimplicialComplex, d: Mapping) -> "FactorParams":
-        """The 1-based records of d["values"], each distinct file face made canonical
-        and checked once; on a fault the validating constructor names the first."""
+        """The 1-based records of d["values"], each distinct file face made canonical once."""
         faces: dict[tuple, Face] = {}  # file face -> canonical 0-based face
-        trusted = True
         vals = {}
         try:
             for rec in d["values"]:
                 raw = tuple(rec["face"])
                 try:
                     face = faces.get(raw)
-                except TypeError:  # an unhashable label: int() raises what it always did
-                    face, trusted = as_face(int(v) - 1 for v in raw), False
+                except TypeError:  # an unhashable label, read uncached: int() raises or reads it as always
+                    face = as_face(int(v) - 1 for v in raw)
                 if face is None:
                     face = faces[raw] = as_face(int(v) - 1 for v in raw)
                 vals[(face, int(rec["vertex"]) - 1)] = float(rec["gamma"])
         except (KeyError, TypeError, OverflowError) as exc:
             raise _malformed("params", exc) from None
-        if trusted and all(map(delta.has_face, faces.values())) and all(i in f for f, i in vals):
-            return cls._trusted(delta, vals)
         return cls(delta, vals)
 
 
