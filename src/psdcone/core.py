@@ -498,7 +498,7 @@ class FactorParams:
                 raw = tuple(rec["face"])
                 try:
                     face = faces.get(raw)
-                except TypeError:  # an unhashable label, read uncached: int() raises or reads it as always
+                except TypeError:  # an unhashable label, read uncached as always
                     face = as_face(int(v) - 1 for v in raw)
                 if face is None:
                     face = faces[raw] = as_face(int(v) - 1 for v in raw)
