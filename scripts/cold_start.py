@@ -5,8 +5,8 @@ Fixed fixtures are written to a temporary directory; each subcommand then
 runs as its own interpreter, ``--repeat`` times, through
 ``psdcone.cli.main`` as the ``psdcone`` console script calls it.  For each
 subcommand this prints the exit code, the median wall time of the whole
-process in ms (interpreter start-up included) and the psdcone modules the
-process loaded:
+process in ms (interpreter start-up included), the median peak resident set
+of the process in MB (``ru_maxrss``) and the psdcone modules it loaded:
 
     python scripts/cold_start.py --repeat 12
 
@@ -35,7 +35,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # argv: src dir, CLI arguments.  Prints one JSON line after the command.
 CHILD = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, resource, sys
 sys.path.insert(0, sys.argv[1])
 import psdcone.cli
 with contextlib.redirect_stdout(io.StringIO()):
@@ -45,7 +45,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         rc = exc.code
 print(json.dumps({"rc": rc, "home": os.path.dirname(os.path.abspath(psdcone.cli.__file__)),
                   "modules": sorted(m[8:] for m in sys.modules if m.startswith("psdcone.")),
-                  "pool": "concurrent.futures" in sys.modules}))
+                  "pool": "concurrent.futures" in sys.modules,
+                  "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
 FIXTURES = {
@@ -77,6 +78,9 @@ CALLS = {
     "digraph": ["digraph", "--complex", "complex.json"],
     "simulate": ["simulate", "--complex", "complex.json", "--params", "params.json",
                  "--n", "1000"],
+    # README's example size: the sample array is 200,000 x 5 doubles (8 MB)
+    "simulate --n 200000": ["simulate", "--complex", "complex.json", "--params", "params.json",
+                            "--n", "200000"],
     "membership": ["membership", "--matrix", "cycle.json", "--graph", "c5.json"],
     "selftest": ["selftest", "--n", "1"],
 }
@@ -109,6 +113,7 @@ def main() -> int:
     if args.src:
         trees["other"] = os.path.abspath(args.src)
     walls = {(name, tree): [] for name in CALLS for tree in trees}
+    rss = {key: [] for key in walls}
     reports = {}
     with tempfile.TemporaryDirectory(prefix="cold-start-") as tmp:
         for file, obj in FIXTURES.items():
@@ -121,15 +126,17 @@ def main() -> int:
                 for tree in order:
                     wall, reports[name, tree] = run_once(trees[tree], argv)
                     walls[name, tree].append(wall)
+                    rss[name, tree].append(reports[name, tree]["maxrss_kb"] / 1024)
 
     print(f"# python {platform.python_version()}, nproc {os.cpu_count()}, "
           f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE') or '(unset)'}, "
           f"median of {args.repeat}")
-    print(f"{'subcommand':<20} {'tree':<6} {'rc':>3} {'ms':>8}  psdcone modules")
+    print(f"{'subcommand':<20} {'tree':<6} {'rc':>3} {'ms':>8} {'peak MB':>8}  psdcone modules")
     for name, tree in walls:
         report = reports[name, tree]
         print(f"{name:<20} {tree:<6} {report['rc']:>3} "
-              f"{statistics.median(walls[name, tree]) * 1e3:>8.1f}  "
+              f"{statistics.median(walls[name, tree]) * 1e3:>8.1f} "
+              f"{statistics.median(rss[name, tree]):>8.1f}  "
               f"{' '.join(report['modules'])}{'  +process pool' if report['pool'] else ''}")
     return 0
 

@@ -384,8 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volume", parents=[seed], help="Monte Carlo spherical volume fraction")
     p.add_argument("--json", action="store_true",
                    help="force JSON output where a text form is the default")
-    p.add_argument("--m", type=int)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--m", type=int, help="matrix size, 3 to 16; the PSD acceptance rate falls "
+                   "about 2.5-fold per vertex (see the volume sampler note in README)")
+    p.add_argument("--samples", type=int, default=100_000, help="PSD samples to take; m = 16 "
+                   "at the default takes over an hour on one worker")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--table", action="store_true", help="run m = 3..7")
     p.add_argument("--progress", action="store_true")

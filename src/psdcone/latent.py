@@ -18,6 +18,8 @@ from .core import FactorParams, SimplicialComplex, SymmetricMatrix
 from .errors import InternalInconsistency, ZeroDiagonalParam
 from .param import phi
 
+SIMULATE_BLOCK, SIMULATE_MAX_ENTRIES = 2 ** 17, 2 ** 27  # simulate_y: block doubles, n * m cap
+
 
 def _faces2(delta: SimplicialComplex):
     return [f for f in delta.faces if len(f) >= 2]
@@ -105,18 +107,29 @@ def simulate_y(delta: SimplicialComplex, gamma: FactorParams, n: int,
                seed: int) -> SymmetricMatrix:
     """Empirical covariance of n simulated observation vectors.
 
-    Hidden factors and noise are standard normal draws from a PCG64 stream;
-    the estimator is the uncentered second moment (the mean is known zero),
-    so its expectation is exactly the image matrix.
+    Hidden factors, then noise, are standard normal draws from a PCG64 stream,
+    a block of rows at a time; the estimator is the uncentered second moment
+    (the mean is known zero), so its expectation is exactly the image matrix.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if not 2 <= n <= SIMULATE_MAX_ENTRIES // delta.m:
+        raise ValueError(f"need 2 <= n <= {SIMULATE_MAX_ENTRIES // delta.m}, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
     g2 = _gamma2(delta, gamma)
-    sd = _noise_sd(delta, gamma)
-    h = rng.standard_normal((n, g2.shape[1]))
-    eps = rng.standard_normal((n, delta.m)) * np.abs(sd)
-    y = h @ g2.T + eps
+    sd = np.abs(_noise_sd(delta, gamma))
+    m, k = g2.shape
+    rows = min(n, 1 << max((SIMULATE_BLOCK // max(k, m)).bit_length() - 1, 0))
+    block = np.empty(rows * max(k, m))
+    h = block[: rows * k].reshape(rows, k)
+    y = np.empty((n, m))
+    for lo in range(0, n, rows):
+        new = min(rows, n - lo)
+        # a short last block also takes earlier rows, so BLAS sees one shape (and kernel)
+        h[: rows - new] = h[new:]
+        rng.standard_normal(out=h[rows - new:])
+        np.matmul(h, g2.T, out=y[lo + new - rows: lo + new])
+    eps = block[: rows * m].reshape(rows, m)
+    for lo in range(0, n, rows):
+        y[lo: lo + rows] += rng.standard_normal(out=eps[: min(rows, n - lo)]) * sd
     cov = (y.T @ y) / n
     return SymmetricMatrix((cov + cov.T) / 2.0)
 

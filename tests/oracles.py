@@ -20,6 +20,7 @@ from psdcone.core import (PATTERN_TOL, Face, FactorParams, Graph, SimplicialComp
                           induced_vertex_map)
 from psdcone.cycle import CycleMatrix, cycle_edge_complex
 from psdcone.errors import NotPsd, ZeroDiagonal
+from psdcone.latent import _gamma2, _noise_sd
 from psdcone.linalg import DEFAULT_TOL, _semidef_cholesky, path_det
 from psdcone.param import RAY_DROP_TOL, _nonzero_columns
 from psdcone.quotient import QuotientWitness
@@ -493,6 +494,20 @@ def sequential_count_stream(m: int, quota: int, seed_seq: np.random.SeedSequence
             print(f"[volume m={m}] {taken}/{quota} psd samples after {drawn} draws "
                   f"(acceptance {taken / drawn:.3g})", file=sys.stderr)
     return taken, members, drawn
+
+
+def simulate_y_dense(delta: SimplicialComplex, gamma: FactorParams, n: int,
+                     seed: int) -> SymmetricMatrix:
+    """``latent.simulate_y`` holding every draw at once: the n x k factors, then
+    the n x m noise, from one PCG64 stream, and one n-row product."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    g2 = _gamma2(delta, gamma)
+    sd = _noise_sd(delta, gamma)
+    h = rng.standard_normal((n, g2.shape[1]))
+    eps = rng.standard_normal((n, delta.m)) * np.abs(sd)
+    y = h @ g2.T + eps
+    cov = (y.T @ y) / n
+    return SymmetricMatrix((cov + cov.T) / 2.0)
 
 
 def path_graph(m: int) -> Graph:

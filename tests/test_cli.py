@@ -496,6 +496,20 @@ def test_simulate_command(files):
     assert mat["entries"][0][1] == pytest.approx(1.0, abs=0.05)
 
 
+def test_simulate_refuses_more_samples_than_the_cap(files):
+    # 10**12 samples of m = 3 would need 24 TB: refused before any allocation
+    cpath = files("chain.json", {"m": 3, "facets": [[1, 2], [2, 3]]})
+    ppath = files("p.json", {"values": [{"face": [1, 2], "vertex": 1, "gamma": 1.0}]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "psdcone.cli", "simulate", "--complex", cpath, "--params", ppath,
+         "--n", str(10 ** 12)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["code"] == "invalid_input"
+    assert proc.stderr == ""
+
+
 def test_selftest_quick(monkeypatch):
     rc, out = run_cli(["selftest", "--n", "3"])
     assert rc == 0

@@ -1,14 +1,21 @@
 """Latent-variable realizations: digraph output, covariance identities, simulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdcone.core import FactorParams, SimplicialComplex, cycle_graph, edge_complex
 from psdcone.errors import ZeroDiagonalParam
 from psdcone.instances import random_complex, random_params
-from psdcone.latent import (LatentSystem, build_digraph, conditional_precision,
-                            covariance_identity, simulate_y)
+from psdcone.latent import (SIMULATE_BLOCK, SIMULATE_MAX_ENTRIES, LatentSystem, _gamma2,
+                            build_digraph, conditional_precision, covariance_identity,
+                            simulate_y)
 from psdcone.param import phi
+
+from oracles import simulate_y_dense
 
 
 def three_chain():
@@ -114,6 +121,73 @@ class TestSimulateY:
             ratios.append(e1 / e2)
         mean_ratio = float(np.mean(ratios))
         assert 1.5 <= mean_ratio <= 2.5
+
+
+def block_rows(delta, gamma):
+    """k and the rows of simulate_y's draw block: the largest power of two
+    whose rows of max(k, m) doubles fit in SIMULATE_BLOCK."""
+    k = _gamma2(delta, gamma).shape[1]
+    rows = 1
+    while 2 * rows * max(k, delta.m) <= SIMULATE_BLOCK:
+        rows *= 2
+    return k, rows
+
+
+class TestSimulateYBlocks:
+    """simulate_y against the one-shot oracle that holds every draw at once."""
+
+    @pytest.mark.parametrize("m, facets", [(3, []), (3, [[0, 1]]), (40, [[0, 39]])])
+    def test_bitwise_with_at_most_one_factor(self, m, facets):
+        # with k <= 1 every sample entry is one product plus one scaled noise
+        # term, so a draw taken out of stream order changes the bits
+        delta = SimplicialComplex.from_facets(m, facets)
+        gamma = random_params(np.random.default_rng(m + len(facets)), delta)
+        k, rows = block_rows(delta, gamma)
+        assert k == len(facets)
+        for n in (2, 3, rows - 1, rows, rows + 1, 10_000):
+            for seed in (0, 11):
+                got = simulate_y(delta, gamma, n, seed).a
+                assert np.array_equal(got, simulate_y_dense(delta, gamma, n, seed).a), (n, seed)
+
+    @given(st.integers(2, 12), st.data(), st.integers(2, 5_000), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_oracle(self, m, data, n, seed):
+        facets = data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=6,
+                                             unique=True), max_size=6))
+        delta = SimplicialComplex.from_facets(m, facets)
+        gamma = random_params(np.random.default_rng(seed), delta)
+        k = _gamma2(delta, gamma).shape[1]
+        got = simulate_y(delta, gamma, n, seed).a
+        want = simulate_y_dense(delta, gamma, n, seed).a
+        # the product may run on another BLAS kernel: k-term sums, rounded anew
+        assert np.abs(got - want).max() <= 4 * k * np.finfo(float).eps * np.abs(want).max()
+
+    def test_memory_is_the_sample_array_and_a_block(self):
+        delta = SimplicialComplex.from_facets(
+            12, [[0, 1, 2, 3, 4, 5], [5, 6, 7, 8], [8, 9, 10, 11], [0, 6, 9], [1, 7, 10], [2, 11]])
+        gamma = random_params(np.random.default_rng(8), delta)
+        k, _ = block_rows(delta, gamma)
+        n = 100_000
+        peaks = []
+        for simulate in (simulate_y, simulate_y_dense):
+            simulate(delta, gamma, 10, 0)  # the complex's faces are built once
+            tracemalloc.start()
+            try:
+                simulate(delta, gamma, n, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < n * 12 * 8 + 2 * SIMULATE_BLOCK * 8 + 256 * 1024
+        assert peaks[1] > n * k * 8
+
+    def test_sample_count_is_capped_before_any_draw(self, monkeypatch):
+        delta = SimplicialComplex.from_facets(12, [[0, 1, 2]])
+        gamma = random_params(np.random.default_rng(9), delta)
+        cap = SIMULATE_MAX_ENTRIES // 12
+        monkeypatch.setattr(np.random, "Generator", None)  # any draw would raise TypeError
+        for n in (cap + 1, 10 ** 12, 1, 0, -5):
+            with pytest.raises(ValueError, match=f"need 2 <= n <= {cap}, got {n}"):
+                simulate_y(delta, gamma, n, seed=0)
 
 
 class TestConditionalPrecision:
