@@ -13,7 +13,11 @@ process per repetition and source tree:
 each at m = 16, 32 and 64, with a positive definite matrix on the graph's
 pattern (a random Gram block on every maximal clique, plus the identity).
 On each input it times ``is_chordal``, ``ordering_clique_complex`` (given the
-ordering), ``chordal_fiber`` (from the graph alone) and, through
+ordering), ``chordal_fiber`` (from the graph alone), and on the decision that
+``decide.membership`` returns the certificate's re-check
+(``decide._check_certificate``, which runs ``phi``; the complete graph at
+m = 64 is the one input whose faces take ``phi``'s dense path) and
+``Decision.to_json_dict``; and, through
 ``psdcone.cli.main`` in-process with stdout captured, ``membership`` and
 ``fiber --chordal`` on the graph file, and ``emit``: ``psdcone.cli._print_json``
 of the JSON value that ``membership`` prints (on the complete graph at m = 64,
@@ -46,6 +50,7 @@ import contextlib, io, itertools, json, os, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 import psdcone.cli
+from psdcone import decide
 from psdcone.chordal import chordal_fiber, clique_complex, is_chordal, ordering_clique_complex
 from psdcone.core import Graph, SymmetricMatrix
 from psdcone.instances import random_chordal_graph
@@ -115,10 +120,14 @@ with tempfile.TemporaryDirectory(prefix="chordal-timing-") as tmp:
             if rc != 0:
                 raise SystemExit(f"membership on {kind} m={m} did not exit 0")
             printed = json.loads(stdout)
+            decision = decide.membership(sigma, g)
             calls = {
                 "is_chordal": lambda: is_chordal(g),
                 "ordering_clique_complex": lambda: ordering_clique_complex(g, ordering),
                 "chordal_fiber": lambda: chordal_fiber(g, sigma),
+                "check_certificate": lambda: decide._check_certificate(decision.certificate,
+                                                                       sigma),
+                "Decision.to_json_dict": decision.to_json_dict,
                 "membership": lambda: cli(["membership", "--matrix", mpath, "--graph", gpath]),
                 "fiber --chordal": lambda: cli(["fiber", "--chordal", "--matrix", mpath,
                                                 "--graph", gpath]),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
-                   _bit_positions, as_face, underlying_graph)
+                   _bit_positions, underlying_graph)
 from .errors import InternalInconsistency, NotChordal, PatternViolation, TooManyCliques
 # is_psd is not called here; perfbench/spans.py wraps it by this name
 from .linalg import DEFAULT_TOL, _semidef_cholesky, check_tol, is_psd  # noqa: F401
@@ -212,15 +212,16 @@ def _fiber(g: Graph, sigma: SymmetricMatrix, ordering: EliminationOrdering,
     if delta is None:
         delta = ordering_clique_complex(g, ordering)
     values: dict = {}
+    columns = []
     for rows, vals in filter(None, cols):  # None: a zero pivot's column
-        supp = [(perm[i], v) for i, v in zip(rows, vals) if v != 0.0]
-        clique = as_face(p for p, _ in supp)
+        entries = sorted([(perm[i], v) for i, v in zip(rows, vals) if v != 0.0])
+        clique = tuple([p for p, _ in entries])
         if not delta.has_face(clique):
-            raise InternalInconsistency(
-                f"factor column support {clique} is not a clique"
-            )
-        values.update(((clique, p), v) for p, v in supp)
-    return FactorParams._trusted(delta, values)
+            raise InternalInconsistency(f"factor column support {clique} is not a clique")
+        columns.append((clique, entries))
+        for p, v in entries:
+            values[(clique, p)] = v
+    return FactorParams._trusted(delta, values, sorted(columns, key=lambda c: (len(c[0]), c[0])))
 
 
 def is_surjective(delta: SimplicialComplex) -> bool:

@@ -424,7 +424,9 @@ class FactorParams:
 
     Storage is sparse: missing valid incidences read as 0.  Invalid keys
     (a face that is not a sorted duplicate-free tuple, a face not in the
-    complex, or a vertex outside the face) are rejected.
+    complex, or a vertex outside the face) are rejected.  ``values`` is
+    read-only once built, as is ``columns``, its cached view in canonical face
+    order; the library's fibers and witnesses carry the view from construction.
     """
 
     complex: SimplicialComplex
@@ -445,14 +447,17 @@ class FactorParams:
                 raise ValueError(f"non-finite parameter at ({face}, {i})")
 
     @classmethod
-    def _trusted(cls, delta: SimplicialComplex,
-                 values: dict[tuple[Face, int], float]) -> "FactorParams":
-        """Values the library keyed by canonical faces of delta: only finiteness is checked."""
+    def _trusted(cls, delta: SimplicialComplex, values: dict[tuple[Face, int], float],
+                 columns: list | None = None) -> "FactorParams":
+        """Values the library keyed by canonical faces of delta: only finiteness is
+        checked.  ``columns``, when given, is their ``columns`` view, handed over."""
         if not all(map(math.isfinite, values.values())):
             face, i = next(k for k, v in values.items() if not math.isfinite(v))
             raise ValueError(f"non-finite parameter at ({face}, {i})")
         obj = object.__new__(cls)
         obj.__dict__.update(complex=delta, values=values)
+        if columns is not None:
+            obj.__dict__["columns"] = columns
         return obj
 
     @classmethod
@@ -473,20 +478,24 @@ class FactorParams:
     def gamma_singleton(self, i: int) -> float:
         return self.get((i,), i)
 
+    @cached_property
+    def columns(self) -> list[tuple[Face, list[tuple[int, float]]]]:
+        """The faces carrying a nonzero parameter in canonical order (the order in which
+        ``to_json_dict`` writes and ``phi`` sums), each with its (vertex, parameter)
+        pairs by ascending vertex."""
+        return _face_columns(self.values)
+
     def items(self):
-        """Nonzero incidences in canonical order (stored faces are canonical)."""
-        for key in sorted(self.values, key=lambda k: (len(k[0]), k[0], k[1])):
-            v = self.values[key]
-            if v != 0.0:
-                yield key, v
+        """Nonzero incidences in canonical order."""
+        return (((face, i), v) for face, entries in self.columns for i, v in entries)
 
     def to_json_dict(self) -> dict:
-        return {
-            "values": [
-                {"face": [v + 1 for v in face], "vertex": i + 1, "gamma": val}
-                for (face, i), val in self.items()
-            ]
-        }
+        """1-based records in canonical order; a face's records share one label list."""
+        out = []
+        for face, entries in self.columns:
+            labels = [v + 1 for v in face]
+            out.extend([{"face": labels, "vertex": i + 1, "gamma": v} for i, v in entries])
+        return {"values": out}
 
     @classmethod
     def from_json_dict(cls, delta: SimplicialComplex, d: Mapping) -> "FactorParams":
@@ -506,6 +515,16 @@ class FactorParams:
         except (KeyError, TypeError, OverflowError) as exc:
             raise _malformed("params", exc) from None
         return cls(delta, vals)
+
+
+def _face_columns(values: Mapping[tuple[Face, int], float]) -> list:
+    """``FactorParams.columns`` of values keyed by canonical faces: one grouping pass,
+    then the distinct faces sorted by (size, face), face_key's order on sorted faces."""
+    by_face: dict[Face, list[tuple[int, float]]] = {}
+    for (face, i), v in values.items():
+        if v != 0.0:
+            by_face.setdefault(face, []).append((i, v))
+    return [(f, sorted(by_face[f])) for f in sorted(by_face, key=lambda f: (len(f), f))]
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,15 +49,16 @@ PHI_DENSE_FACE = 6
 def phi(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricMatrix:
     """Evaluate the parametrization: sum over faces of the column outer products.
 
-    Faces in canonical order add c_i c_j at their own entries only, on Python
-    floats, up to the first face with more than PHI_DENSE_FACE nonzero
+    Faces in canonical order (size, then lexicographic: ``gamma.columns``, the
+    order ``to_json_dict`` writes) add c_i c_j at their own entries only, on
+    Python floats, up to the first face with more than PHI_DENSE_FACE nonzero
     parameters; from it on they add dense outer products.  The dense sum's
     other terms, ±0.0, change no bit, and (i, j), (j, i) get equal sums.
     """
     if gamma.complex != delta:
         raise ValueError("parameters belong to a different complex")
     m = delta.m
-    faces = [entries for _, entries in _face_entries(gamma)]
+    faces = [entries for _, entries in gamma.columns]
     split = next((n for n, e in enumerate(faces) if len(e) > PHI_DENSE_FACE), len(faces))
     acc: dict[int, float] = {}  # i * m + j -> entry (i, j)
     for entries in faces[:split]:
@@ -73,15 +74,6 @@ def phi(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricMatrix:
     return SymmetricMatrix._trusted(out)
 
 
-def _face_entries(gamma: FactorParams):
-    """Yield (face, [(vertex, parameter), ...]) over the nonzero parameters, faces by face_key."""
-    by_face: dict[Face, list[tuple[int, float]]] = {}
-    for (face, i), v in gamma.values.items():
-        if v != 0.0:
-            by_face.setdefault(face, []).append((i, v))
-    yield from sorted(by_face.items(), key=lambda kv: (len(kv[0]), kv[0]))  # faces are canonical
-
-
 def _column(entries, m: int) -> np.ndarray:
     """The length-m column holding a face's (vertex, parameter) entries."""
     col = np.zeros(m)
@@ -91,7 +83,7 @@ def _column(entries, m: int) -> np.ndarray:
 
 def _nonzero_columns(gamma: FactorParams):
     """Yield (face, length-m column) for faces carrying a nonzero parameter."""
-    for face, entries in _face_entries(gamma):
+    for face, entries in gamma.columns:
         yield face, _column(entries, gamma.complex.m)
 
 
@@ -107,7 +99,8 @@ def _combine_columns(delta: SimplicialComplex, blocks) -> FactorParams:
     j.., is pushed onto the strictly smaller face of its support.  So faces go
     one size at a time, largest first, each complete when its size starts:
     one stacked QR per row count (bitwise the per-face QR; one row is its own
-    R), then the faces emit and push in canonical order.
+    R), then the faces emit and push in canonical order, and the levels,
+    smallest first, are the result's ``columns``.
     """
     blocks = [(face, np.asarray(rows, dtype=float)) for face, rows in blocks]
     drop = RAY_DROP_TOL * (tolerance_scale(np.concatenate([r for _, r in blocks]))
@@ -120,6 +113,7 @@ def _combine_columns(delta: SimplicialComplex, blocks) -> FactorParams:
         pending.setdefault(face, []).extend(rows[:, list(face)].tolist())
 
     out: dict[tuple[Face, int], float] = {}
+    levels = []  # per size, largest first: the (face, entries) it emitted
     while pending:
         size = max(map(len, pending))
         level = sorted(f for f in pending if len(f) == size)
@@ -132,16 +126,18 @@ def _combine_columns(delta: SimplicialComplex, blocks) -> FactorParams:
             r = x if k == 1 else np.linalg.qr(x, mode="r")
             factored.update(zip(faces, zip(r[:, 0].tolist(), r[:, 1:].tolist(),
                                            (np.abs(r[:, 1:]) > drop).tolist())))
+        levels.append([])
         for face in level:
             lead, trailing, supp = factored[face]
-            for i, v in zip(face, lead):
-                if v != 0.0:
-                    out[(face, i)] = v
+            entries = [(i, v) for i, v in zip(face, lead) if v != 0.0]
+            if entries:
+                levels[-1].append((face, entries))
+                out.update({(face, i): v for i, v in entries})
             for row, on in zip(trailing, supp):
                 if any(on):
                     pending.setdefault(tuple(v for v, b in zip(face, on) if b), []).append(
                         [t for t, b in zip(row, on) if b])
-    return FactorParams._trusted(delta, out)
+    return FactorParams._trusted(delta, out, [c for level in reversed(levels) for c in level])
 
 
 def cone_add(delta: SimplicialComplex, g1: FactorParams, g2: FactorParams) -> FactorParams:

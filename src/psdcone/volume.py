@@ -255,9 +255,9 @@ def estimate_volume(m: int, n_samples: int, seed: int, workers: int = 1,
         raise ValueError(f"need 3 <= m <= {MAX_M}, got {m}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    workers = max(1, int(workers))
-    if workers > MAX_WORKERS:
-        raise ValueError(f"at most {MAX_WORKERS} workers, got {workers}")
+    workers = int(workers)
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"need 1 to {MAX_WORKERS} workers, got {workers}")
     quotas = [n_samples // workers + (1 if w < n_samples % workers else 0)
               for w in range(workers)]
     quotas = [q for q in quotas if q > 0]

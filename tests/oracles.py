@@ -22,7 +22,7 @@ from psdcone.cycle import CycleMatrix, cycle_edge_complex
 from psdcone.errors import NotPsd, ZeroDiagonal
 from psdcone.latent import _gamma2, _noise_sd
 from psdcone.linalg import DEFAULT_TOL, _semidef_cholesky, path_det
-from psdcone.param import RAY_DROP_TOL, _nonzero_columns
+from psdcone.param import PHI_DENSE_FACE, RAY_DROP_TOL, _column, _nonzero_columns
 from psdcone.quotient import QuotientWitness
 from psdcone.volume import _batch_masks
 
@@ -346,6 +346,44 @@ def params_from_json_by_record(delta: SimplicialComplex, d) -> FactorParams:
     except (KeyError, TypeError, OverflowError) as exc:
         raise _malformed("params", exc) from None
     return FactorParams(delta, vals)
+
+
+def items_by_sort(gamma: FactorParams) -> list:
+    """``FactorParams.items``: every stored key sorted by (size, face, vertex),
+    zeros skipped (stored faces are canonical)."""
+    return [(key, gamma.values[key])
+            for key in sorted(gamma.values, key=lambda k: (len(k[0]), k[0], k[1]))
+            if gamma.values[key] != 0.0]
+
+
+def params_json_by_items(gamma: FactorParams) -> dict:
+    """``FactorParams.to_json_dict``, one record per item of ``items_by_sort``."""
+    return {"values": [{"face": [v + 1 for v in face], "vertex": i + 1, "gamma": val}
+                       for (face, i), val in items_by_sort(gamma)]}
+
+
+def phi_by_face_entries(delta: SimplicialComplex, gamma: FactorParams) -> np.ndarray:
+    """``param.phi``'s array, its faces grouped from ``values`` and sorted by
+    (size, face), their pairs in insertion order."""
+    by_face: dict[Face, list[tuple[int, float]]] = {}
+    for (face, i), v in gamma.values.items():
+        if v != 0.0:
+            by_face.setdefault(face, []).append((i, v))
+    faces = [e for _, e in sorted(by_face.items(), key=lambda kv: (len(kv[0]), kv[0]))]
+    m = delta.m
+    split = next((n for n, e in enumerate(faces) if len(e) > PHI_DENSE_FACE), len(faces))
+    acc: dict[int, float] = {}
+    for entries in faces[:split]:
+        for i, ci in entries:
+            for j, cj in entries:
+                acc[i * m + j] = acc.get(i * m + j, 0.0) + ci * cj
+    out = np.zeros(m * m)
+    out[list(acc)] = list(acc.values())
+    out = out.reshape(m, m)
+    for entries in faces[split:]:
+        col = _column(entries, m)
+        out += col[:, None] * col
+    return out
 
 
 def cone_add_by_column(delta: SimplicialComplex, g1: FactorParams,

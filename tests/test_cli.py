@@ -468,6 +468,14 @@ def test_volume_rejects_too_many_workers():
     assert json.loads(out)["error"]["code"] == "invalid_input"
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_volume_rejects_fewer_than_one_worker(workers):
+    rc, out, err = outcome(["volume", "--m", "3", "--samples", "10", "--workers", workers])
+    assert rc == 2
+    assert json.loads(out)["error"]["code"] == "invalid_input"
+    assert "Traceback" not in err
+
+
 def test_volume_table_text():
     rc, out = run_cli(["volume", "--table", "--samples", "500", "--seed", "1"])
     assert rc == 0

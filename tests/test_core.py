@@ -1,27 +1,37 @@
 """Domain-type construction, validation, and the basic complex/graph operations."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdcone import core
+from psdcone.cli import _print_json
 from psdcone.core import (MAX_VERTICES, PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
-                          SymmetricMatrix, as_face, cycle_graph, edge_complex, face_key,
-                          induced_subcomplex, induced_vertex_map, tolerance_scale,
+                          SymmetricMatrix, _face_columns, as_face, cycle_graph, edge_complex,
+                          face_key, induced_subcomplex, induced_vertex_map, tolerance_scale,
                           underlying_graph)
 from psdcone.chordal import clique_complex, is_chordal
 from psdcone.cycle import _edge_params, cycle_edge_complex
+from psdcone.decide import membership
 from psdcone.errors import AsymmetricInput
-from psdcone.instances import random_complex, random_params
+from psdcone.instances import (random_chordal_graph, random_complex, random_cycle_member,
+                               random_params)
+from psdcone.param import cone_add, phi, submatrix_witness
+from psdcone.quotient import schur_witness
 
 from oracles import (complete_graph, dominated_scan, gamma_edge, has_face_scan,
-                     params_from_json_by_record, path_graph, pattern_graph,
-                     pattern_mask_from_edges)
+                     items_by_sort, params_from_json_by_record, params_json_by_items,
+                     path_graph, pattern_graph, pattern_mask_from_edges,
+                     phi_by_face_entries, random_psd_matrix)
 
 
 def graphs(max_m=7):
@@ -529,3 +539,125 @@ class TestFactorParams:
                 {"face": [1, [2]], "vertex": 1, "gamma": 1.0}]})
         assert str(exc.value) == ("params JSON: int() argument must be a string, a bytes-like "
                                   "object or a real number, not 'list'")
+
+
+# Each builder draws its inputs from an rng and returns the one call that
+# constructs the parameters, so that a test can watch that call alone.
+
+def _shuffled_with_zeros(rng):
+    """The validating constructor on random parameters inserted in shuffled
+    order, every third one an explicit zero."""
+    delta = random_complex(rng, int(rng.integers(1, 9)), max_size=4)
+    items = list(random_params(rng, delta, density=0.6).values.items())
+    order = rng.permutation(len(items))
+    values = {items[k][0]: 0.0 if n % 3 == 0 else items[k][1] for n, k in enumerate(order)}
+    return lambda: FactorParams(delta, values)
+
+
+def _random_params(rng):
+    delta = random_complex(rng, int(rng.integers(1, 9)), max_size=4)
+    return lambda: random_params(rng, delta, density=0.5)
+
+
+def _read(edit):
+    def build(rng):
+        delta = random_complex(rng, int(rng.integers(1, 9)), max_size=4)
+        records = random_params(rng, delta).to_json_dict()["values"]
+        d = {"values": RECORD_EDITS[edit](records, int(rng.integers(len(records))), delta.m)}
+        return lambda: FactorParams.from_json_dict(delta, d)
+    return build
+
+
+def _chordal_certificate(rng):
+    """A member of a random chordal graph's image, or of a complete graph's
+    (whose faces past PHI_DENSE_FACE take phi's dense path)."""
+    if rng.random() < 0.25:
+        g = complete_graph(int(rng.integers(7, 13)))
+        sigma = random_psd_matrix(rng, g.m, rank=int(rng.integers(1, g.m + 1)))
+    else:
+        g = random_chordal_graph(rng, int(rng.integers(1, 17)))
+        delta = clique_complex(g)
+        sigma = phi(delta, random_params(rng, delta, density=0.7))
+    return lambda: membership(sigma, g).certificate
+
+
+def _cycle_certificate(rng):
+    """A member of a relabelled cycle's image, an edge's entry zero at times."""
+    m = int(rng.integers(3, 13))
+    cyc, _ = random_cycle_member(rng, m, zero_edges=(0,) if rng.random() < 0.3 else ())
+    perm = rng.permutation(m)
+    arr = np.zeros((m, m))
+    arr[np.ix_(perm, perm)] = cyc.to_array()
+    g = Graph.from_edges(m, [(perm[k], perm[(k + 1) % m]) for k in range(m)])
+    return lambda: membership(SymmetricMatrix(arr), g).certificate
+
+
+def _witness(kind):
+    def build(rng):
+        delta = random_complex(rng, int(rng.integers(2, 9)), max_size=4)
+        gamma = random_params(rng, delta)
+        if kind == "cone_add":
+            other = random_params(rng, delta, density=0.5)
+            return lambda: cone_add(delta, gamma, other)
+        if kind == "submatrix_witness":
+            subset = rng.choice(delta.m, int(rng.integers(1, delta.m)), replace=False)
+            return lambda: submatrix_witness(delta, gamma, subset)
+        u = int(rng.integers(delta.m))
+        return lambda: schur_witness(delta, gamma, u).params
+    return build
+
+
+# constructor -> (builder, whether the constructor hands the view over)
+PARAMS_BUILDERS = {
+    "validating constructor": (_shuffled_with_zeros, False),
+    "random_params": (_random_params, False),
+    "reader, repeat": (_read("repeat"), False),
+    "reader, rotate": (_read("rotate"), False),
+    "chordal membership": (_chordal_certificate, True),
+    "cycle membership": (_cycle_certificate, True),
+    "cone_add": (_witness("cone_add"), True),
+    "submatrix_witness": (_witness("submatrix_witness"), True),
+    "schur_witness": (_witness("schur_witness"), True),
+}
+
+
+def _printed(obj) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _print_json(obj)
+    return out.getvalue()
+
+
+class TestFaceView:
+    @pytest.mark.parametrize("kind", sorted(PARAMS_BUILDERS))
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_view_matches_the_oracles(self, kind, seed):
+        """A handed-over view is the view recomputed from values, and items,
+        the printed JSON and phi's bits are the sorting oracles'."""
+        build, handed = PARAMS_BUILDERS[kind]
+        construct = build(np.random.default_rng(seed))
+        with mock.patch.object(core, "_face_columns", wraps=_face_columns) as computed:
+            gamma = construct()
+        if handed:  # the inputs' views may be computed, never the result's
+            assert "columns" in vars(gamma)
+            assert all(call.args[0] is not gamma.values for call in computed.call_args_list)
+        assert gamma.columns == _face_columns(gamma.values)
+        assert list(gamma.items()) == items_by_sort(gamma)
+        assert _printed(gamma.to_json_dict()) == _printed(params_json_by_items(gamma))
+        got = phi(gamma.complex, gamma).a.ravel().tolist()
+        want = phi_by_face_entries(gamma.complex, gamma).ravel().tolist()
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        fresh = FactorParams(gamma.complex, dict(gamma.values))
+        assert "columns" not in vars(fresh)
+        assert gamma == fresh and repr(gamma) == repr(fresh)
+
+    def test_view_skips_zeros_and_orders_faces_and_vertices(self):
+        delta = SimplicialComplex.from_facets(3, [[0, 1, 2]])
+        gamma = FactorParams(delta, {((0, 1, 2), 2): 1.0, ((1,), 1): 0.0, ((0, 2), 2): -2.0,
+                                     ((0, 1, 2), 0): 3.0, ((0, 2), 0): 0.5, ((2,), 2): 4.0})
+        assert gamma.columns == [((2,), [(2, 4.0)]), ((0, 2), [(0, 0.5), (2, -2.0)]),
+                                 ((0, 1, 2), [(0, 3.0), (2, 1.0)])]
+        # a cycle edge whose two parameters are zero is no face of the view
+        gamma = _edge_params(cycle_edge_complex(4), [0.0, 1.0, 0.0, 2.0], [0.0, -1.0, 3.0, 0.5])
+        assert gamma.columns == _face_columns(gamma.values) == [
+            ((0, 3), [(0, 0.5), (3, 2.0)]), ((1, 2), [(1, 1.0), (2, -1.0)]), ((2, 3), [(3, 3.0)])]

@@ -72,8 +72,9 @@ class TestEstimateVolume:
             estimate_volume(2, 100, seed=0)
         with pytest.raises(ValueError):
             estimate_volume(3, 0, seed=0)
-        with pytest.raises(ValueError, match="workers"):
-            estimate_volume(3, 10, seed=0, workers=volume.MAX_WORKERS + 1)
+        for workers in (0, -4, volume.MAX_WORKERS + 1):
+            with pytest.raises(ValueError, match=f"workers, got {workers}"):
+                estimate_volume(3, 10, seed=0, workers=workers)
         with pytest.raises(ValueError, match=f"m <= {volume.MAX_M}, got {volume.MAX_M + 1}"):
             estimate_volume(volume.MAX_M + 1, 1, seed=0)
 
