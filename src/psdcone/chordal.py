@@ -221,7 +221,7 @@ def _fiber(g: Graph, sigma: SymmetricMatrix, ordering: EliminationOrdering,
         columns.append((clique, entries))
         for p, v in entries:
             values[(clique, p)] = v
-    return FactorParams._trusted(delta, values, sorted(columns, key=lambda c: (len(c[0]), c[0])))
+    return FactorParams._trusted(delta, values, columns)
 
 
 def is_surjective(delta: SimplicialComplex) -> bool:

@@ -426,7 +426,7 @@ class FactorParams:
     (a face that is not a sorted duplicate-free tuple, a face not in the
     complex, or a vertex outside the face) are rejected.  ``values`` is
     read-only once built, as is ``columns``, its cached view in canonical face
-    order; the library's fibers and witnesses carry the view from construction.
+    order; chordal fibers hand its faces over at construction.
     """
 
     complex: SimplicialComplex
@@ -450,14 +450,14 @@ class FactorParams:
     def _trusted(cls, delta: SimplicialComplex, values: dict[tuple[Face, int], float],
                  columns: list | None = None) -> "FactorParams":
         """Values the library keyed by canonical faces of delta: only finiteness is
-        checked.  ``columns``, when given, is their ``columns`` view, handed over."""
+        checked.  ``columns``, when given, is their grouping by face for ``_face_columns``."""
         if not all(map(math.isfinite, values.values())):
             face, i = next(k for k, v in values.items() if not math.isfinite(v))
             raise ValueError(f"non-finite parameter at ({face}, {i})")
         obj = object.__new__(cls)
         obj.__dict__.update(complex=delta, values=values)
         if columns is not None:
-            obj.__dict__["columns"] = columns
+            obj.__dict__["columns"] = _face_columns(values, columns)
         return obj
 
     @classmethod
@@ -479,7 +479,7 @@ class FactorParams:
         return self.get((i,), i)
 
     @cached_property
-    def columns(self) -> list[tuple[Face, list[tuple[int, float]]]]:
+    def columns(self) -> tuple[tuple[Face, list[tuple[int, float]]], ...]:
         """The faces carrying a nonzero parameter in canonical order (the order in which
         ``to_json_dict`` writes and ``phi`` sums), each with its (vertex, parameter)
         pairs by ascending vertex."""
@@ -517,14 +517,16 @@ class FactorParams:
         return cls(delta, vals)
 
 
-def _face_columns(values: Mapping[tuple[Face, int], float]) -> list:
-    """``FactorParams.columns`` of values keyed by canonical faces: one grouping pass,
-    then the distinct faces sorted by (size, face), face_key's order on sorted faces."""
-    by_face: dict[Face, list[tuple[int, float]]] = {}
-    for (face, i), v in values.items():
-        if v != 0.0:
-            by_face.setdefault(face, []).append((i, v))
-    return [(f, sorted(by_face[f])) for f in sorted(by_face, key=lambda f: (len(f), f))]
+def _face_columns(values: Mapping[tuple[Face, int], float], columns=None) -> tuple:
+    """``FactorParams.columns`` from ``columns``, the nonzero values as (face, pairs by
+    vertex) in any face order, or one grouping pass; then faces by (size, face)."""
+    if columns is None:
+        by_face: dict[Face, list[tuple[int, float]]] = {}
+        for (face, i), v in values.items():
+            if v != 0.0:
+                by_face.setdefault(face, []).append((i, v))
+        columns = [(f, sorted(e)) for f, e in by_face.items()]
+    return tuple(sorted(columns, key=lambda c: (len(c[0]), c[0])))
 
 
 @dataclass(frozen=True, eq=False)

@@ -353,20 +353,16 @@ def _edge_params(delta: SimplicialComplex, tails, heads, labels=None) -> FactorP
     vertex k of the cycle is vertex ``labels[k]`` of ``delta`` (k by default).
 
     ``delta`` is the edge complex of that cycle, so every key is one of its
-    canonical edges and only finiteness is checked; each edge is one face of
-    the ``columns`` view, handed over.
+    canonical edges and only finiteness is checked.
     """
     m = len(tails)
     values = {}
-    columns = []
     for k in range(m):
         u, v = (k, (k + 1) % m) if labels is None else (labels[k], labels[(k + 1) % m])
         face = (u, v) if u < v else (v, u)
         values[(face, u)] = tails[k]
         values[(face, v)] = heads[k]
-        columns.append((face, [p for p in sorted([(u, tails[k]), (v, heads[k])]) if p[1] != 0.0]))
-    # the edges are distinct, so the sort compares faces only
-    return FactorParams._trusted(delta, values, sorted(c for c in columns if c[1]))
+    return FactorParams._trusted(delta, values)
 
 
 def _propagate_forward(d, c, tol):

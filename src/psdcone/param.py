@@ -99,8 +99,7 @@ def _combine_columns(delta: SimplicialComplex, blocks) -> FactorParams:
     j.., is pushed onto the strictly smaller face of its support.  So faces go
     one size at a time, largest first, each complete when its size starts:
     one stacked QR per row count (bitwise the per-face QR; one row is its own
-    R), then the faces emit and push in canonical order, and the levels,
-    smallest first, are the result's ``columns``.
+    R), then the faces emit and push in canonical order.
     """
     blocks = [(face, np.asarray(rows, dtype=float)) for face, rows in blocks]
     drop = RAY_DROP_TOL * (tolerance_scale(np.concatenate([r for _, r in blocks]))
@@ -113,7 +112,6 @@ def _combine_columns(delta: SimplicialComplex, blocks) -> FactorParams:
         pending.setdefault(face, []).extend(rows[:, list(face)].tolist())
 
     out: dict[tuple[Face, int], float] = {}
-    levels = []  # per size, largest first: the (face, entries) it emitted
     while pending:
         size = max(map(len, pending))
         level = sorted(f for f in pending if len(f) == size)
@@ -126,18 +124,16 @@ def _combine_columns(delta: SimplicialComplex, blocks) -> FactorParams:
             r = x if k == 1 else np.linalg.qr(x, mode="r")
             factored.update(zip(faces, zip(r[:, 0].tolist(), r[:, 1:].tolist(),
                                            (np.abs(r[:, 1:]) > drop).tolist())))
-        levels.append([])
         for face in level:
             lead, trailing, supp = factored[face]
-            entries = [(i, v) for i, v in zip(face, lead) if v != 0.0]
-            if entries:
-                levels[-1].append((face, entries))
-                out.update({(face, i): v for i, v in entries})
+            for i, v in zip(face, lead):
+                if v != 0.0:
+                    out[(face, i)] = v
             for row, on in zip(trailing, supp):
                 if any(on):
                     pending.setdefault(tuple(v for v, b in zip(face, on) if b), []).append(
                         [t for t, b in zip(row, on) if b])
-    return FactorParams._trusted(delta, out, [c for level in reversed(levels) for c in level])
+    return FactorParams._trusted(delta, out)
 
 
 def cone_add(delta: SimplicialComplex, g1: FactorParams, g2: FactorParams) -> FactorParams:

@@ -6,20 +6,18 @@ import itertools
 import json
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdcone import core
 from psdcone.cli import _print_json
 from psdcone.core import (MAX_VERTICES, PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
                           SymmetricMatrix, _face_columns, as_face, cycle_graph, edge_complex,
                           face_key, induced_subcomplex, induced_vertex_map, tolerance_scale,
                           underlying_graph)
-from psdcone.chordal import clique_complex, is_chordal
+from psdcone.chordal import chordal_fiber, clique_complex, is_chordal
 from psdcone.cycle import _edge_params, cycle_edge_complex
 from psdcone.decide import membership
 from psdcone.errors import AsymmetricInput
@@ -607,17 +605,16 @@ def _witness(kind):
     return build
 
 
-# constructor -> (builder, whether the constructor hands the view over)
 PARAMS_BUILDERS = {
-    "validating constructor": (_shuffled_with_zeros, False),
-    "random_params": (_random_params, False),
-    "reader, repeat": (_read("repeat"), False),
-    "reader, rotate": (_read("rotate"), False),
-    "chordal membership": (_chordal_certificate, True),
-    "cycle membership": (_cycle_certificate, True),
-    "cone_add": (_witness("cone_add"), True),
-    "submatrix_witness": (_witness("submatrix_witness"), True),
-    "schur_witness": (_witness("schur_witness"), True),
+    "validating constructor": _shuffled_with_zeros,
+    "random_params": _random_params,
+    "reader, repeat": _read("repeat"),
+    "reader, rotate": _read("rotate"),
+    "chordal membership": _chordal_certificate,
+    "cycle membership": _cycle_certificate,
+    "cone_add": _witness("cone_add"),
+    "submatrix_witness": _witness("submatrix_witness"),
+    "schur_witness": _witness("schur_witness"),
 }
 
 
@@ -632,15 +629,9 @@ class TestFaceView:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_view_matches_the_oracles(self, kind, seed):
-        """A handed-over view is the view recomputed from values, and items,
-        the printed JSON and phi's bits are the sorting oracles'."""
-        build, handed = PARAMS_BUILDERS[kind]
-        construct = build(np.random.default_rng(seed))
-        with mock.patch.object(core, "_face_columns", wraps=_face_columns) as computed:
-            gamma = construct()
-        if handed:  # the inputs' views may be computed, never the result's
-            assert "columns" in vars(gamma)
-            assert all(call.args[0] is not gamma.values for call in computed.call_args_list)
+        """The view, handed over or cached, is the view recomputed from values,
+        and items, the printed JSON and phi's bits are the sorting oracles'."""
+        gamma = PARAMS_BUILDERS[kind](np.random.default_rng(seed))()
         assert gamma.columns == _face_columns(gamma.values)
         assert list(gamma.items()) == items_by_sort(gamma)
         assert _printed(gamma.to_json_dict()) == _printed(params_json_by_items(gamma))
@@ -651,13 +642,23 @@ class TestFaceView:
         assert "columns" not in vars(fresh)
         assert gamma == fresh and repr(gamma) == repr(fresh)
 
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_chordal_fiber_hands_its_view_over(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_chordal_graph(rng, int(rng.integers(1, 17)))
+        delta = clique_complex(g)
+        gamma = chordal_fiber(g, phi(delta, random_params(rng, delta, density=0.7)))
+        assert "columns" in vars(gamma)
+        assert gamma.columns == _face_columns(gamma.values)
+
     def test_view_skips_zeros_and_orders_faces_and_vertices(self):
         delta = SimplicialComplex.from_facets(3, [[0, 1, 2]])
         gamma = FactorParams(delta, {((0, 1, 2), 2): 1.0, ((1,), 1): 0.0, ((0, 2), 2): -2.0,
                                      ((0, 1, 2), 0): 3.0, ((0, 2), 0): 0.5, ((2,), 2): 4.0})
-        assert gamma.columns == [((2,), [(2, 4.0)]), ((0, 2), [(0, 0.5), (2, -2.0)]),
-                                 ((0, 1, 2), [(0, 3.0), (2, 1.0)])]
+        assert gamma.columns == (((2,), [(2, 4.0)]), ((0, 2), [(0, 0.5), (2, -2.0)]),
+                                 ((0, 1, 2), [(0, 3.0), (2, 1.0)]))
         # a cycle edge whose two parameters are zero is no face of the view
         gamma = _edge_params(cycle_edge_complex(4), [0.0, 1.0, 0.0, 2.0], [0.0, -1.0, 3.0, 0.5])
-        assert gamma.columns == _face_columns(gamma.values) == [
-            ((0, 3), [(0, 0.5), (3, 2.0)]), ((1, 2), [(1, 1.0), (2, -1.0)]), ((2, 3), [(3, 3.0)])]
+        assert gamma.columns == (
+            ((0, 3), [(0, 0.5), (3, 2.0)]), ((1, 2), [(1, 1.0), (2, -1.0)]), ((2, 3), [(3, 3.0)]))
