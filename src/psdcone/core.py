@@ -97,7 +97,8 @@ class Graph:
 
     @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
-        """Per vertex v, an int whose bit w is set when {v, w} is an edge."""
+        """Per vertex v, an int whose bit w is set when {v, w} is an edge: the
+        adjacency every decision reads (pattern mask, chordal structure, cycle walk)."""
         bits = [0] * self.m
         for i, j in self.edges:
             bits[i] |= 1 << j
@@ -106,6 +107,9 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Per vertex, its neighbours as a frozenset, for the set-based walks: the
+        chordless-cycle witness search (whose breadth-first visit order it fixes),
+        Bron-Kerbosch and ``graph_quotient``. Decisions read ``adjacency_bits``."""
         nbrs = [set() for _ in range(self.m)]
         for i, j in self.edges:
             nbrs[i].add(j)
@@ -308,7 +312,7 @@ def edge_complex(g: Graph) -> SimplicialComplex:
 
     Isolated singletons, then the sorted edges: the canonical order already.
     """
-    singletons = tuple((v,) for v, nbrs in enumerate(g.adjacency) if not nbrs)
+    singletons = tuple((v,) for v, bits in enumerate(g.adjacency_bits) if not bits)
     return SimplicialComplex._trusted(g.m, singletons + tuple(sorted(g.edges)))
 
 

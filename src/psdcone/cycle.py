@@ -298,10 +298,14 @@ def counterexample_sigma(m: int, rho: float) -> CycleMatrix:
 
 
 def counterexample_det(m: int, rho: float) -> float:
-    """Closed-form determinant of the counterexample matrix."""
+    """Closed-form determinant of the counterexample matrix; ValueError if it overflows."""
     if m % 2 == 1:
-        return (1.0 / 2 ** m) * ((m + 1) - (m - 1) * rho) * (1.0 + rho)
-    return (1.0 / 2 ** m) * ((m + 1) + (m - 1) * rho) * (1.0 - rho)
+        det = (1.0 / 2 ** m) * ((m + 1) - (m - 1) * rho) * (1.0 + rho)
+    else:
+        det = (1.0 / 2 ** m) * ((m + 1) + (m - 1) * rho) * (1.0 - rho)
+    if not math.isfinite(det):
+        raise ValueError(f"closed-form determinant at m = {m}, rho = {rho!r} overflows")
+    return det
 
 
 def quartic_coefficients(sigma: CycleMatrix) -> tuple[float, float, float]:

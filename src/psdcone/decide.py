@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import chordal, cycle
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix, edge_complex,
                    within_units)
@@ -101,23 +99,25 @@ def chordal_certificate(sigma: SymmetricMatrix, graph: Graph,
 
 def _cycle_order(g: Graph) -> list[int] | None:
     """g's vertices in walk order from 0, or None unless g is one cycle on all m >= 3."""
-    if g.m < 3 or len(g.edges) != g.m or any(g.degree(v) != 2 for v in range(g.m)):
+    if g.m < 3 or len(g.edges) != g.m or any(b.bit_count() != 2 for b in g.adjacency_bits):
         return None
-    # 2-regular, so the walk from 0 goes round 0's cycle: one cycle iff it repeats nothing
-    order, prev = [0], None
+    # 2-regular, so the walk from 0 goes round 0's cycle: one cycle iff it repeats nothing.
+    # A step takes the neighbour bit other than the vertex just left; the first step
+    # leaves 0 as if it came from its larger neighbour, so it goes to the smaller one.
+    bits = g.adjacency_bits
+    order, v, came = [0], 0, 1 << (bits[0].bit_length() - 1)
     while len(order) < g.m:
-        nxt = min(w for w in g.neighbors(order[-1]) if w != prev)
-        prev = order[-1]
-        order.append(nxt)
+        came, v = 1 << v, (bits[v] ^ came).bit_length() - 1
+        order.append(v)
     return order if len(set(order)) == g.m else None
 
 
 def _decide_cycle(sigma: SymmetricMatrix, g: Graph, order: list[int], complex,
                   tol: float) -> Decision:
     """The verdict on the chordless cycle g walked in order, on its edge complex."""
-    idx = np.array(order)
-    cyc = cycle.CycleMatrix(tuple(sigma.a[idx, idx].tolist()),
-                            tuple(sigma.a[idx, np.roll(idx, -1)].tolist()))
+    a = sigma.a
+    cyc = cycle.CycleMatrix(tuple(a.diagonal()[order].tolist()),
+                            tuple(a[order, order[1:] + order[:1]].tolist()))
     try:
         verdict = cycle.cycle_membership(cyc, tol=tol)
     except NotPsd as exc:

@@ -30,8 +30,8 @@ def graph_quotient(g: Graph, block) -> Graph:
     if not u <= set(range(g.m)):
         raise ValueError("block outside vertex range")
     keep = [v for v in range(g.m) if v not in u]
-    if not keep:
-        raise ValueError("block must be a proper vertex subset")
+    if not u or not keep:
+        raise ValueError("block must be a nonempty proper vertex subset")
     relabel = induced_vertex_map(keep)
     edges = {(relabel[a], relabel[b]) for a, b in g.edges if a not in u and b not in u}
     # components of the eliminated subgraph glue their outside neighborhoods
@@ -88,8 +88,8 @@ def complex_quotient(delta: SimplicialComplex, block) -> SimplicialComplex:
     if not all(0 <= v < delta.m for v in u):
         raise ValueError("block outside ground set")
     keep = [v for v in range(delta.m) if v not in set(u)]
-    if not keep:
-        raise ValueError("block must be proper")
+    if not u or not keep:
+        raise ValueError("block must be a nonempty proper subset")
     facets = [frozenset(f) for f in delta.facets]
     for v in u:
         facets = _single_vertex_quotient_facets(facets, v)

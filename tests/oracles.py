@@ -250,6 +250,26 @@ def perfect_check_scan(g: Graph, order) -> tuple[int, int, int] | None:
     return None
 
 
+def cycle_order_by_neighbors(g: Graph) -> list[int] | None:
+    """``decide._cycle_order`` on ``Graph.adjacency``: degrees from the neighbour
+    sets, each step to the smallest neighbour other than the vertex just left."""
+    if g.m < 3 or len(g.edges) != g.m or any(g.degree(v) != 2 for v in range(g.m)):
+        return None
+    order, prev = [0], None
+    while len(order) < g.m:
+        nxt = min(w for w in g.neighbors(order[-1]) if w != prev)
+        prev = order[-1]
+        order.append(nxt)
+    return order if len(set(order)) == g.m else None
+
+
+def edge_complex_by_adjacency(g: Graph) -> SimplicialComplex:
+    """``core.edge_complex`` through the validating constructor: the vertices
+    with no neighbour in ``Graph.adjacency`` as singletons, then the sorted edges."""
+    singletons = tuple((v,) for v in range(g.m) if not g.adjacency[v])
+    return SimplicialComplex(g.m, singletons + tuple(sorted(g.edges)))
+
+
 def single_vertex_quotient_faces(faces: set[frozenset], u: int) -> set[frozenset]:
     """Faces of the one-vertex quotient on original labels: faces avoiding u,
     plus unions of distinct face pairs through u with u removed."""

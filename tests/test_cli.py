@@ -435,6 +435,16 @@ def test_quotient_command(files):
     assert payload["vertex_map"] == {"1": 1, "2": 2, "3": 3}
 
 
+@pytest.mark.parametrize("remove", ["", ",", " , "])
+def test_quotient_by_an_empty_block_is_refused(files, remove):
+    c4 = files("c4complex.json", {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]})
+    rc, out, err = outcome(["quotient", "--complex", c4, "--remove", remove])
+    assert rc == 2
+    assert json.loads(out)["error"] == {"code": "invalid_input",
+                                        "message": "block must be a nonempty proper subset"}
+    assert "Traceback" not in err
+
+
 def test_schur_witness_command(files):
     cpath = files("e3.json", {"m": 3, "facets": [[1, 2], [1, 3], [2, 3]]})
     ppath = files("p.json", {"values": [
@@ -845,6 +855,15 @@ def test_m_outside_its_bound_is_refused(argv):
 def test_counterexample_at_the_largest_m():
     rc, out = run_cli(["counterexample", "--m", "64", "--rho", "0.5"])
     assert rc == 0 and json.loads(out)["m"] == 64
+
+
+@pytest.mark.parametrize("m, rho", [("5", "1e308"), ("64", "1e200")])
+def test_counterexample_whose_closed_form_overflows_exits_two(m, rho):
+    """-Infinity is not strict JSON: the closed form is refused, not printed."""
+    rc, out, err = outcome(["counterexample", "--m", m, "--rho", rho])
+    assert rc == 2
+    assert json.loads(out)["error"]["code"] == "invalid_input"
+    assert "Infinity" not in out and "Traceback" not in err
 
 
 def test_byte_identical_stdout(files):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdcone import cycle, decide
 from psdcone.core import FactorParams, Graph, SymmetricMatrix, cycle_graph, edge_complex
@@ -18,8 +20,9 @@ from psdcone.instances import (random_cycle_member, random_cycle_pattern_matrix,
 from psdcone.linalg import is_psd, sign_flip
 from psdcone.param import phi
 
-from oracles import (closure_mobius_coefficients, expand_edge_signs, gamma_edge,
-                     tridiagonal_det, with_value)
+from oracles import (closure_mobius_coefficients, cycle_order_by_neighbors,
+                     edge_complex_by_adjacency, expand_edge_signs, gamma_edge, tridiagonal_det,
+                     with_value)
 
 
 def identity_cycle(m):
@@ -145,6 +148,11 @@ class TestCounterexampleFamily:
     def test_m3_reference_values(self):
         assert counterexample_det(3, 1.5) == pytest.approx(0.3125)
         assert counterexample_det(3, -1.5) == pytest.approx((1 / 8) * 7 * (-0.5))
+
+    @pytest.mark.parametrize("m, rho", [(5, 1e308), (64, 1e200), (6, -1e308)])
+    def test_overflow_is_refused(self, m, rho):
+        with pytest.raises(ValueError, match="overflows"):
+            counterexample_det(m, rho)
 
     def test_closed_form_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -429,3 +437,74 @@ class TestCycleFiber:
             # closure equation c*X^2 + (d-a)*X - b = 0 reduces to X^2 - X - 1 = 0
             assert d - a == -b
             assert c == b
+
+
+def _ring(vertices):
+    vertices = list(vertices)
+    return [(v, vertices[(k + 1) % len(vertices)]) for k, v in enumerate(vertices)]
+
+
+@st.composite
+def walk_graphs(draw):
+    """Relabelled graphs near and far from one cycle through every vertex."""
+    kind = draw(st.sampled_from(["cycle", "two cycles", "cycle and isolated vertex",
+                                 "cycle and chord", "path", "degree 3", "m < 3", "random"]))
+    if kind == "cycle":
+        m = draw(st.integers(3, 64))
+        edges = _ring(range(m))
+    elif kind == "two cycles":
+        a, b = draw(st.sampled_from([(3, 3), (4, 5)]))
+        m, edges = a + b, _ring(range(a)) + _ring(range(a, a + b))
+    elif kind == "cycle and isolated vertex":
+        m = draw(st.integers(4, 20))
+        edges = _ring(range(m - 1))
+    elif kind == "cycle and chord":
+        m = draw(st.integers(4, 20))
+        edges = _ring(range(m)) + [(0, draw(st.integers(2, m - 2)))]
+    elif kind == "path":
+        m = draw(st.integers(1, 20))
+        edges = [(v, v + 1) for v in range(m - 1)]
+    elif kind == "degree 3":  # a k-cycle with a tail at 0: m edges, 0 of degree 3
+        m = draw(st.integers(4, 20))
+        k = draw(st.integers(3, m - 1))
+        edges = _ring(range(k)) + [(0 if v == k else v - 1, v) for v in range(k, m)]
+    elif kind == "m < 3":
+        m = draw(st.integers(1, 2))
+        edges = draw(st.sampled_from([[], [(0, 1)]])) if m == 2 else []
+    else:
+        m = draw(st.integers(2, 10))
+        pairs = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+        edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=2 * m))
+    p = draw(st.permutations(range(m)))
+    return Graph.from_edges(m, [(p[i], p[j]) for i, j in edges])
+
+
+class TestCycleOrder:
+    """The decision reads its graph through ``adjacency_bits`` alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_graphs())
+    def test_bitset_walk_equals_the_neighbour_set_walk(self, g):
+        assert decide._cycle_order(g) == cycle_order_by_neighbors(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(walk_graphs())
+    def test_edge_complex_equals_the_one_built_from_neighbour_sets(self, g):
+        assert edge_complex(g).facets == edge_complex_by_adjacency(g).facets
+
+    def test_walk_goes_from_0_to_its_smaller_neighbour(self):
+        g = Graph.from_edges(5, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)])
+        assert decide._cycle_order(g) == [0, 2, 4, 1, 3]
+        assert decide._cycle_order(Graph.from_edges(6, _ring(range(3)) + _ring(range(3, 6)))) is None
+
+    @pytest.mark.parametrize("m", [4, 5, 16])
+    def test_a_cycle_decision_builds_no_neighbour_sets(self, m):
+        rng = np.random.default_rng(m)
+        sig, _ = random_cycle_member(rng, m)
+        p = rng.permutation(m)
+        a = np.empty((m, m))
+        a[np.ix_(p, p)] = sig.to_array()
+        g = Graph.from_edges(m, [(p[i], p[j]) for i, j in _ring(range(m))])
+        decision = decide.membership(SymmetricMatrix(a), g)
+        assert decision.member and decision.certificate is not None
+        assert "adjacency" not in vars(g)

@@ -36,8 +36,22 @@ class TestGraphQuotient:
         with pytest.raises(ValueError):
             graph_quotient(cycle_graph(3), {0, 1, 2})
 
+    @pytest.mark.parametrize("block", [set(), [], ()])
+    def test_rejects_an_empty_block(self, block):
+        with pytest.raises(ValueError, match="nonempty"):
+            graph_quotient(cycle_graph(4), block)
+
 
 class TestComplexQuotient:
+    @pytest.mark.parametrize("block", [set(), [], ()])
+    def test_rejects_an_empty_block(self, block):
+        with pytest.raises(ValueError, match="nonempty"):
+            complex_quotient(edge_complex(cycle_graph(4)), block)
+
+    def test_rejects_everything_removed(self):
+        with pytest.raises(ValueError, match="proper"):
+            complex_quotient(edge_complex(cycle_graph(3)), [0, 1, 2])
+
     def test_c4_edge_complex_single_vertex(self):
         delta = edge_complex(cycle_graph(4))
         quot = complex_quotient(delta, [3])
