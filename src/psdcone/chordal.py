@@ -15,11 +15,9 @@ import numpy as np
 
 from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    _bit_positions, underlying_graph)
-from .errors import InternalInconsistency, NotChordal, PatternViolation, TooManyCliques
+from .errors import InternalInconsistency, NotChordal, PatternViolation
 # is_psd is not called here; perfbench/spans.py wraps it by this name
 from .linalg import DEFAULT_TOL, _semidef_cholesky, check_tol, is_psd  # noqa: F401
-
-CLIQUE_GUARD = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,13 @@ def _perfect_check(g: Graph, order: list[int]):
 
 
 def _chordless_cycle_through(g: Graph, v: int, x: int, y: int):
-    """Shortest chordless cycle through v using non-adjacent neighbors x, y of v."""
-    banned = (g.neighbors(v) | {v}) - {x, y}
+    """Shortest chordless cycle through v using non-adjacent neighbors x, y of v.
+
+    A breadth-first search from x to y that keeps off v and its other
+    neighbours, visiting each vertex's neighbours in ascending order.
+    """
+    adj = g.adjacency_bits
+    closed = (adj[v] | 1 << v) & ~(1 << y)  # banned or visited; x is visited
     prev = {x: None}
     queue = deque([x])
     while queue:
@@ -97,10 +100,11 @@ def _chordless_cycle_through(g: Graph, v: int, x: int, y: int):
                 path.append(cur)
                 cur = prev[cur]
             return tuple([v] + path[::-1])
-        for w in g.neighbors(cur):
-            if w not in banned and w not in prev:
-                prev[w] = cur
-                queue.append(w)
+        new = adj[cur] & ~closed
+        closed |= new
+        for w in _bit_positions(new):
+            prev[w] = cur
+            queue.append(w)
     return None
 
 
@@ -109,11 +113,12 @@ def _chordless_cycle_from(g: Graph, bad) -> tuple[int, ...]:
     cyc = _chordless_cycle_through(g, *bad)
     if cyc is None:
         # the PEO violation guarantees some non-adjacent neighbor pair works
+        adj = g.adjacency_bits
         for v in range(g.m):
-            nbrs = sorted(g.neighbors(v))
+            nbrs = _bit_positions(adj[v])
             for i, x in enumerate(nbrs):
                 for y in nbrs[i + 1:]:
-                    if not g.has_edge(x, y):
+                    if not adj[x] >> y & 1:
                         cyc = _chordless_cycle_through(g, v, x, y)
                         if cyc is not None:
                             return cyc
@@ -137,24 +142,18 @@ def is_chordal(g: Graph):
     return False, witness
 
 
+def _perfect_ordering(g: Graph) -> EliminationOrdering:
+    """is_chordal's perfect elimination ordering of g, or NotChordal naming a
+    chordless cycle in 1-based labels."""
+    ok, info = is_chordal(g)
+    if not ok:
+        raise NotChordal(f"graph has chordless cycle {tuple(v + 1 for v in info)}")
+    return info
+
+
 def clique_complex(g: Graph) -> SimplicialComplex:
-    """Simplicial complex of all cliques; facets via Bron-Kerbosch with pivoting."""
-    cliques: list[tuple[int, ...]] = []
-
-    def expand(r: set, p: set, x: set):
-        if not p and not x:
-            cliques.append(tuple(sorted(r)))
-            if len(cliques) > CLIQUE_GUARD:
-                raise TooManyCliques(f"more than {CLIQUE_GUARD} maximal cliques")
-            return
-        pivot = max(sorted(p | x), key=lambda u: len(g.neighbors(u) & p))
-        for v in sorted(p - g.neighbors(pivot)):
-            expand(r | {v}, p & g.neighbors(v), x & g.neighbors(v))
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(range(g.m)), set())
-    return SimplicialComplex.from_facets(g.m, cliques)
+    """The clique complex of a chordal graph; NotChordal for any other graph."""
+    return ordering_clique_complex(g, _perfect_ordering(g))
 
 
 def ordering_clique_complex(g: Graph, ordering: EliminationOrdering) -> SimplicialComplex:
@@ -190,12 +189,10 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) ->
     check_tol(tol)
     if sigma.m != g.m:
         raise ValueError("matrix and graph sizes differ")
-    ok, info = is_chordal(g)
-    if not ok:
-        raise NotChordal(f"graph has chordless cycle {tuple(v + 1 for v in info)}")
+    ordering = _perfect_ordering(g)
     if not sigma.respects_pattern(g):
         raise PatternViolation("matrix has a nonzero entry at a non-edge of the graph")
-    return _fiber(g, sigma, info, None, tol)
+    return _fiber(g, sigma, ordering, None, tol)
 
 
 def _fiber(g: Graph, sigma: SymmetricMatrix, ordering: EliminationOrdering,

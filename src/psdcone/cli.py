@@ -22,9 +22,8 @@ import numpy as np
 
 from .core import (MAX_VERTICES, FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    load_json, underlying_graph)
-from .errors import (AsymmetricInput, Degenerate, InternalInconsistency,
-                     NotChordal, NotMember, NotPsd, PatternViolation,
-                     PsdConeError, TooManyCliques, Undecidable, ZeroDiagonal,
+from .errors import (AsymmetricInput, Degenerate, InternalInconsistency, NotChordal, NotMember,
+                     NotPsd, PatternViolation, PsdConeError, Undecidable, ZeroDiagonal,
                      ZeroDiagonalParam)
 from .linalg import DEFAULT_TOL, check_tol, schur_complement
 
@@ -76,7 +75,6 @@ ERROR_CODES = {
     Degenerate: "degenerate",
     ZeroDiagonal: "zero_diagonal",
     ZeroDiagonalParam: "zero_diagonal_param",
-    TooManyCliques: "too_many_cliques",
     Undecidable: "undecidable",
     InternalInconsistency: "internal_inconsistency",
     AsymmetricInput: "asymmetric_input",
@@ -261,6 +259,8 @@ def cmd_schur_witness(args) -> int:
 
 
 def cmd_volume(args) -> int:
+    if (args.m is not None) == args.table:
+        raise ValueError("volume needs exactly one of --m and --table")
     if args.table:
         estimates = volume_table(args.samples, args.seed, workers=args.workers,
                                  progress=args.progress)
@@ -269,8 +269,6 @@ def cmd_volume(args) -> int:
         else:
             print(format_table(estimates))
         return 0
-    if args.m is None:
-        raise ValueError("volume needs --m or --table")
     est = estimate_volume(args.m, args.samples, args.seed, workers=args.workers,
                           progress=args.progress)
     _print_json(est.to_json_dict())

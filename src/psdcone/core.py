@@ -98,23 +98,12 @@ class Graph:
     @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
         """Per vertex v, an int whose bit w is set when {v, w} is an edge: the
-        adjacency every decision reads (pattern mask, chordal structure, cycle walk)."""
+        graph's one adjacency, which every walk over it reads."""
         bits = [0] * self.m
         for i, j in self.edges:
             bits[i] |= 1 << j
             bits[j] |= 1 << i
         return tuple(bits)
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Per vertex, its neighbours as a frozenset, for the set-based walks: the
-        chordless-cycle witness search (whose breadth-first visit order it fixes),
-        Bron-Kerbosch and ``graph_quotient``. Decisions read ``adjacency_bits``."""
-        nbrs = [set() for _ in range(self.m)]
-        for i, j in self.edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        return tuple(frozenset(s) for s in nbrs)
 
     @cached_property
     def pattern_mask(self) -> np.ndarray:
@@ -129,10 +118,10 @@ class Graph:
         return mask
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
+        return frozenset(_bit_positions(self.adjacency_bits[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.adjacency_bits[v].bit_count()
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "edges": [[i + 1, j + 1] for i, j in sorted(self.edges)]}
@@ -141,8 +130,9 @@ class Graph:
     def from_json_dict(cls, d: Mapping) -> "Graph":
         try:
             m = _vertex_count("graph", d)
-            edges = [(int(i), int(j)) for i, j in d["edges"]]
-        except (KeyError, TypeError, OverflowError) as exc:
+            index = operator.index  # refuses a label that is not an integer, 2.0 included
+            edges = [(index(i), index(j)) for i, j in d["edges"]]
+        except (KeyError, TypeError) as exc:
             raise _malformed("graph", exc) from None
         for i, j in edges:  # in the file's labels, 1..m
             if i == j:
@@ -261,8 +251,8 @@ class SimplicialComplex:
     def from_json_dict(cls, d: Mapping) -> "SimplicialComplex":
         try:
             m = _vertex_count("complex", d)
-            facets = [[int(v) for v in f] for f in d["facets"]]
-        except (KeyError, TypeError, OverflowError) as exc:
+            facets = [list(map(operator.index, f)) for f in d["facets"]]
+        except (KeyError, TypeError) as exc:
             raise _malformed("complex", exc) from None
         for f in facets:  # in the file's labels, 1..m
             if not all(1 <= v <= m for v in f):
@@ -413,7 +403,7 @@ class SymmetricMatrix:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SymmetricMatrix":
         try:
-            m = int(d["m"])
+            m = operator.index(d["m"])
             arr = np.asarray(d["entries"], dtype=float)
         except (KeyError, TypeError, OverflowError) as exc:
             raise _malformed("matrix", exc) from None
@@ -504,18 +494,17 @@ class FactorParams:
     @classmethod
     def from_json_dict(cls, delta: SimplicialComplex, d: Mapping) -> "FactorParams":
         """The 1-based records of d["values"], each distinct file face made canonical once."""
-        faces: dict[tuple, Face] = {}  # file face -> canonical 0-based face
+        faces: dict[tuple, Face] = {}  # file face as ints -> canonical 0-based face
         vals = {}
+        # every label is read, so a float spelling (2.0) of a cached face is refused too
+        index = operator.index
         try:
             for rec in d["values"]:
-                raw = tuple(rec["face"])
-                try:
-                    face = faces.get(raw)
-                except TypeError:  # an unhashable label, read uncached as always
-                    face = as_face(int(v) - 1 for v in raw)
+                raw = tuple(map(index, rec["face"]))
+                face = faces.get(raw)
                 if face is None:
-                    face = faces[raw] = as_face(int(v) - 1 for v in raw)
-                vals[(face, int(rec["vertex"]) - 1)] = float(rec["gamma"])
+                    face = faces[raw] = as_face(v - 1 for v in raw)
+                vals[(face, index(rec["vertex"]) - 1)] = float(rec["gamma"])
         except (KeyError, TypeError, OverflowError) as exc:
             raise _malformed("params", exc) from None
         return cls(delta, vals)
@@ -569,14 +558,14 @@ def load_json(path) -> dict:
 
 def _vertex_count(kind: str, d: Mapping) -> int:
     """kind's ``m``, refused outside 1..MAX_VERTICES before anything is built."""
-    if not 1 <= (m := int(d["m"])) <= MAX_VERTICES:
+    if not 1 <= (m := operator.index(d["m"])) <= MAX_VERTICES:
         raise ValueError(f"{kind} JSON: m must be between 1 and {MAX_VERTICES}, got {m}")
     return m
 
 
 def _malformed(kind: str, exc: KeyError | TypeError | OverflowError) -> ValueError:
-    """The error for a missing key, or a value of the wrong shape or out of
-    int range (``1e400`` reads as infinity), in kind's JSON.
+    """The error for a missing key, or a value of the wrong shape or type (a
+    label or ``m`` that is not an integer) or out of float range, in kind's JSON.
 
     The from_json_dict readers catch these only where they read their JSON,
     so a TypeError raised by library code is never reported as bad input.

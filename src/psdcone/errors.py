@@ -41,10 +41,6 @@ class ZeroDiagonalParam(PsdConeError):
     """Dual construction requires all singleton parameters to be nonzero."""
 
 
-class TooManyCliques(PsdConeError):
-    """Maximal-clique enumeration exceeded the configured guard."""
-
-
 class InternalInconsistency(PsdConeError):
     """Two provably-equivalent computations disagreed beyond tolerance."""
 

@@ -9,11 +9,12 @@ single-vertex quotients.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
+from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix, _bit_positions,
                    _dominated, _vertex_bitsets, as_face, induced_vertex_map)
 from .errors import ZeroDiagonal
 from .linalg import DEFAULT_TOL, check_tol
@@ -35,23 +36,19 @@ def graph_quotient(g: Graph, block) -> Graph:
     relabel = induced_vertex_map(keep)
     edges = {(relabel[a], relabel[b]) for a, b in g.edges if a not in u and b not in u}
     # components of the eliminated subgraph glue their outside neighborhoods
-    seen: set[int] = set()
-    for start in sorted(u):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y in u and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        boundary = sorted({y for x in comp for y in g.neighbors(x) if y not in u})
-        for i in range(len(boundary)):
-            for j in range(i + 1, len(boundary)):
-                edges.add((relabel[boundary[i]], relabel[boundary[j]]))
+    adj = g.adjacency_bits
+    eliminated = rest = sum(1 << v for v in range(g.m) if v in u)
+    while rest:
+        comp = new = rest & -rest
+        around = 0  # the neighbours of comp
+        while new:
+            for x in _bit_positions(new):
+                around |= adj[x]
+            new = around & eliminated & ~comp
+            comp |= new
+        rest &= ~comp
+        boundary = [relabel[y] for y in _bit_positions(around & ~eliminated)]
+        edges.update(itertools.combinations(boundary, 2))
     return Graph.from_edges(len(keep), edges)
 
 

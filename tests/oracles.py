@@ -8,13 +8,14 @@ instances.  The helpers at the end build or inspect test inputs.
 import heapq
 import itertools
 import math
+import operator
 import sys
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
-from psdcone.chordal import (_chordless_cycle_through, _perfect_check, is_chordal,
-                             maximum_cardinality_search)
+from psdcone.chordal import _perfect_check, is_chordal, maximum_cardinality_search
 from psdcone.core import (PATTERN_TOL, Face, FactorParams, Graph, SimplicialComplex,
                           SymmetricMatrix, _malformed, as_face, face_key, induced_subcomplex,
                           induced_vertex_map)
@@ -41,10 +42,61 @@ def dominated_scan(sets) -> set:
     return {a for a in fsets if any(a < b for b in fsets)}
 
 
+def neighbor_sets(g: Graph) -> list[set[int]]:
+    """Per vertex, its neighbours as a set, built from ``g.edges`` alone."""
+    nbrs = [set() for _ in range(g.m)]
+    for i, j in g.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return nbrs
+
+
+def chordless_cycle_through_by_sets(g: Graph, v: int, x: int, y: int):
+    """``chordal._chordless_cycle_through`` on neighbour sets: a breadth-first
+    search from x to y off v's other neighbours, neighbours in ascending order."""
+    nbrs = neighbor_sets(g)
+    banned = (nbrs[v] | {v}) - {x, y}
+    prev = {x: None}
+    queue = deque([x])
+    while queue:
+        cur = queue.popleft()
+        if cur == y:
+            path = []
+            while cur is not None:
+                path.append(cur)
+                cur = prev[cur]
+            return tuple([v] + path[::-1])
+        for w in sorted(nbrs[cur]):
+            if w not in banned and w not in prev:
+                prev[w] = cur
+                queue.append(w)
+    return None
+
+
 def chordless_cycle_from_mcs(g):
     """The witness of the reversed-MCS ordering's first violating triple, or None."""
     bad = _perfect_check(g, maximum_cardinality_search(g)[::-1])
-    return None if bad is None else _chordless_cycle_through(g, *bad)
+    return None if bad is None else chordless_cycle_through_by_sets(g, *bad)
+
+
+def clique_complex_bk(g: Graph) -> SimplicialComplex:
+    """The complex of all cliques of any graph, its facets by Bron-Kerbosch
+    with pivoting on neighbour sets."""
+    nbrs = neighbor_sets(g)
+    cliques: list[tuple[int, ...]] = []
+
+    def expand(r: set, p: set, x: set):
+        if not p and not x:
+            cliques.append(tuple(sorted(r)))
+            return
+        pivot = max(sorted(p | x), key=lambda u: len(nbrs[u] & p))
+        for v in sorted(p - nbrs[pivot]):
+            expand(r | {v}, p & nbrs[v], x & nbrs[v])
+            p = p - {v}
+            x = x | {v}
+
+    expand(set(), set(range(g.m)), set())
+    return SimplicialComplex.from_facets(g.m, cliques)
 
 
 def chain_quotient_faces(delta: SimplicialComplex, block) -> set[frozenset]:
@@ -240,8 +292,9 @@ def exact_psd(arr, shift: float = 0.0) -> bool:
 def perfect_check_scan(g: Graph, order) -> tuple[int, int, int] | None:
     """``chordal._perfect_check`` by the ordered pair scan at every vertex."""
     pos = {v: k for k, v in enumerate(order)}
+    nbrs = neighbor_sets(g)
     for v in order:
-        later = sorted((w for w in g.neighbors(v) if pos[w] > pos[v]),
+        later = sorted((w for w in nbrs[v] if pos[w] > pos[v]),
                        key=lambda w: pos[w])
         for a in range(len(later)):
             for b in range(a + 1, len(later)):
@@ -251,23 +304,50 @@ def perfect_check_scan(g: Graph, order) -> tuple[int, int, int] | None:
 
 
 def cycle_order_by_neighbors(g: Graph) -> list[int] | None:
-    """``decide._cycle_order`` on ``Graph.adjacency``: degrees from the neighbour
-    sets, each step to the smallest neighbour other than the vertex just left."""
-    if g.m < 3 or len(g.edges) != g.m or any(g.degree(v) != 2 for v in range(g.m)):
+    """``decide._cycle_order`` on neighbour sets: degrees from the sets, each
+    step to the smallest neighbour other than the vertex just left."""
+    nbrs = neighbor_sets(g)
+    if g.m < 3 or len(g.edges) != g.m or any(len(s) != 2 for s in nbrs):
         return None
     order, prev = [0], None
     while len(order) < g.m:
-        nxt = min(w for w in g.neighbors(order[-1]) if w != prev)
+        nxt = min(w for w in nbrs[order[-1]] if w != prev)
         prev = order[-1]
         order.append(nxt)
     return order if len(set(order)) == g.m else None
 
 
-def edge_complex_by_adjacency(g: Graph) -> SimplicialComplex:
+def edge_complex_by_neighbors(g: Graph) -> SimplicialComplex:
     """``core.edge_complex`` through the validating constructor: the vertices
-    with no neighbour in ``Graph.adjacency`` as singletons, then the sorted edges."""
-    singletons = tuple((v,) for v in range(g.m) if not g.adjacency[v])
+    with an empty neighbour set as singletons, then the sorted edges."""
+    singletons = tuple((v,) for v, s in enumerate(neighbor_sets(g)) if not s)
     return SimplicialComplex(g.m, singletons + tuple(sorted(g.edges)))
+
+
+def graph_quotient_by_sets(g: Graph, block) -> Graph:
+    """``quotient.graph_quotient`` on neighbour sets: a depth-first search grows
+    each component of the eliminated vertices, and its outside neighbours are
+    joined pairwise."""
+    u = set(block)
+    nbrs = neighbor_sets(g)
+    keep = [v for v in range(g.m) if v not in u]
+    relabel = induced_vertex_map(keep)
+    edges = {(relabel[a], relabel[b]) for a, b in g.edges if a not in u and b not in u}
+    seen: set[int] = set()
+    for start in sorted(u):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for y in nbrs[stack.pop()]:
+                if y in u and y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        boundary = sorted({y for x in comp for y in nbrs[x] if y not in u})
+        edges.update(itertools.combinations([relabel[y] for y in boundary], 2))
+    return Graph.from_edges(len(keep), edges)
 
 
 def single_vertex_quotient_faces(faces: set[frozenset], u: int) -> set[frozenset]:
@@ -361,8 +441,8 @@ def params_from_json_by_record(delta: SimplicialComplex, d) -> FactorParams:
     vals = {}
     try:
         for rec in d["values"]:
-            face = as_face(int(v) - 1 for v in rec["face"])
-            vals[(face, int(rec["vertex"]) - 1)] = float(rec["gamma"])
+            face = as_face(operator.index(v) - 1 for v in rec["face"])
+            vals[(face, operator.index(rec["vertex"]) - 1)] = float(rec["gamma"])
     except (KeyError, TypeError, OverflowError) as exc:
         raise _malformed("params", exc) from None
     return FactorParams(delta, vals)

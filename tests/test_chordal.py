@@ -1,6 +1,7 @@
 """Chordality detection, clique complexes, and the chordal fiber construction."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from psdcone.core import (FactorParams, Graph, SimplicialComplex, SymmetricMatri
                           cycle_graph, edge_complex)
 from psdcone.cycle import CycleMatrix, counterexample_sigma, cycle_membership
 from psdcone.decide import chordal_certificate
-from psdcone.errors import NotChordal, NotPsd, PatternViolation
+from psdcone.errors import InternalInconsistency, NotChordal, NotPsd, PatternViolation
 from psdcone.instances import random_chordal_graph, random_params
 from psdcone.param import phi
 
-from oracles import (chordless_cycle_from_mcs, complete_graph, find_chordless_cycle, is_clique,
-                     path_graph,
+from oracles import (chordless_cycle_from_mcs, clique_complex_bk, complete_graph,
+                     find_chordless_cycle, is_clique, neighbor_sets, path_graph,
                      perfect_check_scan, random_tree)
 
 
@@ -38,11 +39,12 @@ def mcs_scan(g):
     weight = [0] * g.m
     visited = [False] * g.m
     order = []
+    nbrs = neighbor_sets(g)
     for _ in range(g.m):
         v = max(range(g.m), key=lambda u: (not visited[u], weight[u], -u))
         visited[v] = True
         order.append(v)
-        for w in g.neighbors(v):
+        for w in nbrs[v]:
             if not visited[w]:
                 weight[w] += 1
     return order
@@ -155,6 +157,15 @@ class TestIsChordal:
         order = maximum_cardinality_search(g)[::-1] if mcs else rng.permutation(m).tolist()
         assert _perfect_check(g, order) == perfect_check_scan(g, order)
 
+    def test_fallback_finds_a_cycle_away_from_the_triple(self):
+        """A triple whose own search fails sends the search over every vertex's
+        neighbour pairs, in ascending order, to the first pair that closes a cycle."""
+        g = Graph.from_edges(10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                  (6, 7), (7, 8), (8, 9), (6, 9)])
+        assert _chordless_cycle_from(g, (4, 3, 5)) == (6, 7, 8, 9)
+        with pytest.raises(InternalInconsistency):
+            _chordless_cycle_from(path_graph(3), (1, 0, 2))
+
     def test_mcs_tie_break_smallest_vertex(self):
         assert maximum_cardinality_search(path_graph(3))[0] == 0
 
@@ -163,8 +174,8 @@ class TestBitsetStructure:
     """MCS, the PEO check and the clique complex on vertex bitsets, and the
     complexes and parameters built from them without a second validation."""
 
-    KINDS = ["random", "chordal", "relabelled", "isolated", "complete", "two-cliques",
-             "cycle", "dense"]
+    CHORDAL_KINDS = ["chordal", "relabelled", "isolated", "complete", "two-cliques"]
+    KINDS = ["random", *CHORDAL_KINDS, "cycle", "dense"]
 
     @given(st.integers(1, 64), st.sampled_from(KINDS), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -184,7 +195,7 @@ class TestBitsetStructure:
             return
         assert info.order == tuple(order[::-1])
         delta = ordering_clique_complex(g, info)
-        assert delta == clique_complex(g)
+        assert delta == clique_complex(g) == clique_complex_bk(g)
         delta.__post_init__()
         gamma = chordal_fiber(g, pattern_matrix(rng, g))
         assert gamma.complex == delta
@@ -204,16 +215,47 @@ class TestBitsetStructure:
                 FactorParams._trusted(delta, {((0, 1), 0): 1.0, ((1, 2), 2): bad})
 
 
+def named_cycle(exc) -> tuple[int, ...]:
+    """The 0-based chordless cycle that a NotChordal message names 1-based."""
+    labels = re.fullmatch(r"graph has chordless cycle \(([0-9, ]+)\)", str(exc)).group(1)
+    return tuple(int(v) - 1 for v in labels.split(","))
+
+
 class TestCliqueComplex:
     def test_triangle(self):
         assert clique_complex(complete_graph(3)).facets == ((0, 1, 2),)
 
     def test_four_cycle_is_its_edges(self):
-        delta = clique_complex(cycle_graph(4))
-        assert delta == edge_complex(cycle_graph(4))
+        """Bron-Kerbosch finds the 4-cycle's edges; the library refuses the graph."""
+        assert clique_complex_bk(cycle_graph(4)) == edge_complex(cycle_graph(4))
+        with pytest.raises(NotChordal) as exc:
+            clique_complex(cycle_graph(4))
+        assert_chordless_cycle(cycle_graph(4), named_cycle(exc.value))
 
     def test_three_chain(self):
         assert clique_complex(path_graph(3)).facets == ((0, 1), (1, 2))
+
+    @given(st.integers(1, 64), st.sampled_from(TestBitsetStructure.CHORDAL_KINDS),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_bron_kerbosch_on_chordal_graphs(self, m, kind, seed):
+        g = random_graph(np.random.default_rng(seed), kind, m)
+        assert clique_complex(g) == clique_complex_bk(g)
+
+    @given(st.integers(4, 64), st.sampled_from(["random", "cycle", "dense"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_refuses_other_graphs_naming_a_chordless_cycle(self, m, kind, seed):
+        g = random_graph(np.random.default_rng(seed), kind, m)
+        ok, info = is_chordal(g)
+        if ok:
+            assert clique_complex(g) == clique_complex_bk(g)
+            return
+        with pytest.raises(NotChordal) as exc:
+            clique_complex(g)
+        assert named_cycle(exc.value) == info
+        assert_chordless_cycle(g, info)
+        assert "adjacency" not in vars(g)  # the witness search walks adjacency_bits
 
     @given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -227,9 +269,9 @@ class TestCliqueComplex:
         for graph in (g, h):
             ok, ordering = is_chordal(graph)
             assert ok
-            assert ordering_clique_complex(graph, ordering) == clique_complex(graph)
+            assert ordering_clique_complex(graph, ordering) == clique_complex_bk(graph)
         relabelled = SimplicialComplex.from_facets(
-            m, ([perm[v] for v in f] for f in clique_complex(g).facets))
+            m, ([perm[v] for v in f] for f in clique_complex_bk(g).facets))
         assert ordering_clique_complex(h, is_chordal(h)[1]) == relabelled
 
 

@@ -486,6 +486,15 @@ def test_volume_rejects_fewer_than_one_worker(workers):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["--table", "--m", "5"], ["--m", "5", "--table"], []])
+def test_volume_needs_exactly_one_of_m_and_table(argv):
+    """--table runs m = 3..7, so an --m beside it (or neither) is refused, not dropped."""
+    rc, out, err = outcome(["volume", *argv, "--samples", "10"])
+    assert rc == 2 and "Traceback" not in err
+    assert json.loads(out)["error"] == {"code": "invalid_input",
+                                        "message": "volume needs exactly one of --m and --table"}
+
+
 def test_volume_table_text():
     rc, out = run_cli(["volume", "--table", "--samples", "500", "--seed", "1"])
     assert rc == 0
@@ -722,23 +731,37 @@ def test_malformed_json(tmp_path):
 # text the message must hold)
 NOT_AN_OBJECT = [("list", [1, 2], "expected a JSON object"),
                  ("number", 5, "expected a JSON object")]
+NOT_INT = "object cannot be interpreted as an integer"  # a label or m read, not truncated
 WRONG_SHAPES = {
     "matrix": [("missing key", {"m": 3}, "missing key 'entries'"),
                ("object entry", {"m": 3, "entries": [[1, 0, 0], [0, {}, 0], [0, 0, 1]]},
                 "matrix JSON"),
-               ("null m", {"m": None, "entries": []}, "matrix JSON")],
+               ("null m", {"m": None, "entries": []}, "matrix JSON"),
+               ("float m", {"m": 3.0, "entries": np.eye(3).tolist()}, "matrix JSON: 'float' "
+                + NOT_INT)],
     "graph": [("edge not a pair", {"m": 3, "edges": [1]}, "graph JSON"),
               ("facet not a list", {"m": 3, "facets": [1, 2]}, "complex JSON"),
               ("infinite m", {"m": 1e400, "edges": []}, "graph JSON"),
+              ("float labels", {"m": 3, "edges": [[1.7, 2], [2, 3.2]]}, "graph JSON: 'float' "
+               + NOT_INT),
+              ("string labels", {"m": 3, "edges": [["1", "2"]]}, "graph JSON: 'str' " + NOT_INT),
               ("neither", {"m": 3}, "expected a graph")],
     "complex": [("facet not a list", {"m": 3, "facets": [1, 2]}, "complex JSON"),
                 ("infinite vertex", {"m": 3, "facets": [[1, 1e400]]}, "complex JSON"),
+                ("float labels", {"m": 3.9, "facets": [[1, 2.5], [2, 3]]}, "complex JSON: "
+                 "'float' " + NOT_INT),
+                ("integral float label", {"m": 3, "facets": [[1, 2.0], [2, 3]]},
+                 "complex JSON: 'float' " + NOT_INT),
                 ("missing key", {"m": 3}, "missing key 'facets'")],
     "params": [("null gamma", {"values": [{"face": [1, 2], "vertex": 1, "gamma": None}]},
                 "params JSON"),
                ("record not an object", {"values": [1]}, "params JSON"),
                ("record missing key", {"values": [{"face": [1, 2], "vertex": 1}]},
                 "missing key 'gamma'"),
+               ("float labels", {"values": [{"face": [1, 2.9], "vertex": 1.2, "gamma": 1.0}]},
+                "params JSON: 'float' " + NOT_INT),
+               ("string vertex", {"values": [{"face": [1, 2], "vertex": "1", "gamma": 1.0}]},
+                "params JSON: 'str' " + NOT_INT),
                ("missing key", {}, "missing key 'values'")],
 }
 VALID = {"matrix": {"m": 3, "entries": np.eye(3).tolist()},

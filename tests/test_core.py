@@ -20,15 +20,15 @@ from psdcone.core import (MAX_VERTICES, PATTERN_TOL, FactorParams, Graph, Simpli
 from psdcone.chordal import chordal_fiber, clique_complex, is_chordal
 from psdcone.cycle import _edge_params, cycle_edge_complex
 from psdcone.decide import membership
-from psdcone.errors import AsymmetricInput
+from psdcone.errors import AsymmetricInput, NotChordal
 from psdcone.instances import (random_chordal_graph, random_complex, random_cycle_member,
                                random_params)
 from psdcone.param import cone_add, phi, submatrix_witness
 from psdcone.quotient import schur_witness
 
-from oracles import (complete_graph, dominated_scan, gamma_edge, has_face_scan,
-                     items_by_sort, params_from_json_by_record, params_json_by_items,
-                     path_graph, pattern_graph, pattern_mask_from_edges,
+from oracles import (clique_complex_bk, complete_graph, dominated_scan, gamma_edge,
+                     has_face_scan, items_by_sort, neighbor_sets, params_from_json_by_record,
+                     params_json_by_items, path_graph, pattern_graph, pattern_mask_from_edges,
                      phi_by_face_entries, random_psd_matrix)
 
 
@@ -130,6 +130,17 @@ class TestGraph:
         assert g.neighbors(1) == {0, 2}
         assert g.degree(0) == 1
 
+    @given(graphs(max_m=16))
+    @settings(max_examples=80, deadline=None)
+    def test_neighbors_and_degree_read_the_edges(self, g):
+        """Both read adjacency_bits, the graph's one adjacency, and keep its
+        edges' neighbour sets."""
+        nbrs = neighbor_sets(g)
+        assert [g.neighbors(v) for v in range(g.m)] == nbrs
+        assert all(type(g.neighbors(v)) is frozenset for v in range(g.m))
+        assert [g.degree(v) for v in range(g.m)] == [len(s) for s in nbrs]
+        assert "adjacency" not in vars(g)
+
     def test_json_round_trip(self):
         g = cycle_graph(5)
         assert Graph.from_json_dict(g.to_json_dict()) == g
@@ -218,7 +229,7 @@ class TestSimplicialComplex:
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_downward_closure(self, g):
-        delta = clique_complex(g)
+        delta = clique_complex_bk(g)
         for face in delta.faces:
             for k in range(1, len(face) + 1):
                 for sub in itertools.combinations(face, k):
@@ -227,7 +238,15 @@ class TestSimplicialComplex:
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_clique_complex_graph_round_trip(self, g):
-        assert underlying_graph(clique_complex(g)) == g
+        """Every graph's clique complex has it as its graph; the library builds
+        that complex for the chordal ones and refuses the others."""
+        delta = clique_complex_bk(g)
+        assert underlying_graph(delta) == g
+        if is_chordal(g)[0]:
+            assert clique_complex(g) == delta
+        else:
+            with pytest.raises(NotChordal):
+                clique_complex(g)
 
 
 class TestInducedSubcomplex:
@@ -381,6 +400,8 @@ RECORD_EDITS = {
                                               vertex=str(recs[k]["vertex"])),
     "float labels": lambda recs, k, m: _with(recs, k, face=[v + 0.5 for v in recs[k]["face"]],
                                              vertex=float(recs[k]["vertex"])),
+    "integral float labels": lambda recs, k, m: _with(recs, k, face=[float(v) for v in
+                                                                     recs[k]["face"]]),
     "bad string label": lambda recs, k, m: _with(recs, k, face=["x"]),
     "outside ground set": lambda recs, k, m: _with(recs, k, face=recs[k]["face"] + [m + 1]),
     "not a face": lambda recs, k, m: _with(recs, k, face=list(range(1, m + 1))),
@@ -530,13 +551,33 @@ class TestFactorParams:
         FactorParams.from_json_dict(delta, {"values": records})
         assert queried == [(0, 1, 2)]  # two spellings, one canonical face
 
+    @pytest.mark.parametrize("edit", ["string labels", "float labels", "integral float labels"])
+    def test_labels_that_are_not_integers_are_refused(self, edit):
+        """A label is read as an integer, never converted: "2", 2.5 and 2.0 are refused."""
+        rng = np.random.default_rng(7)
+        delta = random_complex(rng, 5, max_size=3)
+        records = random_params(rng, delta).to_json_dict()["values"]
+        for k in range(len(records)):
+            with pytest.raises(ValueError, match=r"^params JSON: '(str|float)' object cannot "
+                                                 r"be interpreted as an integer$"):
+                FactorParams.from_json_dict(delta, {"values": RECORD_EDITS[edit](
+                    records, k, delta.m)})
+
+    def test_integer_arrays_read_as_their_integers(self):
+        rng = np.random.default_rng(7)
+        delta = random_complex(rng, 5, max_size=3)
+        gamma = random_params(rng, delta)
+        records = gamma.to_json_dict()["values"]
+        for k in range(len(records)):
+            edited = RECORD_EDITS["unhashable integer labels"](records, k, delta.m)
+            assert FactorParams.from_json_dict(delta, {"values": edited}) == gamma
+
     def test_unhashable_face_label_keeps_its_message(self):
         delta = SimplicialComplex.from_facets(2, [[0, 1]])
         with pytest.raises(ValueError) as exc:
             FactorParams.from_json_dict(delta, {"values": [
                 {"face": [1, [2]], "vertex": 1, "gamma": 1.0}]})
-        assert str(exc.value) == ("params JSON: int() argument must be a string, a bytes-like "
-                                  "object or a real number, not 'list'")
+        assert str(exc.value) == "params JSON: 'list' object cannot be interpreted as an integer"
 
 
 # Each builder draws its inputs from an rng and returns the one call that

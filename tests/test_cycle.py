@@ -21,7 +21,7 @@ from psdcone.linalg import is_psd, sign_flip
 from psdcone.param import phi
 
 from oracles import (closure_mobius_coefficients, cycle_order_by_neighbors,
-                     edge_complex_by_adjacency, expand_edge_signs, gamma_edge, tridiagonal_det,
+                     edge_complex_by_neighbors, expand_edge_signs, gamma_edge, tridiagonal_det,
                      with_value)
 
 
@@ -490,7 +490,7 @@ class TestCycleOrder:
     @settings(max_examples=200, deadline=None)
     @given(walk_graphs())
     def test_edge_complex_equals_the_one_built_from_neighbour_sets(self, g):
-        assert edge_complex(g).facets == edge_complex_by_adjacency(g).facets
+        assert edge_complex(g).facets == edge_complex_by_neighbors(g).facets
 
     def test_walk_goes_from_0_to_its_smaller_neighbour(self):
         g = Graph.from_edges(5, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)])

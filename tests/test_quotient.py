@@ -16,8 +16,8 @@ from psdcone.param import cone_add, phi, submatrix_witness
 from psdcone.quotient import complex_quotient, graph_quotient, schur_witness
 
 from oracles import (chain_quotient_faces, complete_graph, complex_quotient_by_faces,
-                     cone_add_by_column, is_clique, scaled_params, schur_witness_by_pairs,
-                     submatrix_witness_by_column)
+                     cone_add_by_column, graph_quotient_by_sets, is_clique, scaled_params,
+                     schur_witness_by_pairs, submatrix_witness_by_column)
 
 
 class TestGraphQuotient:
@@ -40,6 +40,19 @@ class TestGraphQuotient:
     def test_rejects_an_empty_block(self, block):
         with pytest.raises(ValueError, match="nonempty"):
             graph_quotient(cycle_graph(4), block)
+
+    @given(st.integers(2, 64), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_bitset_components_match_the_set_walk(self, m, density, seed):
+        """The components grown by ORs of adjacency_bits give the set walk's
+        graph, for a block of ints or of numpy integers; no other adjacency is built."""
+        rng = np.random.default_rng(seed)
+        g = Graph.from_edges(m, [(i, j) for i in range(m) for j in range(i + 1, m)
+                                 if rng.random() < density])
+        block = rng.choice(m, size=int(rng.integers(1, m)), replace=False)
+        want = graph_quotient_by_sets(g, block.tolist())
+        assert graph_quotient(g, block.tolist()) == want == graph_quotient(g, block)
+        assert "adjacency" not in vars(g)
 
 
 class TestComplexQuotient:
