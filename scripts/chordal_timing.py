@@ -32,6 +32,10 @@ tree and DIR (for example a copy of the parent commit), so both trees see the
 same machine load, and the table gives the ratio this/other:
 
     python scripts/chordal_timing.py --repeat 5 --src ../parent/src
+
+Like ``cold_start.py``, it warns on stderr when only one of the two trees
+holds compiled bytecode in ``psdcone/__pycache__``: under
+``PYTHONDONTWRITEBYTECODE=1`` the other compiles every module in every process.
 """
 
 import argparse
@@ -41,6 +45,8 @@ import platform
 import statistics
 import subprocess
 import sys
+
+from cold_start import warn_unlike_bytecode
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -162,6 +168,7 @@ def main() -> int:
     trees = {"this": os.path.join(ROOT, "src")}
     if args.src:
         trees["other"] = os.path.abspath(args.src)
+        warn_unlike_bytecode(trees)
     times = {tree: [] for tree in trees}
     for rep in range(args.repeat):
         for tree in (list(trees) if rep % 2 == 0 else list(reversed(trees))):

@@ -18,7 +18,8 @@ subcommand and repetition, so both trees see the same machine load:
 
 ``python -X importtime -m psdcone.cli <subcommand> ...`` breaks one
 process's import time down by module.  Bytecode caches change the figures:
-under ``PYTHONDONTWRITEBYTECODE=1`` every process compiles what it imports.
+under ``PYTHONDONTWRITEBYTECODE=1`` every process compiles what it imports,
+so ``--src`` warns on stderr when only one of the two trees holds bytecode.
 """
 
 import argparse
@@ -86,6 +87,24 @@ CALLS = {
 }
 
 
+def has_bytecode(src) -> bool:
+    """Whether src's psdcone package holds compiled bytecode in its __pycache__."""
+    cache = os.path.join(src, "psdcone", "__pycache__")
+    return os.path.isdir(cache) and any(name.endswith(".pyc") for name in os.listdir(cache))
+
+
+def warn_unlike_bytecode(trees) -> None:
+    """Warn on stderr when only one of the compared trees holds bytecode: the
+    other compiles every module it imports in every process, which reads as a
+    start-up difference between the trees (under PYTHONDONTWRITEBYTECODE=1 it
+    lasts the whole run)."""
+    cached = [tree for tree, src in trees.items() if has_bytecode(src)]
+    if len(cached) == 1:
+        print(f"warning: only the {cached[0]!r} tree holds bytecode in psdcone/__pycache__, "
+              "so the trees' start-up times are not like for like (PYTHONDONTWRITEBYTECODE="
+              f"{os.environ.get('PYTHONDONTWRITEBYTECODE') or '(unset)'})", file=sys.stderr)
+
+
 def run_once(src, argv):
     """(wall s, child report) of one fresh process running argv on src."""
     start = time.perf_counter()
@@ -112,6 +131,7 @@ def main() -> int:
     trees = {"this": os.path.join(ROOT, "src")}
     if args.src:
         trees["other"] = os.path.abspath(args.src)
+        warn_unlike_bytecode(trees)
     walls = {(name, tree): [] for name in CALLS for tree in trees}
     rss = {key: [] for key in walls}
     reports = {}

@@ -17,7 +17,8 @@ from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    _bit_positions, underlying_graph)
 from .errors import InternalInconsistency, NotChordal, PatternViolation
 # is_psd is not called here; perfbench/spans.py wraps it by this name
-from .linalg import DEFAULT_TOL, _semidef_cholesky, check_tol, is_psd  # noqa: F401
+from .linalg import (DEFAULT_TOL, DENSE_UPDATES_PER_COLUMN, _array_entries,  # noqa: F401
+                     _semidef_cholesky, check_tol, is_psd)
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,15 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
     return order
 
 
+def _later_neighbours(g: Graph, order) -> list[int]:
+    """Per position in order, the bitset of that vertex's neighbours later in order."""
+    adj, left, later = g.adjacency_bits, (1 << g.m) - 1, []
+    for v in order:
+        left ^= 1 << v
+        later.append(adj[v] & left)
+    return later
+
+
 def _perfect_check(g: Graph, order: list[int]):
     """None if the order is a perfect elimination ordering, else its first violating triple.
 
@@ -67,10 +77,8 @@ def _perfect_check(g: Graph, order: list[int]):
     (one AND apiece); the first vertex that fails gets the ordered pair scan.
     """
     adj = g.adjacency_bits
-    left = (1 << g.m) - 1  # not yet eliminated
-    for v in order:
-        left ^= 1 << v
-        later = rest = adj[v] & left
+    for v, later in zip(order, _later_neighbours(g, order)):
+        rest = later
         while rest:
             low = rest & -rest
             if (later & ~adj[low.bit_length() - 1]) != low:
@@ -165,14 +173,9 @@ def ordering_clique_complex(g: Graph, ordering: EliminationOrdering) -> Simplici
     section 4).  So the maximal cliques come without a clique search or a
     dominance test, and an isolated vertex stays a singleton facet.
     """
-    adj = g.adjacency_bits
-    left = (1 << g.m) - 1
-    later = {}
-    for v in ordering.order:
-        left ^= 1 << v
-        later[v] = adj[v] & left
-    candidates = [s | 1 << v for v, s in later.items()]
-    laters = set(later.values())
+    later = _later_neighbours(g, ordering.order)
+    candidates = [s | 1 << v for v, s in zip(ordering.order, later)]
+    laters = set(later)
     cliques = sorted(tuple(_bit_positions(c)) for c in candidates if c not in laters)
     # a stable sort by size keeps the lexicographic order within each size
     return SimplicialComplex._trusted(g.m, tuple(sorted(cliques, key=len)))
@@ -198,26 +201,41 @@ def chordal_fiber(g: Graph, sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) ->
 def _fiber(g: Graph, sigma: SymmetricMatrix, ordering: EliminationOrdering,
            delta: SimplicialComplex | None, tol: float) -> FactorParams:
     """chordal_fiber on a sigma that respects the pattern of g, with a perfect
-    elimination ordering of g; delta is g's clique complex, or None to build it."""
-    perm = list(ordering.order)
-    ix = np.ix_(perm, perm)
-    arr = np.array(sigma.a[ix])
-    # exact zeros off the pattern make the factor's clique structure exact
-    arr[~g.pattern_mask[ix]] = 0.0
-    cols = _semidef_cholesky(arr, tol)
+    elimination ordering of g; delta is g's clique complex, or None to build it.
+    The factor reads sigma's diagonal and entries at g's edges (or, where the
+    later-neighbour counts allow the dense update, the permuted array, zero off
+    the pattern); with no fill, each column lies in its pivot and later(pivot)."""
+    perm = ordering.order
+    later = _later_neighbours(g, perm)
+    if sum(b * (b + 1) for b in map(int.bit_count, later)) > 2 * DENSE_UPDATES_PER_COLUMN * g.m:
+        arr = np.where(g.pattern_mask, sigma.a, 0.0)[np.ix_(perm, perm)]
+        cols = _semidef_cholesky(*_array_entries(arr), tol)
+    else:
+        pos = {v: k for k, v in enumerate(perm)}
+        below = [(u, k) for k, s in enumerate(later) for u in _bit_positions(s)]
+        diag = sigma.a.diagonal()[list(perm)].tolist()
+        lower = [{k: x} for k, x in enumerate(diag)]
+        # sigma at each edge (u, v) of a later u, in one gather
+        for (u, k), x in zip(below, sigma.a.take([u * g.m + perm[k] for u, k in below]).tolist()):
+            if x:
+                lower[k][pos[u]] = x
+        cols = _semidef_cholesky(diag, lower, tol)
 
     if delta is None:
         delta = ordering_clique_complex(g, ordering)
     values: dict = {}
     columns = []
-    for rows, vals in filter(None, cols):  # None: a zero pivot's column
-        entries = sorted([(perm[i], v) for i, v in zip(rows, vals) if v != 0.0])
+    for col, v, s in zip(cols, perm, later):
+        if col is None:  # a zero pivot's column
+            continue
+        entries = sorted([(perm[i], x) for i, x in zip(*col) if x])
         clique = tuple([p for p, _ in entries])
-        if not delta.has_face(clique):
-            raise InternalInconsistency(f"factor column support {clique} is not a clique")
+        s |= 1 << v
+        for p, x in entries:
+            if not s >> p & 1:
+                raise InternalInconsistency(f"factor column support {clique} is not a clique")
+            values[clique, p] = x
         columns.append((clique, entries))
-        for p, v in entries:
-            values[(clique, p)] = v
     return FactorParams._trusted(delta, values, columns)
 
 

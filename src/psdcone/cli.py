@@ -23,8 +23,8 @@ import numpy as np
 from .core import (MAX_VERTICES, FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    load_json, underlying_graph)
 from .errors import (AsymmetricInput, Degenerate, InternalInconsistency, NotChordal, NotMember,
-                     NotPsd, PatternViolation, PsdConeError, Undecidable, ZeroDiagonal,
-                     ZeroDiagonalParam)
+                     NotPsd, PatternViolation, PsdConeError, TooManyFaces, Undecidable,
+                     ZeroDiagonal, ZeroDiagonalParam)
 from .linalg import DEFAULT_TOL, check_tol, schur_complement
 
 # The names the commands take from modules that not every command runs, by
@@ -76,6 +76,7 @@ ERROR_CODES = {
     ZeroDiagonal: "zero_diagonal",
     ZeroDiagonalParam: "zero_diagonal_param",
     Undecidable: "undecidable",
+    TooManyFaces: "too_many_faces",
     InternalInconsistency: "internal_inconsistency",
     AsymmetricInput: "asymmetric_input",
     json.JSONDecodeError: "parse_error",

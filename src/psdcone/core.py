@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import AsymmetricInput
+from .errors import AsymmetricInput, TooManyFaces
 
 Face = tuple[int, ...]
 
@@ -33,8 +33,10 @@ PATTERN_TOL = 1e-12
 # entry at or above it doubles past the largest float.
 SYMMETRIZE_LIMIT = 2.0 ** 1023
 
-# Largest m the graph and complex JSON readers accept (m alone sets the work).
+# Largest m the graph and complex JSON readers accept (m alone sets the work), and largest
+# sum over facets of 2^|F| whose faces are listed (40 facets of 9 vertices fit).
 MAX_VERTICES = 64
+MAX_FACE_SUM = 2 ** 15
 
 
 def tolerance_scale(values) -> float:
@@ -205,7 +207,9 @@ class SimplicialComplex:
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        """All faces in canonical order (size, then lexicographic)."""
+        """All faces in canonical order (size, then lexicographic), up to MAX_FACE_SUM."""
+        if (total := sum(1 << len(f) for f in self.facets)) > MAX_FACE_SUM:
+            raise TooManyFaces(f"the facets span up to {total} faces, more than {MAX_FACE_SUM}")
         out = set()
         for facet in self.facets:
             for k in range(1, len(facet) + 1):
@@ -398,7 +402,7 @@ class SymmetricMatrix:
         return f"SymmetricMatrix(m={self.m})"
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "entries": [[float(x) for x in row] for row in self.a]}
+        return {"m": self.m, "entries": self.a.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SymmetricMatrix":

@@ -41,6 +41,10 @@ class ZeroDiagonalParam(PsdConeError):
     """Dual construction requires all singleton parameters to be nonzero."""
 
 
+class TooManyFaces(PsdConeError):
+    """A complex whose facets span more faces than a face list may hold."""
+
+
 class InternalInconsistency(PsdConeError):
     """Two provably-equivalent computations disagreed beyond tolerance."""
 

@@ -34,7 +34,7 @@ def is_psd(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> bool:
     if tol:
         check_tol(tol)
     try:
-        _semidef_cholesky(sigma.a, tol)
+        _semidef_cholesky(*_array_entries(sigma.a), tol)
     except NotPsd:
         return False
     return True
@@ -56,7 +56,7 @@ def zero_pivot(p: float, r: float, tol: float, at: str) -> bool:
     return False
 
 
-# Above this many entry updates per column, counted from arr's nonzeros below
+# Above this many entry updates per column, counted from the nonzeros below
 # the diagonal, one numpy update per column beats the entry-by-entry update on
 # Python floats.  They break even near 8 at m = 8..48 on complete and
 # large-clique chordal graphs (2-vCPU host); random sparse chordal graphs
@@ -64,40 +64,31 @@ def zero_pivot(p: float, r: float, tol: float, at: str) -> bool:
 DENSE_UPDATES_PER_COLUMN = 8
 
 
-def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL) -> list:
-    """Columns of the lower-triangular L with L L^T = arr for PSD arr: None at a
-    zero pivot, else (rows, values) with rows ascending from the pivot.
+def _semidef_cholesky(diag: list, lower, tol: float = DEFAULT_TOL) -> list:
+    """Columns of the lower-triangular L with L L^T = A for PSD A: None at a
+    zero pivot, else (rows, values) with rows ascending from the pivot.  A is
+    ``diag`` and ``lower``: the array A, which takes the dense update, or per
+    column k a dict (consumed) of diag[k] at k and A's nonzero entries below.
 
     ``zero_pivot`` gets p = d_k / a_kk and r = sum_i (v_i / sqrt(a_kk a_ii))^2
     for a pivot d_k <= tol a_kk over its column v (Demmel 1989), and a pivot
     it does not zero is eliminated as tol a_kk; a negative diagonal is not
-    PSD, and a zero one needs a zero row.  A sparse arr is factored on its
+    PSD, and a zero one needs a zero row.  The dicts are factored on their
     fill pattern: each pivot updates only its column's rows, adding the fill
     it makes (George & Liu 1981), and entries get the dense update's IEEE
-    operations, less ±0.0 subtractions.  An arr past DENSE_UPDATES_PER_COLUMN
-    takes the dense update, with the same columns; the count leaves out fill,
-    which a perfect elimination ordering does not make.
+    operations, less ±0.0 subtractions, so both forms give the same columns.
     """
-    a = np.asarray(arr, dtype=float)
-    n = a.shape[0]
-    diag = np.diagonal(a).tolist()
+    dense = isinstance(lower, np.ndarray)
     for k, x in enumerate(diag):
         if x < 0.0:
             raise NotPsd(f"negative diagonal entry {x!r} at position {k}")
-        if x == 0.0 and np.any(a[k]):
+        if x == 0.0 and (np.any(lower[k]) if dense else
+                         len(lower[k]) > 1 or any(k in col for col in lower[:k])):
             raise NotPsd(f"nonzero entry in the row of the zero diagonal at position {k}")
-    lower = np.tril(a, -1)
-    below = np.count_nonzero(lower, axis=0)
-    if below @ (below + 1) > 2 * DENSE_UPDATES_PER_COLUMN * n:
-        return _dense_columns(a, tol, diag)
-    # flat positions in row-major order, as np.nonzero gives them
-    ii, jj = np.divmod(np.flatnonzero(lower), n)
-    # work[k]: row -> entry (row, k) of the trailing matrix, lower triangle
-    work = [{k: d} for k, d in enumerate(diag)]
-    for i, j, v in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
-        work[j][i] = v
+    if dense:
+        return _dense_columns(lower, tol, diag)
     cols = []
-    for k, col in enumerate(work):
+    for k, col in enumerate(lower):
         d = col.pop(k)
         if not (diag[k] and d / diag[k] > tol):
             if _zero_column(d, k, sorted(col.items()), diag, tol):
@@ -108,11 +99,27 @@ def _semidef_cholesky(arr: np.ndarray, tol: float = DEFAULT_TOL) -> list:
         rows = sorted(col)
         vals = [col[i] / root for i in rows]
         for t, j in enumerate(rows):
-            wj, cj = work[j], vals[t]
+            wj, cj = lower[j], vals[t]
             for i, ci in zip(rows[t:], vals[t:]):
                 wj[i] = wj.get(i, 0.0) - ci * cj
         cols.append(([k, *rows], [root, *vals]))
     return cols
+
+
+def _array_entries(arr: np.ndarray) -> tuple[list, list | np.ndarray]:
+    """``_semidef_cholesky``'s (diag, lower) for arr: arr past DENSE_UPDATES_PER_COLUMN
+    updates per column, counted from the nonzeros (no fill in a perfect elimination ordering)."""
+    a = np.asarray(arr, dtype=float)
+    diag = np.diagonal(a).tolist()
+    below = np.tril(a, -1)
+    counts = np.count_nonzero(below, axis=0)
+    if counts @ (counts + 1) > 2 * DENSE_UPDATES_PER_COLUMN * len(diag):
+        return diag, a
+    lower = [{k: d} for k, d in enumerate(diag)]
+    ii, jj = np.nonzero(below)
+    for i, j, v in zip(ii.tolist(), jj.tolist(), below[ii, jj].tolist()):
+        lower[j][i] = v
+    return diag, lower
 
 
 def _dense_columns(a: np.ndarray, tol: float, diag: list) -> list:

@@ -22,7 +22,7 @@ from psdcone.core import (PATTERN_TOL, Face, FactorParams, Graph, SimplicialComp
 from psdcone.cycle import CycleMatrix, cycle_edge_complex
 from psdcone.errors import NotPsd, ZeroDiagonal
 from psdcone.latent import _gamma2, _noise_sd
-from psdcone.linalg import DEFAULT_TOL, _semidef_cholesky, path_det
+from psdcone.linalg import DEFAULT_TOL, _array_entries, _semidef_cholesky, path_det
 from psdcone.param import PHI_DENSE_FACE, RAY_DROP_TOL, _column, _nonzero_columns
 from psdcone.quotient import QuotientWitness
 from psdcone.volume import _batch_masks
@@ -209,7 +209,7 @@ def phi_symmetrized(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricM
 def cholesky(sigma: SymmetricMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The dense factor of ``linalg._semidef_cholesky``'s columns (no pivoting)."""
     ell = np.zeros((sigma.m, sigma.m))
-    for k, col in enumerate(_semidef_cholesky(sigma.a, tol)):
+    for k, col in enumerate(_semidef_cholesky(*_array_entries(sigma.a), tol)):
         if col:
             ell[col[0], k] = col[1]
     return ell
@@ -287,6 +287,55 @@ def exact_psd(arr, shift: float = 0.0) -> bool:
                 for j in range(k + 1, i + 1):
                     a[i][j] -= f * a[j][k]
     return True
+
+
+def exact_cycle_verdict(sigma: CycleMatrix) -> tuple[bool, Fraction, Fraction | None]:
+    """(member, slack, correlation slack) of a cycle-patterned matrix, exactly.
+
+    Every float is a dyadic rational, so Fractions carry no rounding.  PSD-ness
+    is ``exact_psd``'s.  The slack is the input form's matching expansion less
+    twice the absolute cyclic product, min(det, det with one edge negated); the
+    correlation slack is that over the diagonal product, None unless every
+    diagonal entry is positive.  Negating an edge keeps every proper principal
+    minor, so a PSD matrix stays PSD under it exactly when the slack is >= 0,
+    which is the paper's test for the image of the edge complex.
+    """
+    d = [Fraction(x) for x in sigma.diag]
+    w = [Fraction(x) ** 2 for x in sigma.cyc]
+    m = len(d)
+
+    def path(diag, off2):  # the tridiagonal determinant's three-term recurrence
+        prev, cur = Fraction(0), Fraction(1)
+        for k, x in enumerate(diag):
+            prev, cur = cur, x * cur - (off2[k - 1] * prev if k else 0)
+        return cur
+
+    matching = path(d, w[: m - 1]) - w[m - 1] * path(d[1: m - 1], w[1: m - 2])
+    slack = matching - 2 * abs(math.prod(Fraction(x) for x in sigma.cyc))
+    member = slack >= 0 and exact_psd(sigma.to_array())
+    return member, slack, slack / math.prod(d) if min(d) > 0 else None
+
+
+def chordal_fiber_by_array(g: Graph, sigma: SymmetricMatrix, ordering,
+                           tol: float = DEFAULT_TOL) -> FactorParams:
+    """``chordal._fiber`` by the array route: the permuted copy of sigma, zeroed off
+    the pattern, factored through ``linalg._array_entries``, each column's
+    support checked to be a face of the clique complex."""
+    perm = list(ordering.order)
+    ix = np.ix_(perm, perm)
+    arr = np.array(sigma.a[ix])
+    arr[~pattern_mask_from_edges(g)[ix]] = 0.0
+    delta = clique_complex_bk(g)
+    values, columns = {}, []
+    for col in _semidef_cholesky(*_array_entries(arr), tol):
+        if col is None:
+            continue
+        entries = sorted([(perm[i], v) for i, v in zip(*col) if v != 0.0])
+        clique = tuple([p for p, _ in entries])
+        assert delta.has_face(clique), clique
+        columns.append((clique, entries))
+        values.update({(clique, p): v for p, v in entries})
+    return FactorParams._trusted(delta, values, columns)
 
 
 def perfect_check_scan(g: Graph, order) -> tuple[int, int, int] | None:

@@ -2,12 +2,14 @@
 
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdcone import chordal
 from psdcone.chordal import (EliminationOrdering, _chordless_cycle_from, _fiber, _perfect_check,
                              chordal_fiber, clique_complex, is_chordal,
                              maximum_cardinality_search, is_surjective,
@@ -18,11 +20,12 @@ from psdcone.cycle import CycleMatrix, counterexample_sigma, cycle_membership
 from psdcone.decide import chordal_certificate
 from psdcone.errors import InternalInconsistency, NotChordal, NotPsd, PatternViolation
 from psdcone.instances import random_chordal_graph, random_params
+from psdcone.linalg import _array_entries, _semidef_cholesky
 from psdcone.param import phi
 
-from oracles import (chordless_cycle_from_mcs, clique_complex_bk, complete_graph,
-                     find_chordless_cycle, is_clique, neighbor_sets, path_graph,
-                     perfect_check_scan, random_tree)
+from oracles import (chordal_fiber_by_array, chordless_cycle_from_mcs, clique_complex_bk,
+                     complete_graph, find_chordless_cycle, is_clique, neighbor_sets, path_graph,
+                     pattern_mask_from_edges, perfect_check_scan, random_tree)
 
 
 def assert_chordless_cycle(g, cyc):
@@ -337,6 +340,163 @@ class TestChordalFiber:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPsd):
             chordal_fiber(path_graph(2), SymmetricMatrix(np.diag([1.0, -1.0])))
+
+
+def kernel_case(rng, kind, m, zero_diagonal):
+    """A chordal graph of kind and a matrix on its pattern aimed at the factor's
+    edges, in the graph's own labels.
+
+    Gram blocks on the maximal cliques, of random rank and half the time with
+    small-integer entries, so that zero pivots come exactly; exact zeros on
+    some edges; a shift by -3..3 tol times the diagonal, which puts pivots on
+    each branch of ``zero_pivot``; and, by ``zero_diagonal``, one vertex's
+    diagonal entry set to zero with its row ("zero-row") or without it ("row").
+    """
+    g = random_graph(rng, kind, m)
+    arr = np.zeros((m, m))
+    integer = rng.random() < 0.5
+    for facet in clique_complex(g).facets:
+        rank = int(rng.integers(1, len(facet) + 1))
+        if integer:
+            b = rng.integers(-2, 3, (len(facet), rank)).astype(float)
+        else:
+            b = rng.standard_normal((len(facet), rank))
+        arr[np.ix_(facet, facet)] += b @ b.T
+    i, j = np.nonzero(np.triu(pattern_mask_from_edges(g), 1) & (rng.random((m, m)) < 0.1))
+    arr[i, j] = arr[j, i] = 0.0
+    arr += rng.choice([-3.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 3.0]) * 1e-9 * np.diag(np.diag(arr))
+    v = int(rng.integers(m))
+    if zero_diagonal == "zero-row":
+        arr[v, :] = arr[:, v] = 0.0
+    elif zero_diagonal == "row":
+        arr[v, v] = 0.0
+    return g, SymmetricMatrix(arr)
+
+
+def hexed(cols):
+    """Factor columns with every value as float.hex."""
+    return [None if col is None else (col[0], [x.hex() for x in col[1]]) for col in cols]
+
+
+def factor_outcome(run):
+    """run()'s factor columns, hexed, or its NotPsd message."""
+    try:
+        return hexed(run())
+    except NotPsd as exc:
+        return str(exc)
+
+
+def fiber_outcome(run):
+    """run()'s fiber as its complex and its values with float.hex, or its NotPsd message."""
+    try:
+        gamma = run()
+    except NotPsd as exc:
+        return str(exc)
+    return gamma.complex, [(key, v.hex()) for key, v in gamma.values.items()]
+
+
+def pattern_fed(g, sigma, ordering, delta=None):
+    """(the factor outcome of the kernel call _fiber makes, _fiber's outcome)."""
+    fed = []
+
+    def spy(*args):
+        try:
+            cols = _semidef_cholesky(*args)
+        except NotPsd as exc:
+            fed.append(str(exc))
+            raise
+        fed.append(hexed(cols))
+        return cols
+
+    with mock.patch.object(chordal, "_semidef_cholesky", spy):
+        fiber = fiber_outcome(lambda: _fiber(g, sigma, ordering, delta, 1e-9))
+    assert len(fed) == 1
+    return fed[0], fiber
+
+
+def array_fed(g, sigma, ordering):
+    """(the kernel's outcome on the permuted array zeroed off the pattern, the
+    fiber by that array route)."""
+    perm = list(ordering.order)
+    arr = np.where(pattern_mask_from_edges(g), sigma.a, 0.0)[np.ix_(perm, perm)]
+    return (factor_outcome(lambda: _semidef_cholesky(*_array_entries(arr), 1e-9)),
+            fiber_outcome(lambda: chordal_fiber_by_array(g, sigma, ordering)))
+
+
+class TestPatternFedFactor:
+    """``_fiber`` feeds the factor the diagonal and sigma's entries at the graph's
+    edges, an array caller the permuted array: both give the same factor, bit
+    for bit, the same zero columns and NotPsd messages, and the same fiber."""
+
+    @given(st.integers(1, 40), st.sampled_from(["chordal", "isolated", "two-cliques", "complete"]),
+           st.sampled_from([None, None, "zero-row", "row"]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_pattern_fed_factor_equals_the_array_fed_one(self, m, kind, zero_diagonal, seed):
+        """Sparse cliques take the entries at the edges, large ones (two-cliques,
+        complete) the dense update past DENSE_UPDATES_PER_COLUMN."""
+        g, sigma = kernel_case(np.random.default_rng(seed), kind, m, zero_diagonal)
+        ordering = is_chordal(g)[1]
+        assert pattern_fed(g, sigma, ordering) == array_fed(g, sigma, ordering)
+
+    # In elimination positions on a triangle, whose every order is perfect: the
+    # factor column at the zero_pivot branch, or the NotPsd message.
+    BRANCHES = {
+        "zero column": ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], None),
+        "pivot tol": ([[1.0, 1.0, 0.0], [1.0, 1.0, 1e-6], [0.0, 1e-6, 1.0]],
+                      ([1, 2], [1e-9 ** 0.5, 1e-6 / 1e-9 ** 0.5])),
+        "below -tol": ([[1.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]],
+                       "pivot -1.000e+00 at position 1 below -1e-09"),
+        "zero diagonal, zero row": ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], None),
+        "zero diagonal, nonzero row": (
+            [[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+            "nonzero entry in the row of the zero diagonal at position 1"),
+    }
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_each_zero_pivot_branch(self, branch):
+        positions, expected = self.BRANCHES[branch]
+        g = complete_graph(3)
+        ordering = is_chordal(g)[1]
+        perm = list(ordering.order)
+        arr = np.empty((3, 3))
+        arr[np.ix_(perm, perm)] = positions
+        factor, fiber = pattern_fed(g, SymmetricMatrix(arr), ordering, clique_complex(g))
+        assert (factor, fiber) == array_fed(g, SymmetricMatrix(arr), ordering)
+        if isinstance(expected, str):
+            assert factor == fiber == expected
+        else:
+            col = expected and (expected[0], [x.hex() for x in expected[1]])
+            assert factor[1] == col
+
+    def test_sparse_route_builds_no_square_array(self):
+        """The entries at the edges come from sigma's diagonal and one gather at
+        the edges, never from an m x m array or the pattern mask; a complete
+        graph takes the dense update, on the permuted array zeroed off the mask."""
+        class Watched(np.ndarray):
+            shapes = []
+
+            def __array_finalize__(self, obj):
+                Watched.shapes.append(self.shape)
+
+        rng = np.random.default_rng(5)
+        for g, dense in ((random_chordal_graph(rng, 64), False), (complete_graph(16), True)):
+            plain = pattern_matrix(rng, g)
+            sigma = SymmetricMatrix._trusted(np.array(plain.a).view(Watched))
+            ordering = is_chordal(g)[1]
+            Watched.shapes.clear()
+            gamma = _fiber(g, sigma, ordering, None, 1e-9)
+            assert ("pattern_mask" in vars(g)) == dense
+            if not dense:
+                assert Watched.shapes and all(len(shape) == 1 for shape in Watched.shapes)
+            assert gamma.values == _fiber(g, plain, ordering, None, 1e-9).values
+
+    def test_a_row_outside_the_later_neighbours_is_an_internal_inconsistency(self):
+        """Eliminating the middle of a path first fills in the entry between its
+        ends: vertex 0's column then holds vertex 2, which does not follow 0."""
+        g = path_graph(3)
+        sigma = SymmetricMatrix([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        with pytest.raises(InternalInconsistency, match=re.escape("support (0, 2) is not")):
+            _fiber(g, sigma, EliminationOrdering((1, 0, 2), False), clique_complex(g), 1e-9)
 
 
 class TestIsSurjective:

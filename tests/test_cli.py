@@ -537,6 +537,21 @@ def test_simulate_refuses_more_samples_than_the_cap(files):
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("size", [20, 40])
+@pytest.mark.parametrize("command", ["digraph", "simulate"])
+def test_one_big_facet_is_too_many_faces(files, command, size):
+    """A facet of 20 or 40 vertices spans 2^20 or 2^40 faces: refused before any
+    is built, in a child process that would otherwise run out of time or memory."""
+    cpath = files("facet.json", {"m": size, "facets": [list(range(1, size + 1))]})
+    ppath = files("p.json", {"values": [{"face": [1], "vertex": 1, "gamma": 1.0}]})
+    args = ["--complex", cpath] + (["--params", ppath] if command == "simulate" else [])
+    proc = subprocess.run([sys.executable, "-m", "psdcone.cli", command, *args],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["code"] == "too_many_faces"
+    assert proc.stderr == ""
+
+
 def test_selftest_quick(monkeypatch):
     rc, out = run_cli(["selftest", "--n", "3"])
     assert rc == 0

@@ -12,15 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdcone import core
 from psdcone.cli import _print_json
-from psdcone.core import (MAX_VERTICES, PATTERN_TOL, FactorParams, Graph, SimplicialComplex,
-                          SymmetricMatrix, _face_columns, as_face, cycle_graph, edge_complex,
-                          face_key, induced_subcomplex, induced_vertex_map, tolerance_scale,
-                          underlying_graph)
+from psdcone.core import (MAX_FACE_SUM, MAX_VERTICES, PATTERN_TOL, FactorParams, Graph,
+                          SimplicialComplex, SymmetricMatrix, _face_columns, as_face, cycle_graph,
+                          edge_complex, face_key, induced_subcomplex, induced_vertex_map,
+                          tolerance_scale, underlying_graph)
 from psdcone.chordal import chordal_fiber, clique_complex, is_chordal
 from psdcone.cycle import _edge_params, cycle_edge_complex
 from psdcone.decide import membership
-from psdcone.errors import AsymmetricInput, NotChordal
+from psdcone.errors import AsymmetricInput, NotChordal, TooManyFaces
 from psdcone.instances import (random_chordal_graph, random_complex, random_cycle_member,
                                random_params)
 from psdcone.param import cone_add, phi, submatrix_witness
@@ -171,6 +172,17 @@ class TestSimplicialComplex:
     def test_rejects_dominated_facet_in_strict_constructor(self):
         with pytest.raises(ValueError):
             SimplicialComplex(2, ((0,), (0, 1)))
+
+    def test_faces_refuse_a_sum_of_2_to_the_facet_sizes_past_the_guard(self, monkeypatch):
+        """The guard reads the facet sizes, so a 40-vertex facet is refused at
+        once; at the guard the faces are listed."""
+        message = f"up to {2 ** 40} faces, more than {MAX_FACE_SUM}$"
+        with pytest.raises(TooManyFaces, match=message):
+            SimplicialComplex.from_facets(40, [range(40)]).faces
+        monkeypatch.setattr(core, "MAX_FACE_SUM", 12)
+        assert len(SimplicialComplex.from_facets(4, [[0, 1, 2], [2, 3]]).faces) == 9  # 8 + 4
+        with pytest.raises(TooManyFaces, match="up to 16 faces"):
+            SimplicialComplex.from_facets(5, [[0, 1, 2], [2, 3], [3, 4]]).faces  # 8 + 4 + 4
 
     def test_faces_canonical_order(self):
         delta = SimplicialComplex.from_facets(3, [[0, 1], [1, 2]])

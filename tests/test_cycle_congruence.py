@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdcone.core import Graph, SymmetricMatrix, edge_complex
 from psdcone.cycle import (CycleMatrix, counterexample_sigma, cycle_fiber,
                            cycle_membership, matching_sum)
-from psdcone.errors import Degenerate, NotPsd
+from psdcone.errors import Degenerate, InternalInconsistency, NotPsd
 from psdcone.instances import random_cycle_member, random_cycle_pattern_matrix
 from psdcone.linalg import path_det, sign_flip, tridiagonal_minors
 from psdcone.param import phi
 
-from oracles import random_cycle_member_via_params
+from psdcone.decide import membership
+
+from oracles import exact_cycle_verdict, exact_psd, random_cycle_member_via_params
 
 TOL = 1e-9
 KINDS = ("member", "zero_edge", "psd", "nonmember", "not_psd")
@@ -282,3 +285,67 @@ def test_random_cycle_member_draws_as_before(m):
                     == {k: v.hex() for k, v in gam_old.values.items()}
                 assert gam_new.complex == gam_old.complex
             assert new.bit_generator.state == old.bit_generator.state
+
+
+EXACT_KINDS = KINDS + ("threshold", "integer")
+
+
+def exact_case(m, seed, kind):
+    """(cycle matrix, a relabelling of its vertices) for the exact-verdict property.
+
+    Beside ``cycle_case``'s kinds: "threshold" is the counterexample family
+    within 1e-6 of a window edge (|rho| = 1, where membership changes, or
+    (m+1)/(m-1), where PSD-ness does), and "integer" has small-integer entries,
+    which put the slack exactly on the boundary now and then.  Both are
+    scaled by powers of 2 in 2^+-20, which keep them exact; the other kinds by
+    D in 10^+-6.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "threshold":
+        edge = (1.0, (m + 1) / (m - 1))[int(rng.integers(2))] + float(rng.uniform(-1e-6, 1e-6))
+        base = counterexample_sigma(m, edge if m % 2 else -edge)
+        d = 2.0 ** rng.integers(-20, 21, m)
+    elif kind == "integer":
+        base = CycleMatrix.from_arrays(rng.integers(1, 5, m), rng.integers(-3, 4, m))
+        d = 2.0 ** rng.integers(-20, 21, m)
+    else:
+        base, d = cycle_case(m, seed, kind), 10.0 ** rng.uniform(-6.0, 6.0, m)
+    return congruence(base, d), [int(p) for p in rng.permutation(m)]
+
+
+@given(st.integers(3, 12), st.integers(0, 2 ** 32 - 1), st.sampled_from(EXACT_KINDS))
+@settings(max_examples=250, deadline=None)
+def test_membership_agrees_with_the_exact_verdict(m, seed, kind):
+    """``decide.membership`` on the edge complex of a relabelled cycle gives the
+    exact verdict wherever the exact correlation slack lies outside 2 tol.
+
+    Inside the band a boundary member's certificate can miss the input by more
+    than the 1e-8 of its re-check, which raises InternalInconsistency: a
+    known fault near the counterexample family's |rho| = 1, listed in CHANGES.md.
+    """
+    sigma, perm = exact_case(m, seed, kind)
+    member, _, slack_r = exact_cycle_verdict(sigma)
+    inside = slack_r is not None and abs(slack_r) <= 2 * TOL
+    arr = np.zeros((m, m))
+    arr[np.ix_(perm, perm)] = sigma.to_array()
+    g = Graph.from_edges(m, [(perm[k], perm[(k + 1) % m]) for k in range(m)])
+    try:
+        decision = membership(SymmetricMatrix(arr), g, edge_complex(g), TOL)
+    except InternalInconsistency:
+        assert inside
+        return
+    if not inside:
+        assert decision.member == member
+
+
+def test_exact_verdict_hand_values():
+    """The slack is min(det, flip det) exactly, for a member, a PSD non-member
+    on the counterexample family, and a matrix that is not PSD."""
+    member, slack, slack_r = exact_cycle_verdict(CycleMatrix.from_arrays([2.0] * 4, [0.5] * 4))
+    # matching expansion of 2I + 0.5 C_4: 16 - 4 * 4 * 0.25 + 2 * 0.0625 = 12.125
+    assert member and slack == 12.125 - 2 * 0.0625 and slack_r == slack / 16
+    member, slack, _ = exact_cycle_verdict(counterexample_sigma(5, 1.25))
+    assert not member and slack < 0 and exact_psd(counterexample_sigma(5, 1.25).to_array())
+    assert exact_cycle_verdict(CycleMatrix.from_arrays([1.0] * 3, [0.3] * 3))[0]
+    assert not exact_cycle_verdict(CycleMatrix.from_arrays([1.0] * 3, [0.9] * 3))[0]  # PSD
+    assert not exact_cycle_verdict(CycleMatrix.from_arrays([1.0] * 4, [0.9] * 4))[0]

@@ -15,7 +15,7 @@ from psdcone.cycle import (CycleMatrix, _bordered_ldl, counterexample_sigma, cyc
 from psdcone.decide import chordal_certificate, membership
 from psdcone.errors import NotPsd, SingularBlock
 from psdcone.instances import random_chordal_graph, random_params
-from psdcone.linalg import _semidef_cholesky, is_psd, schur_complement, sign_flip
+from psdcone.linalg import _array_entries, _semidef_cholesky, is_psd, schur_complement, sign_flip
 from psdcone.param import phi
 from psdcone.quotient import schur_witness
 
@@ -31,10 +31,10 @@ def assert_factor_matches_dense(arr, tol=1e-9):
         dense = semidef_cholesky_dense(arr, tol)
     except NotPsd as exc:
         with pytest.raises(NotPsd) as got:
-            _semidef_cholesky(arr, tol)
+            _semidef_cholesky(*_array_entries(arr), tol)
         assert str(got.value) == str(exc)
         return
-    for k, col in enumerate(_semidef_cholesky(arr, tol)):
+    for k, col in enumerate(_semidef_cholesky(*_array_entries(arr), tol)):
         support = np.flatnonzero(dense[:, k]).tolist()
         if col is None:
             assert support == []
@@ -73,7 +73,7 @@ class TestZeroTolerance:
     def test_chordal_path(self):
         sigma = SymmetricMatrix(self.PATH)
         with pytest.raises(NotPsd, match="zero pivot at position 1"):
-            _semidef_cholesky(sigma.a, 0.0)
+            _semidef_cholesky(*_array_entries(sigma.a), 0.0)
         assert is_psd(sigma, 0.0) is False
         with pytest.raises(ValueError, match="tol must be between 0 and 1"):
             membership(sigma, path_graph(3), tol=0.0)
@@ -224,10 +224,46 @@ class TestFillPatternCholesky:
         assert_factor_matches_dense(path @ path.T)  # tridiagonal: 1 update per column
         assert len(calls) == 2
 
+    @given(st.integers(1, 24), st.sampled_from(["integer", "low_rank", "near_zero_pivot"]),
+           st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_dicts_and_the_dense_array_give_the_same_columns(self, m, kind, density, seed):
+        """The dict form skips the zero entries that the dense update carries:
+        the same nonzero entries, bit for bit, or the same NotPsd message."""
+        arr = _exact_case(m, kind, seed)
+        keep = np.random.default_rng(seed).random((m, m)) < density
+        arr = np.where(keep | keep.T | np.eye(m, dtype=bool), arr, 0.0)
+        a = arr.tolist()
+        diag = [a[k][k] for k in range(m)]
+        lower = [{k: a[k][k], **{i: a[i][k] for i in range(k + 1, m) if a[i][k]}}
+                 for k in range(m)]
+
+        def nonzero(form):
+            try:
+                cols = _semidef_cholesky(diag, form)
+            except NotPsd as exc:
+                return str(exc)
+            return [col and [(i, v.hex()) for i, v in zip(*col) if v] for col in cols]
+
+        assert nonzero(lower) == nonzero(arr)
+
+    @pytest.mark.parametrize("arr, k", [
+        ([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], 0),  # beside it, below
+        ([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], 2),  # an earlier column's entry
+    ])
+    def test_zero_diagonal_row_in_either_form(self, arr, k):
+        """The dicts hold a zero diagonal's row in its own column and in the
+        earlier ones; the array form reads the row."""
+        diag, lower = _array_entries(np.array(arr))
+        assert isinstance(lower, list)
+        for form in (lower, np.array(arr)):
+            with pytest.raises(NotPsd, match=f"row of the zero diagonal at position {k}$"):
+                _semidef_cholesky(diag, form)
+
     def test_reads_the_lower_triangle(self):
         """Like the dense loop, which reads column k below the pivot."""
         arr = np.array([[4.0, 9.0], [2.0, 5.0]])
-        assert _semidef_cholesky(arr) == [([0, 1], [2.0, 1.0]), ([1], [2.0])]
+        assert _semidef_cholesky(*_array_entries(arr)) == [([0, 1], [2.0, 1.0]), ([1], [2.0])]
         assert np.array_equal(semidef_cholesky_dense(arr), [[2.0, 0.0], [1.0, 2.0]])
 
     def test_zero_pivot_messages(self):
@@ -243,7 +279,7 @@ class TestFillPatternCholesky:
         arr[0, 0] = 1e-300
         arr[0, 1:] = arr[1:, 0] = 1e10
         with pytest.raises(NotPsd, match="pivot -inf at position 1 "):
-            _semidef_cholesky(arr)
+            _semidef_cholesky(*_array_entries(arr))
 
 
 def _exact_case(m, kind, seed):
@@ -295,7 +331,7 @@ class TestExactOracle:
         arr = _exact_case(m, kind, seed)
         psd = is_psd(SymmetricMatrix(arr), tol)
         try:
-            cols = _semidef_cholesky(arr, tol)
+            cols = _semidef_cholesky(*_array_entries(arr), tol)
         except NotPsd:
             assert not psd and not exact_psd(arr, -2 * tol)
             return
