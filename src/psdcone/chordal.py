@@ -17,20 +17,23 @@ from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    _bit_positions, underlying_graph)
 from .errors import InternalInconsistency, NotChordal, PatternViolation
 # is_psd is not called here; perfbench/spans.py wraps it by this name
-from .linalg import (DEFAULT_TOL, DENSE_UPDATES_PER_COLUMN, _array_entries,  # noqa: F401
+from .linalg import (DEFAULT_TOL, _array_entries, _dense_update,  # noqa: F401
                      _semidef_cholesky, check_tol, is_psd)
 
 
 @dataclass(frozen=True)
 class EliminationOrdering:
-    """A vertex order; perfect when every vertex's later neighbors form a clique."""
+    """A perfect elimination ordering: later[k] is the bitset of order[k]'s
+    neighbours that follow it in order, a clique."""
 
     order: tuple[int, ...]
-    is_perfect: bool
+    later: tuple[int, ...]
 
 
-def maximum_cardinality_search(g: Graph) -> list[int]:
-    """MCS visit order; ties broken by smallest vertex index.
+def maximum_cardinality_search(g: Graph) -> tuple[list[int], list[int]]:
+    """MCS visit order, ties broken by smallest vertex index, and per step the
+    bitset of that vertex's neighbours visited before it: in the reversed
+    order, its later neighbours.
 
     buckets[w] is the bitset of unvisited vertices of weight w (the bucket
     form of Tarjan & Yannakakis 1984): the next vertex is the lowest bit of
@@ -41,7 +44,7 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
     unvisited = (1 << g.m) - 1
     buckets = [unvisited] + [0] * g.m
     top = 0
-    order = []
+    order, earlier = [], []
     while unvisited:
         while not buckets[top]:
             top -= 1
@@ -50,6 +53,7 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
         unvisited ^= low
         v = low.bit_length() - 1
         order.append(v)
+        earlier.append(adj[v] & ~unvisited)
         rising, w = adj[v] & unvisited, top
         while rising:
             moved = rising & buckets[w]
@@ -58,33 +62,25 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
             rising ^= moved
             w -= 1
         top += 1
-    return order
+    return order, earlier
 
 
-def _later_neighbours(g: Graph, order) -> list[int]:
-    """Per position in order, the bitset of that vertex's neighbours later in order."""
-    adj, left, later = g.adjacency_bits, (1 << g.m) - 1, []
-    for v in order:
-        left ^= 1 << v
-        later.append(adj[v] & left)
-    return later
-
-
-def _perfect_check(g: Graph, order: list[int]):
-    """None if the order is a perfect elimination ordering, else its first violating triple.
+def _perfect_check(g: Graph, order, later):
+    """None if the order is a perfect elimination ordering, else its first violating
+    triple; later[k] is the bitset of order[k]'s neighbours that follow it in order.
 
     Each later neighbour of each vertex must be adjacent to all the others
     (one AND apiece); the first vertex that fails gets the ordered pair scan.
     """
     adj = g.adjacency_bits
-    for v, later in zip(order, _later_neighbours(g, order)):
-        rest = later
+    for v, s in zip(order, later):
+        rest = s
         while rest:
             low = rest & -rest
-            if (later & ~adj[low.bit_length() - 1]) != low:
+            if (s & ~adj[low.bit_length() - 1]) != low:
                 pos = {u: k for k, u in enumerate(order)}
-                later = sorted(_bit_positions(later), key=pos.__getitem__)
-                return next((v, x, y) for a, x in enumerate(later) for y in later[a + 1:]
+                after = sorted(_bit_positions(s), key=pos.__getitem__)
+                return next((v, x, y) for a, x in enumerate(after) for y in after[a + 1:]
                             if not g.has_edge(x, y))
             rest ^= low
     return None
@@ -140,10 +136,11 @@ def is_chordal(g: Graph):
     The candidate ordering is the reverse of a maximum cardinality search;
     its first violating triple seeds the witness search.
     """
-    order = tuple(maximum_cardinality_search(g)[::-1])
-    bad = _perfect_check(g, list(order))
+    visit, earlier = maximum_cardinality_search(g)
+    order, later = tuple(visit[::-1]), tuple(earlier[::-1])
+    bad = _perfect_check(g, order, later)
     if bad is None:
-        return True, EliminationOrdering(order, True)
+        return True, EliminationOrdering(order, later)
     witness = _chordless_cycle_from(g, bad)
     if len(witness) < 4:
         raise InternalInconsistency("MCS ordering imperfect on a chordal graph")
@@ -173,9 +170,8 @@ def ordering_clique_complex(g: Graph, ordering: EliminationOrdering) -> Simplici
     section 4).  So the maximal cliques come without a clique search or a
     dominance test, and an isolated vertex stays a singleton facet.
     """
-    later = _later_neighbours(g, ordering.order)
-    candidates = [s | 1 << v for v, s in zip(ordering.order, later)]
-    laters = set(later)
+    candidates = [s | 1 << v for v, s in zip(ordering.order, ordering.later)]
+    laters = set(ordering.later)
     cliques = sorted(tuple(_bit_positions(c)) for c in candidates if c not in laters)
     # a stable sort by size keeps the lexicographic order within each size
     return SimplicialComplex._trusted(g.m, tuple(sorted(cliques, key=len)))
@@ -205,9 +201,8 @@ def _fiber(g: Graph, sigma: SymmetricMatrix, ordering: EliminationOrdering,
     The factor reads sigma's diagonal and entries at g's edges (or, where the
     later-neighbour counts allow the dense update, the permuted array, zero off
     the pattern); with no fill, each column lies in its pivot and later(pivot)."""
-    perm = ordering.order
-    later = _later_neighbours(g, perm)
-    if sum(b * (b + 1) for b in map(int.bit_count, later)) > 2 * DENSE_UPDATES_PER_COLUMN * g.m:
+    perm, later = ordering.order, ordering.later
+    if _dense_update(list(map(int.bit_count, later))):
         arr = np.where(g.pattern_mask, sigma.a, 0.0)[np.ix_(perm, perm)]
         cols = _semidef_cholesky(*_array_entries(arr), tol)
     else:

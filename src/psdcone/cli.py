@@ -29,7 +29,7 @@ from .linalg import DEFAULT_TOL, check_tol, schur_complement
 
 # The names the commands take from modules that not every command runs, by
 # module.  main loads a command's modules (its ``uses`` in build_parser)
-# before the command first runs; from then on each name is a plain global.
+# before each run, binding only unbound names: each is a plain global.
 # Looking a name up on the module loads it too, so patching
 # ``psdcone.cli.<name>`` before any command has run patches what the command
 # calls.  The chordal names are not called here (membership and fiber reach
@@ -47,7 +47,6 @@ _DEFERRED = {
     "selftest": ("selftest",),
 }
 _MODULE_OF = {name: module for module, names in _DEFERRED.items() for name in names}
-_loaded: set[str] = set()
 
 
 def _load(module: str):
@@ -57,7 +56,6 @@ def _load(module: str):
     for name in _DEFERRED[module]:
         if name not in scope:
             scope[name] = mod if name == module else getattr(mod, name)
-    _loaded.add(module)
 
 
 def __getattr__(name):
@@ -428,8 +426,7 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     for module in args.uses:
-        if module not in _loaded:
-            _load(module)
+        _load(module)
     try:
         try:
             rc = args.func(args)

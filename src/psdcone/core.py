@@ -87,13 +87,6 @@ class Graph:
         norm = frozenset(tuple(sorted(map(operator.index, e))) for e in edges)
         return cls(m, norm)
 
-    @classmethod
-    def _trusted(cls, m: int, edges: frozenset[Face]) -> "Graph":
-        """The graph on edges the caller has checked and sorted, not checked again."""
-        obj = object.__new__(cls)  # frozen: fields go straight into __dict__
-        obj.__dict__.update(m=m, edges=edges)
-        return obj
-
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
@@ -141,8 +134,7 @@ class Graph:
                 raise ValueError(f"bad edge ({i}, {j})")
             if not (1 <= i <= m and 1 <= j <= m):
                 raise ValueError(f"edge ({i}, {j}) outside vertex range 1..{m}")
-        return cls._trusted(m, frozenset((i - 1, j - 1) if i < j else (j - 1, i - 1)
-                                         for i, j in edges))
+        return cls(m, frozenset((i - 1, j - 1) if i < j else (j - 1, i - 1) for i, j in edges))
 
 
 def cycle_graph(m: int) -> Graph:
@@ -463,11 +455,6 @@ class FactorParams:
         return cls(delta, {})
 
     def get(self, face: Iterable[int], vertex: int) -> float:
-        if type(face) is tuple:
-            # a stored key was validated at construction
-            value = self.values.get((face, vertex))
-            if value is not None:
-                return value
         f = as_face(face)
         if vertex not in f or not self.complex.has_face(f):
             raise KeyError(f"invalid incidence ({f}, {vertex})")

@@ -18,7 +18,7 @@ from .core import FactorParams, SimplicialComplex, SymmetricMatrix
 from .errors import InternalInconsistency, ZeroDiagonalParam
 from .param import phi
 
-SIMULATE_BLOCK, SIMULATE_MAX_ENTRIES = 2 ** 17, 2 ** 27  # simulate_y: block doubles, n * m cap
+SIMULATE_BLOCK, SIMULATE_MAX_ENTRIES = 2 ** 17, 2 ** 27  # simulate_y: block, n * max(k, m) cap
 
 
 def _faces2(delta: SimplicialComplex):
@@ -36,7 +36,7 @@ def _gamma2(delta: SimplicialComplex, gamma: FactorParams) -> np.ndarray:
 
 
 def _noise_sd(delta: SimplicialComplex, gamma: FactorParams) -> np.ndarray:
-    return np.array([gamma.gamma_singleton(i) for i in range(delta.m)])
+    return np.array([gamma.values.get(((i,), i), 0.0) for i in range(delta.m)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,12 +111,12 @@ def simulate_y(delta: SimplicialComplex, gamma: FactorParams, n: int,
     a block of rows at a time; the estimator is the uncentered second moment
     (the mean is known zero), so its expectation is exactly the image matrix.
     """
-    if not 2 <= n <= SIMULATE_MAX_ENTRIES // delta.m:
-        raise ValueError(f"need 2 <= n <= {SIMULATE_MAX_ENTRIES // delta.m}, got {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
     g2 = _gamma2(delta, gamma)
-    sd = np.abs(_noise_sd(delta, gamma))
     m, k = g2.shape
+    if not 2 <= n <= SIMULATE_MAX_ENTRIES // max(k, m):
+        raise ValueError(f"need 2 <= n <= {SIMULATE_MAX_ENTRIES // max(k, m)}, got {n}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sd = np.abs(_noise_sd(delta, gamma))
     rows = min(n, 1 << max((SIMULATE_BLOCK // max(k, m)).bit_length() - 1, 0))
     block = np.empty(rows * max(k, m))
     h = block[: rows * k].reshape(rows, k)

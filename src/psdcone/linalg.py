@@ -57,11 +57,15 @@ def zero_pivot(p: float, r: float, tol: float, at: str) -> bool:
 
 
 # Above this many entry updates per column, counted from the nonzeros below
-# the diagonal, one numpy update per column beats the entry-by-entry update on
-# Python floats.  They break even near 8 at m = 8..48 on complete and
-# large-clique chordal graphs (2-vCPU host); random sparse chordal graphs
-# count 1 to 3.
+# the diagonal (_dense_update, from each column's count), one numpy update per
+# column beats the entry-by-entry update on Python floats.  They break even
+# near 8 at m = 8..48 on complete and large-clique chordal graphs (2-vCPU
+# host); random sparse chordal graphs count 1 to 3.
 DENSE_UPDATES_PER_COLUMN = 8
+
+
+def _dense_update(counts: list[int]) -> bool:
+    return sum(c * (c + 1) for c in counts) > 2 * DENSE_UPDATES_PER_COLUMN * len(counts)
 
 
 def _semidef_cholesky(diag: list, lower, tol: float = DEFAULT_TOL) -> list:
@@ -112,8 +116,7 @@ def _array_entries(arr: np.ndarray) -> tuple[list, list | np.ndarray]:
     a = np.asarray(arr, dtype=float)
     diag = np.diagonal(a).tolist()
     below = np.tril(a, -1)
-    counts = np.count_nonzero(below, axis=0)
-    if counts @ (counts + 1) > 2 * DENSE_UPDATES_PER_COLUMN * len(diag):
+    if _dense_update(np.count_nonzero(below, axis=0).tolist()):
         return diag, a
     lower = [{k: d} for k, d in enumerate(diag)]
     ii, jj = np.nonzero(below)

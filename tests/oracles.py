@@ -73,9 +73,21 @@ def chordless_cycle_through_by_sets(g: Graph, v: int, x: int, y: int):
     return None
 
 
+def later_neighbours(g: Graph, order) -> list[int]:
+    """Per position in order, the bitset of that vertex's neighbours after it in
+    order, built from ``g.edges`` alone."""
+    pos = {v: k for k, v in enumerate(order)}
+    later = [0] * len(pos)
+    for i, j in g.edges:
+        first, last = (i, j) if pos[i] < pos[j] else (j, i)
+        later[pos[first]] |= 1 << last
+    return later
+
+
 def chordless_cycle_from_mcs(g):
     """The witness of the reversed-MCS ordering's first violating triple, or None."""
-    bad = _perfect_check(g, maximum_cardinality_search(g)[::-1])
+    order = maximum_cardinality_search(g)[0][::-1]
+    bad = _perfect_check(g, order, later_neighbours(g, order))
     return None if bad is None else chordless_cycle_through_by_sets(g, *bad)
 
 

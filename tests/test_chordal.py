@@ -24,8 +24,9 @@ from psdcone.linalg import _array_entries, _semidef_cholesky
 from psdcone.param import phi
 
 from oracles import (chordal_fiber_by_array, chordless_cycle_from_mcs, clique_complex_bk,
-                     complete_graph, find_chordless_cycle, is_clique, neighbor_sets, path_graph,
-                     pattern_mask_from_edges, perfect_check_scan, random_tree)
+                     complete_graph, find_chordless_cycle, is_clique, later_neighbours,
+                     neighbor_sets, path_graph, pattern_mask_from_edges, perfect_check_scan,
+                     random_tree)
 
 
 def assert_chordless_cycle(g, cyc):
@@ -96,11 +97,11 @@ class TestIsChordal:
     @settings(max_examples=120, deadline=None)
     def test_mcs_matches_scan(self, m, kind, seed):
         g = random_graph(np.random.default_rng(seed), kind, m)
-        assert maximum_cardinality_search(g) == mcs_scan(g)
+        assert maximum_cardinality_search(g)[0] == mcs_scan(g)
 
     def test_path(self):
         ok, ordering = is_chordal(path_graph(3))
-        assert ok and isinstance(ordering, EliminationOrdering) and ordering.is_perfect
+        assert ok and ordering == EliminationOrdering((2, 1, 0), (0b010, 0b001, 0))
 
     def test_four_cycle_witness(self):
         ok, witness = is_chordal(cycle_graph(4))
@@ -157,8 +158,8 @@ class TestIsChordal:
         """Same verdict and same violating triple, on MCS and on random orders."""
         rng = np.random.default_rng(seed)
         g = random_graph(rng, kind, m)
-        order = maximum_cardinality_search(g)[::-1] if mcs else rng.permutation(m).tolist()
-        assert _perfect_check(g, order) == perfect_check_scan(g, order)
+        order = maximum_cardinality_search(g)[0][::-1] if mcs else rng.permutation(m).tolist()
+        assert _perfect_check(g, order, later_neighbours(g, order)) == perfect_check_scan(g, order)
 
     def test_fallback_finds_a_cycle_away_from_the_triple(self):
         """A triple whose own search fails sends the search over every vertex's
@@ -170,7 +171,7 @@ class TestIsChordal:
             _chordless_cycle_from(path_graph(3), (1, 0, 2))
 
     def test_mcs_tie_break_smallest_vertex(self):
-        assert maximum_cardinality_search(path_graph(3))[0] == 0
+        assert maximum_cardinality_search(path_graph(3))[0][0] == 0
 
 
 class TestBitsetStructure:
@@ -186,7 +187,7 @@ class TestBitsetStructure:
         rng = np.random.default_rng(seed)
         g = random_graph(rng, kind, m)
         order = mcs_scan(g)
-        assert maximum_cardinality_search(g) == order
+        assert maximum_cardinality_search(g)[0] == order
         bad = perfect_check_scan(g, order[::-1])
         ok, info = is_chordal(g)
         assert ok is (bad is None)
@@ -204,6 +205,22 @@ class TestBitsetStructure:
         assert gamma.complex == delta
         assert gamma == FactorParams(delta, gamma.values)
         gamma.__post_init__()
+
+    @given(st.integers(1, 64), st.sampled_from(KINDS), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_mcs_yields_the_later_neighbours(self, m, kind, seed):
+        """MCS collects each vertex's earlier-visited neighbours as it goes:
+        reversed, they are the edges' later neighbours, which _perfect_check
+        reads as the pair scan does and a chordal graph's ordering carries."""
+        g = random_graph(np.random.default_rng(seed), kind, m)
+        visit, earlier = maximum_cardinality_search(g)
+        order, later = visit[::-1], earlier[::-1]
+        assert later == later_neighbours(g, order)
+        assert _perfect_check(g, order, later) == perfect_check_scan(g, order)
+        ok, ordering = is_chordal(g)
+        assert ok or kind not in self.CHORDAL_KINDS
+        if ok:
+            assert ordering == EliminationOrdering(tuple(order), tuple(later))
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_isolated_vertices_stay_singleton_facets(self, m):
@@ -495,8 +512,9 @@ class TestPatternFedFactor:
         ends: vertex 0's column then holds vertex 2, which does not follow 0."""
         g = path_graph(3)
         sigma = SymmetricMatrix([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        ordering = EliminationOrdering((1, 0, 2), tuple(later_neighbours(g, (1, 0, 2))))
         with pytest.raises(InternalInconsistency, match=re.escape("support (0, 2) is not")):
-            _fiber(g, sigma, EliminationOrdering((1, 0, 2), False), clique_complex(g), 1e-9)
+            _fiber(g, sigma, ordering, clique_complex(g), 1e-9)
 
 
 class TestIsSurjective:

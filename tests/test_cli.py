@@ -537,6 +537,23 @@ def test_simulate_refuses_more_samples_than_the_cap(files):
     assert proc.stderr == ""
 
 
+def test_simulate_caps_samples_times_factors(files):
+    """n * max(k, m) is capped, k the faces of two or more vertices: one
+    15-vertex facet (k = 32,752) at the default --n is refused before any draw."""
+    cpath = files("facet.json", {"m": 15, "facets": [list(range(1, 16))]})
+    ppath = files("p.json", {"values": [{"face": [1, 2], "vertex": 1, "gamma": 1.0},
+                                         {"face": [3], "vertex": 3, "gamma": 0.5},
+                                         {"face": list(range(1, 16)), "vertex": 9, "gamma": 2.0}]})
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "psdcone.cli", "simulate", "--complex", cpath,
+                           "--params", ppath], capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == {
+        "code": "invalid_input", "message": "need 2 <= n <= 4098, got 10000"}
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("size", [20, 40])
 @pytest.mark.parametrize("command", ["digraph", "simulate"])
 def test_one_big_facet_is_too_many_faces(files, command, size):
@@ -720,6 +737,24 @@ def test_main_builds_the_parser_once(monkeypatch):
                  ["selftest", "--n", "1", "--suite", "cycle"]):
         assert outcome(argv)[0] == 0
     assert len(built) == 1
+
+
+def test_main_keeps_a_name_patched_before_its_first_call(files):
+    """main loads a command's modules on every call, binding only names not
+    bound yet: a name set on psdcone.cli before the first call runs each time."""
+    code = ("import contextlib, io, json, sys\n"
+            "import psdcone.cli as cli\n"
+            "calls = []\n"
+            "cli.build_digraph = lambda delta: calls.append(delta.m) or 'patched\\n'\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    rcs = [cli.main(['digraph', '--complex', sys.argv[1]]) for _ in range(2)]\n"
+            "print(json.dumps([rcs, calls, out.getvalue(), 'simulate_y' in vars(cli)]))\n")
+    cpath = files("chain.json", {"m": 3, "facets": [[1, 2], [2, 3]]})
+    proc = subprocess.run([sys.executable, "-c", code, cpath], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [[0, 0], [3, 3], "patched\npatched\n", True]
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -109,6 +109,21 @@ class TestGraph:
         assert read == g and all(type(v) is int for e in read.edges for v in e)
         read.__post_init__()
 
+    def test_json_reader_builds_through_the_validating_constructor(self, monkeypatch):
+        """from_json_dict checks the file's labels, 1-based, then builds as
+        from_edges does, through __post_init__."""
+        checked = []
+        post_init = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__",
+                            lambda self: checked.append(self.m) or post_init(self))
+        read = Graph.from_json_dict({"m": 4, "edges": [[3, 1], [2, 3], [1, 3]]})
+        assert read == Graph.from_edges(4, [(2, 0), (1, 2)]) and checked == [4, 4]
+        for edges, message in (([[1, 5]], r"^edge \(1, 5\) outside vertex range 1\.\.4$"),
+                               ([[2, 2]], r"^bad edge \(2, 2\)$")):
+            with pytest.raises(ValueError, match=message):
+                Graph.from_json_dict({"m": 4, "edges": edges})
+        assert checked == [4, 4]
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 1)])
@@ -502,15 +517,10 @@ class TestFactorParams:
         assert gamma_edge(g, 1, 0) == -3.0
         assert gamma_edge(g, 0, 1) == 0.0  # unset incidences read as zero
 
-    def test_get_reads_stored_keys_and_checks_the_rest(self, monkeypatch):
+    def test_get_reads_stored_keys_and_checks_the_rest(self):
         delta = SimplicialComplex.from_facets(3, [[0, 1], [1, 2]])
         g = FactorParams(delta, {((0, 1), 1): -3.0, ((1, 2), 2): 0.5})
-        queried = []
-        has_face = SimplicialComplex.has_face
-        monkeypatch.setattr(SimplicialComplex, "has_face",
-                            lambda self, f: queried.append(f) or has_face(self, f))
         assert g.get((0, 1), 1) == -3.0 and gamma_edge(g, 2, 1) == 0.5
-        assert queried == []  # stored keys were checked at construction
         assert g.get([1, 0], 1) == -3.0 and g.get((1, 0), 1) == -3.0
         assert g.get((0, 1), 0) == 0.0 and gamma_edge(g, 0, 1) == 0.0
         for face, vertex in (((0, 2), 0), ((0, 1), 2), ((0, 1, 2), 1), ((3,), 3)):

@@ -1,6 +1,7 @@
 """Latent-variable realizations: digraph output, covariance identities, simulation."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from psdcone.core import FactorParams, SimplicialComplex, cycle_graph, edge_complex
 from psdcone.errors import ZeroDiagonalParam
 from psdcone.instances import random_complex, random_params
+from psdcone import latent
 from psdcone.latent import (SIMULATE_BLOCK, SIMULATE_MAX_ENTRIES, LatentSystem, _gamma2,
-                            build_digraph, conditional_precision, covariance_identity,
-                            simulate_y)
+                            _noise_sd, build_digraph, conditional_precision,
+                            covariance_identity, simulate_y)
 from psdcone.param import phi
 
 from oracles import simulate_y_dense
@@ -188,6 +190,40 @@ class TestSimulateYBlocks:
         for n in (cap + 1, 10 ** 12, 1, 0, -5):
             with pytest.raises(ValueError, match=f"need 2 <= n <= {cap}, got {n}"):
                 simulate_y(delta, gamma, n, seed=0)
+
+
+def noise_sd_by_get(delta, gamma):
+    """Each vertex's singleton parameter through the validated ``FactorParams.get``."""
+    return np.array([gamma.get((i,), i) for i in range(delta.m)])
+
+
+def latent_outcomes(delta, gamma):
+    """The omega block of LatentSystem.build, and simulate_y and conditional_precision
+    as bytes or the error they raise."""
+    def outcome(fn):
+        try:
+            return fn().tobytes()
+        except ZeroDiagonalParam as exc:
+            return str(exc)
+
+    return (LatentSystem.build(delta, gamma).omega.tobytes(),
+            outcome(lambda: simulate_y(delta, gamma, 50, 3).a),
+            outcome(lambda: conditional_precision(delta, gamma).a))
+
+
+class TestNoiseScales:
+    @given(st.integers(1, 10), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_noise_scales_are_the_singleton_parameters(self, m, density, seed):
+        """Read off the stored values, 0 where a singleton has none: the same
+        bits as the validated accessor, so all three readers are unchanged."""
+        rng = np.random.default_rng(seed)
+        delta = random_complex(rng, m)
+        gamma = random_params(rng, delta, density=density)
+        assert _noise_sd(delta, gamma).tobytes() == noise_sd_by_get(delta, gamma).tobytes()
+        got = latent_outcomes(delta, gamma)
+        with mock.patch.object(latent, "_noise_sd", noise_sd_by_get):
+            assert got == latent_outcomes(delta, gamma)
 
 
 class TestConditionalPrecision:
