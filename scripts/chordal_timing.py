@@ -15,7 +15,7 @@ pattern (a random Gram block on every maximal clique, plus the identity).
 On each input it times ``is_chordal``, ``ordering_clique_complex`` (given the
 ordering), ``chordal_fiber`` (from the graph alone), and on the decision that
 ``decide.membership`` returns the certificate's re-check
-(``decide._check_certificate``, which runs ``phi``; the complete graph at
+(``param.check_certificate``, which runs ``phi``; the complete graph at
 m = 64 is the one input whose faces take ``phi``'s dense path) and
 ``Decision.to_json_dict``; and, through
 ``psdcone.cli.main`` in-process with stdout captured, ``membership`` and
@@ -56,7 +56,7 @@ import contextlib, io, itertools, json, os, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 import psdcone.cli
-from psdcone import decide
+from psdcone import decide, param
 from psdcone.chordal import chordal_fiber, clique_complex, is_chordal, ordering_clique_complex
 from psdcone.core import Graph, SymmetricMatrix
 from psdcone.instances import random_chordal_graph
@@ -131,8 +131,7 @@ with tempfile.TemporaryDirectory(prefix="chordal-timing-") as tmp:
                 "is_chordal": lambda: is_chordal(g),
                 "ordering_clique_complex": lambda: ordering_clique_complex(g, ordering),
                 "chordal_fiber": lambda: chordal_fiber(g, sigma),
-                "check_certificate": lambda: decide._check_certificate(decision.certificate,
-                                                                       sigma),
+                "check_certificate": lambda: param.check_certificate(decision.certificate, sigma),
                 "Decision.to_json_dict": decision.to_json_dict,
                 "membership": lambda: cli(["membership", "--matrix", mpath, "--graph", gpath]),
                 "fiber --chordal": lambda: cli(["fiber", "--chordal", "--matrix", mpath,

@@ -36,13 +36,14 @@ __all__ = sorted(_HOME)
 __version__ = "0.1.0"
 
 
-def __getattr__(name):
+def __getattr__(name, owner=__name__):
+    """A public name or submodule, bound here; any other name raises, naming owner."""
     if name in _HOME:
         value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     elif name in _SUBMODULES:
         value = importlib.import_module(f".{name}", __name__)
     else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        raise AttributeError(f"module {owner!r} has no attribute {name!r}")
     globals()[name] = value
     return value
 

@@ -9,7 +9,6 @@ every file and argument.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import math
 import os
@@ -20,6 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import __getattr__ as _package_lookup
 from .core import (MAX_VERTICES, FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
                    load_json, underlying_graph)
 from .errors import (AsymmetricInput, Degenerate, InternalInconsistency, NotChordal, NotMember,
@@ -27,42 +27,14 @@ from .errors import (AsymmetricInput, Degenerate, InternalInconsistency, NotChor
                      ZeroDiagonal, ZeroDiagonalParam)
 from .linalg import DEFAULT_TOL, check_tol, schur_complement
 
-# The names the commands take from modules that not every command runs, by
-# module.  main loads a command's modules (its ``uses`` in build_parser)
-# before each run, binding only unbound names: each is a plain global.
-# Looking a name up on the module loads it too, so patching
-# ``psdcone.cli.<name>`` before any command has run patches what the command
-# calls.  The chordal names are not called here (membership and fiber reach
-# them through decide); they are listed because perfbench/spans.py wraps them
-# by these names.  "decide" and "selftest" are the modules themselves.
-_DEFERRED = {
-    "chordal": ("chordal_fiber", "clique_complex", "is_chordal"),
-    "cycle": ("CycleMatrix", "counterexample_det", "counterexample_sigma",
-              "cycle_fiber", "cycle_membership"),
-    "decide": ("decide",),
-    "latent": ("build_digraph", "simulate_y"),
-    "param": ("phi",),
-    "quotient": ("complex_quotient", "schur_witness"),
-    "volume": ("estimate_volume", "format_table", "volume_table"),
-    "selftest": ("selftest",),
-}
-_MODULE_OF = {name: module for module, names in _DEFERRED.items() for name in names}
-
-
-def _load(module: str):
-    """Bind module's deferred names that are not globals here yet."""
-    mod = importlib.import_module(f".{module}", __package__)
-    scope = globals()
-    for name in _DEFERRED[module]:
-        if name not in scope:
-            scope[name] = mod if name == module else getattr(mod, name)
-
-
+# Each subparser's ``uses`` lists the names its command calls that not every
+# command loads ("decide", "param", "selftest" and "volume" are modules); main
+# binds those not bound yet through this lookup, which resolves any name of the
+# package's table (psdcone._PUBLIC and the submodules) and binds it here.  So
+# patching ``psdcone.cli.<name>`` before or after its first lookup holds.
 def __getattr__(name):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_MODULE_OF[name])
-    return globals()[name]
+    globals()[name] = value = _package_lookup(name, __name__)
+    return value
 
 
 ERROR_CODES = {
@@ -205,12 +177,14 @@ def cmd_cycle_check(args) -> int:
 
 
 def cmd_cycle_fiber(args) -> int:
-    sigma = CycleMatrix.from_symmetric(SymmetricMatrix.from_json_dict(load_json(args.matrix)))
+    sigma = SymmetricMatrix.from_json_dict(load_json(args.matrix))
     try:
-        fib = cycle_fiber(sigma, tol=args.tol)
+        fib = cycle_fiber(CycleMatrix.from_symmetric(sigma), tol=args.tol)
     except (NotMember, NotPsd) as exc:
         _print_json({"error": {"code": _code_for(exc), "message": str(exc)}})
         return 1
+    for rep in fib.representatives:
+        param.check_certificate(rep, sigma)
     _print_json({
         "m": fib.m,
         "count_total": fib.count_total,
@@ -261,15 +235,15 @@ def cmd_volume(args) -> int:
     if (args.m is not None) == args.table:
         raise ValueError("volume needs exactly one of --m and --table")
     if args.table:
-        estimates = volume_table(args.samples, args.seed, workers=args.workers,
-                                 progress=args.progress)
+        estimates = volume.volume_table(args.samples, args.seed, workers=args.workers,
+                                        progress=args.progress)
         if args.json:
             _print_json([e.to_json_dict() for e in estimates])
         else:
-            print(format_table(estimates))
+            print(volume.format_table(estimates))
         return 0
-    est = estimate_volume(args.m, args.samples, args.seed, workers=args.workers,
-                          progress=args.progress)
+    est = volume.estimate_volume(args.m, args.samples, args.seed, workers=args.workers,
+                                 progress=args.progress)
     _print_json(est.to_json_dict())
     return 0
 
@@ -342,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="evaluate the parametrization")
     p.add_argument("--complex", required=True)
     p.add_argument("--params", required=True)
-    p.set_defaults(func=cmd_phi, uses=("param",))
+    p.set_defaults(func=cmd_phi, uses=("phi",))
 
     p = sub.add_parser("fiber", parents=[tol], help="solve for a preimage on a chordal graph")
     p.add_argument("--chordal", action="store_true",
@@ -354,29 +328,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycle-check", parents=[tol],
                       help="membership test for a cycle-patterned matrix")
     p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_cycle_check, uses=("cycle",))
+    p.set_defaults(func=cmd_cycle_check, uses=("CycleMatrix", "cycle_membership"))
 
     p = sub.add_parser("cycle-fiber", parents=[tol],
                       help="solve the fiber over a cycle-patterned member")
     p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_cycle_fiber, uses=("cycle",))
+    p.set_defaults(func=cmd_cycle_fiber, uses=("CycleMatrix", "cycle_fiber", "param"))
 
     p = sub.add_parser("counterexample", help="the PSD-but-not-member family")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
-    p.set_defaults(func=cmd_counterexample, uses=("cycle",))
+    p.set_defaults(func=cmd_counterexample, uses=("counterexample_det", "counterexample_sigma"))
 
     p = sub.add_parser("quotient", help="complex quotient by a vertex block")
     p.add_argument("--complex", required=True)
     p.add_argument("--remove", required=True, help="comma-separated 1-based vertices")
-    p.set_defaults(func=cmd_quotient, uses=("quotient",))
+    p.set_defaults(func=cmd_quotient, uses=("complex_quotient",))
 
     p = sub.add_parser("schur-witness", parents=[tol],
                       help="witness parameters for a Schur complement")
     p.add_argument("--complex", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--vertex", type=int, required=True, help="1-based vertex to eliminate")
-    p.set_defaults(func=cmd_schur_witness, uses=("quotient", "param"))
+    p.set_defaults(func=cmd_schur_witness, uses=("phi", "schur_witness"))
 
     p = sub.add_parser("volume", parents=[seed], help="Monte Carlo spherical volume fraction")
     p.add_argument("--json", action="store_true",
@@ -392,13 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("digraph", help="bipartite factor digraph in DOT form")
     p.add_argument("--complex", required=True)
-    p.set_defaults(func=cmd_digraph, uses=("latent",))
+    p.set_defaults(func=cmd_digraph, uses=("build_digraph",))
 
     p = sub.add_parser("simulate", parents=[seed], help="empirical covariance of the latent model")
     p.add_argument("--complex", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--n", type=int, default=10_000)
-    p.set_defaults(func=cmd_simulate, uses=("latent",))
+    p.set_defaults(func=cmd_simulate, uses=("simulate_y",))
 
     p = sub.add_parser("membership", parents=[tol],
                       help="decide membership for chordal or cycle graphs")
@@ -425,8 +399,9 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    for module in args.uses:
-        _load(module)
+    for name in args.uses:
+        if name not in globals():
+            __getattr__(name)
     try:
         try:
             rc = args.func(args)

@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import chordal, cycle
-from .core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix, edge_complex,
-                   within_units)
-from .errors import (Degenerate, InternalInconsistency, NotPsd, PatternViolation,
-                     Undecidable)
+from .core import FactorParams, Graph, SimplicialComplex, SymmetricMatrix, edge_complex
+from .errors import Degenerate, NotPsd, PatternViolation, Undecidable
 from .linalg import DEFAULT_TOL, check_tol
-from .param import phi
+from .param import check_certificate
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def membership(sigma: SymmetricMatrix, graph: Graph, complex: SimplicialComplex 
                 gamma = chordal._fiber(graph, sigma, ordering, complex, tol)
             except NotPsd as exc:
                 return Decision(False, "chordal", not_psd=str(exc))
-            _check_certificate(gamma, sigma)
+            check_certificate(gamma, sigma)
             return Decision(True, "chordal", gamma)
     if order is not None and (complex is None or complex == edge_complex(graph)):
         return _decide_cycle(sigma, graph, order, complex, tol)
@@ -93,7 +91,7 @@ def chordal_certificate(sigma: SymmetricMatrix, graph: Graph,
     if complex is not None and complex != gamma.complex:
         raise ValueError("the complex is not the clique complex of its graph, "
                          "on which chordal fibers live")
-    _check_certificate(gamma, sigma)
+    check_certificate(gamma, sigma)
     return gamma
 
 
@@ -131,11 +129,5 @@ def _decide_cycle(sigma: SymmetricMatrix, g: Graph, order: list[int], complex,
         else:
             cert = cycle._edge_params(edge_complex(g) if complex is None else complex,
                                        tails, heads, order)
-            _check_certificate(cert, sigma)
+            check_certificate(cert, sigma)
     return Decision(verdict.member, "cycle", cert, verdict, tuple(order))
-
-
-def _check_certificate(gamma: FactorParams, sigma: SymmetricMatrix):
-    """Raise InternalInconsistency unless |phi(gamma) - sigma| <= 1e-8 sqrt(|s_ii s_jj|)."""
-    if not within_units(phi(gamma.complex, gamma).a - sigma.a, sigma.a.diagonal(), 1e-8):
-        raise InternalInconsistency("certificate does not reproduce the input")

@@ -111,10 +111,10 @@ def simulate_y(delta: SimplicialComplex, gamma: FactorParams, n: int,
     a block of rows at a time; the estimator is the uncentered second moment
     (the mean is known zero), so its expectation is exactly the image matrix.
     """
-    g2 = _gamma2(delta, gamma)
-    m, k = g2.shape
+    m, k = delta.m, len(delta.faces) - delta.m  # every vertex is a singleton face
     if not 2 <= n <= SIMULATE_MAX_ENTRIES // max(k, m):
         raise ValueError(f"need 2 <= n <= {SIMULATE_MAX_ENTRIES // max(k, m)}, got {n}")
+    g2 = _gamma2(delta, gamma)
     rng = np.random.Generator(np.random.PCG64(seed))
     sd = np.abs(_noise_sd(delta, gamma))
     rows = min(n, 1 << max((SIMULATE_BLOCK // max(k, m)).bit_length() - 1, 0))

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Face, FactorMatrix, FactorParams, SimplicialComplex,
-                   SymmetricMatrix, as_face, face_key, induced_subcomplex,
-                   induced_vertex_map, tolerance_scale)
+from .core import (Face, FactorMatrix, FactorParams, SimplicialComplex, SymmetricMatrix,
+                   as_face, face_key, induced_subcomplex, induced_vertex_map, tolerance_scale,
+                   within_units)
+from .errors import InternalInconsistency
 
 RAY_DROP_TOL = 1e-12
 
@@ -72,6 +73,12 @@ def phi(delta: SimplicialComplex, gamma: FactorParams) -> SymmetricMatrix:
         col = _column(entries, m)
         out += col[:, None] * col
     return SymmetricMatrix._trusted(out)
+
+
+def check_certificate(gamma: FactorParams, sigma: SymmetricMatrix):
+    """Raise InternalInconsistency unless |phi(gamma) - sigma| <= 1e-8 sqrt(|s_ii s_jj|)."""
+    if not within_units(phi(gamma.complex, gamma).a - sigma.a, sigma.a.diagonal(), 1e-8):
+        raise InternalInconsistency("certificate does not reproduce the input")
 
 
 def _column(entries, m: int) -> np.ndarray:

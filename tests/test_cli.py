@@ -18,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psdcone import chordal, cli, decide, selftest
-from psdcone.core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix,
+from psdcone import chordal, cli, decide, param, selftest
+from psdcone.core import (FactorParams, Graph, SimplicialComplex, SymmetricMatrix, cycle_graph,
                           underlying_graph)
+from psdcone.cycle import counterexample_sigma
 from psdcone.cli import main
 from psdcone.errors import PsdConeError
 from psdcone.instances import (random_chordal_graph, random_cycle_member,
@@ -164,6 +165,23 @@ def test_cycle_fiber_and_certificate(files):
     assert json.loads(out)["error"]["code"] == "not_member"
 
 
+@pytest.mark.parametrize("m, rho, tol", [(10, -1.00000005, []), (6, -1.0005, ["--tol", "1e-3"]),
+                                         (10, -1.0005, ["--tol", "1e-3"]),
+                                         (20, -1.00002, [])])
+def test_cycle_fiber_rechecks_what_it_prints(files, m, rho, tol):
+    """Just outside the image, inside the verdict's band: the fiber solved is
+    a nearby boundary matrix's, whose representatives miss the input by more
+    than membership's 1e-8 re-check allows, so both commands exit 2."""
+    matrix = files("s.json", counterexample_sigma(m, rho).to_symmetric().to_json_dict())
+    graph = files("g.json", cycle_graph(m).to_json_dict())
+    for argv in (["cycle-fiber", "--matrix", matrix],
+                 ["membership", "--matrix", matrix, "--graph", graph]):
+        rc, out = run_cli(argv + tol)
+        assert rc == 2, argv
+        assert json.loads(out)["error"] == {"code": "internal_inconsistency",
+                                            "message": "certificate does not reproduce the input"}
+
+
 def test_membership_dispatch(files):
     i5 = files("i5.json", {"m": 5, "entries": np.eye(5).tolist()})
     c5 = files("c5.json", {"m": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]})
@@ -231,7 +249,7 @@ def test_membership_rechecks_either_certificate(files, monkeypatch, edges):
     m = max(max(e) for e in edges)
     mpath = files("i.json", {"m": m, "entries": np.eye(m).tolist()})
     gpath = files("g.json", {"m": m, "edges": edges})
-    monkeypatch.setattr(decide, "phi", lambda delta, gamma: SymmetricMatrix(np.zeros((m, m))))
+    monkeypatch.setattr(param, "phi", lambda delta, gamma: SymmetricMatrix(np.zeros((m, m))))
     rc, out = run_cli(["membership", "--matrix", mpath, "--graph", gpath])
     assert rc == 2
     assert json.loads(out)["error"]["code"] == "internal_inconsistency"
@@ -260,7 +278,7 @@ def test_fiber_rechecks_what_it_prints(files, monkeypatch):
         params = printed["certificate"] if command == ["membership"] else printed
         image = phi(delta, FactorParams.from_json_dict(delta, params)).a
         assert np.all(np.abs(image - b) <= 1e-8 * np.sqrt(np.outer(np.diag(b), np.diag(b))))
-    monkeypatch.setattr(decide, "phi", lambda delta, gamma: SymmetricMatrix(np.zeros((m, m))))
+    monkeypatch.setattr(param, "phi", lambda delta, gamma: SymmetricMatrix(np.zeros((m, m))))
     rc, out = run_cli(["fiber", "--chordal", "--matrix", unscaled, "--graph", gpath])
     assert rc == 2 and json.loads(out)["error"]["code"] == "internal_inconsistency"
 
@@ -740,16 +758,16 @@ def test_main_builds_the_parser_once(monkeypatch):
 
 
 def test_main_keeps_a_name_patched_before_its_first_call(files):
-    """main loads a command's modules on every call, binding only names not
-    bound yet: a name set on psdcone.cli before the first call runs each time."""
+    """main binds a command's names on every call, only those not bound yet:
+    a name set on psdcone.cli before the first call runs each time, and stays."""
     code = ("import contextlib, io, json, sys\n"
             "import psdcone.cli as cli\n"
             "calls = []\n"
-            "cli.build_digraph = lambda delta: calls.append(delta.m) or 'patched\\n'\n"
+            "fake = cli.build_digraph = lambda delta: calls.append(delta.m) or 'patched\\n'\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             "    rcs = [cli.main(['digraph', '--complex', sys.argv[1]]) for _ in range(2)]\n"
-            "print(json.dumps([rcs, calls, out.getvalue(), 'simulate_y' in vars(cli)]))\n")
+            "print(json.dumps([rcs, calls, out.getvalue(), vars(cli)['build_digraph'] is fake]))\n")
     cpath = files("chain.json", {"m": 3, "facets": [[1, 2], [2, 3]]})
     proc = subprocess.run([sys.executable, "-c", code, cpath], capture_output=True, text=True,
                           timeout=120)

@@ -191,6 +191,25 @@ class TestSimulateYBlocks:
             with pytest.raises(ValueError, match=f"need 2 <= n <= {cap}, got {n}"):
                 simulate_y(delta, gamma, n, seed=0)
 
+    def test_sample_count_is_capped_before_the_factor_columns(self, monkeypatch):
+        """k is counted from the faces, so a refused n builds no _gamma2; the
+        count is _gamma2's column count on random complexes."""
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            delta = random_complex(rng, int(rng.integers(1, 10)), max_size=5)
+            assert len(delta.faces) - delta.m == _gamma2(delta, FactorParams.zeros(delta)).shape[1]
+        delta = SimplicialComplex.from_facets(15, [list(range(15))])
+        gamma = FactorParams.zeros(delta)
+        cap = SIMULATE_MAX_ENTRIES // (2 ** 15 - 1 - 15)
+
+        def refuse(*args):
+            raise AssertionError("_gamma2 built for a refused n")
+
+        monkeypatch.setattr(latent, "_gamma2", refuse)
+        for n in (cap + 1, 10_000, 1):
+            with pytest.raises(ValueError, match=f"need 2 <= n <= {cap}, got {n}"):
+                simulate_y(delta, gamma, n, seed=0)
+
 
 def noise_sd_by_get(delta, gamma):
     """Each vertex's singleton parameter through the validated ``FactorParams.get``."""

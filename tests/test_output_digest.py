@@ -1,9 +1,10 @@
-"""``scripts/output_digest.py --against``: one command compares two trees' outputs.
+"""``scripts/output_digest.py``: one command compares two trees' outputs.
 
-Each run digests the cycle-decide workload at seed 1 (400 CLI calls, about a
-second per tree) here and in a child process.
+Each ``--against`` run digests the cycle-decide workload at seed 1 (400 CLI
+calls, about a second per tree) here and in a child process.
 """
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -41,3 +42,18 @@ def test_a_changed_output_string_is_listed_line_by_line(tmp_path):
         assert old.startswith("- 1 cycle-not_psd ") and new.startswith("+ 1 cycle-not_psd ")
         assert old.split()[1:5] == new.split()[1:5] and old[2:] != new[2:]
     assert summary == f"{len(pairs) // 2} of 400 lines differ (- {tmp_path}, + this tree)"
+
+
+def test_the_cli_corpus_calls_every_subcommand():
+    from psdcone.cli import build_parser
+
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {argv[0] for _, _, argv in digest.CLI_CORPUS} == set(sub.choices)
+    run = subprocess.run([sys.executable, str(SCRIPT), "--workload", "cli", "--seeds", "1"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert [line.split()[1] for line in run.stdout.splitlines()] == [
+        kind for kind, _, _ in digest.CLI_CORPUS]

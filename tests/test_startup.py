@@ -15,6 +15,8 @@ import pytest
 
 import psdcone
 
+from test_bench_bindings import bindings
+
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(psdcone.__file__)))
 BASE = {"psdcone", "psdcone.cli", "psdcone.core", "psdcone.errors", "psdcone.linalg"}
 POOL = ("concurrent.futures", "multiprocessing")
@@ -78,7 +80,7 @@ CASES = {
     "fiber": (["fiber", "--chordal", "--matrix", "s.json", "--graph", "g.json"], 0,
               ["chordal", "cycle", "decide", "param"]),
     "cycle-check": (["cycle-check", "--matrix", "s.json"], 0, ["cycle"]),
-    "cycle-fiber": (["cycle-fiber", "--matrix", "s.json"], 0, ["cycle"]),
+    "cycle-fiber": (["cycle-fiber", "--matrix", "s.json"], 0, ["cycle", "param"]),
     "counterexample": (["counterexample", "--m", "5", "--rho", "1.25"], 0, ["cycle"]),
     "quotient": (["quotient", "--complex", "c.json", "--remove", "2"], 0,
                  ["param", "quotient"]),
@@ -190,12 +192,31 @@ def test_unknown_names_raise_attribute_error():
 
 
 def test_every_deferred_cli_name_resolves_before_any_command():
-    got = fresh("import json, importlib, psdcone.cli as cli\n"
-                "wrong = [n for mod, names in cli._DEFERRED.items() for n in names\n"
-                "         if getattr(cli, n) is not (importlib.import_module('psdcone.' + mod)\n"
-                "             if n == mod else getattr(importlib.import_module('psdcone.' + mod), n))]\n"
-                "print(json.dumps({'wrong': wrong, 'ran': cli._parser is not None}))")
+    """Every name a subcommand's ``uses`` lists, and every ``psdcone.cli``
+    name the benchmark harness wraps, resolves on the module to the package's
+    object (or to the module's own), with no command run."""
+    from psdcone.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    names = {name for p in sub.choices.values() for name in p.get_default("uses")}
+    names |= {attr for module, attr, _ in bindings() or () if module == "psdcone.cli"}
+    got = fresh("import json, sys, psdcone, psdcone.cli as cli\n"
+                "own = dict(vars(cli))\n"
+                "wrong = [n for n in json.loads(sys.argv[1])\n"
+                "         if getattr(cli, n) is not own.get(n, getattr(psdcone, n, None))]\n"
+                "print(json.dumps({'wrong': wrong, 'ran': cli._parser is not None}))",
+                json.dumps(sorted(names)))
     assert got == {"wrong": [], "ran": False}
+
+
+@pytest.mark.parametrize("name", ["__path__", "__version__", "_HOME"])
+def test_the_cli_does_not_resolve_the_package_own_attributes(name):
+    """Only the package's public names and submodules resolve on the CLI."""
+    import psdcone.cli
+
+    assert hasattr(psdcone, name)
+    with pytest.raises(AttributeError, match=f"^module 'psdcone.cli' has no attribute '{name}'$"):
+        getattr(psdcone.cli, name)
 
 
 def test_a_patch_made_before_the_first_call_is_what_the_command_calls(files):
