@@ -7,6 +7,9 @@ except rho/2 at the wrap edge.  Inside the window (rho between 1 and
 outside the image cone; this script prints the determinant, the membership
 slack, and the verdict along a rho grid so the window is visible.
 
+Exits 1 when a grid point inside the window, more than 2 tol from its edges,
+is judged a member, or a PSD point outside the window is judged a non-member.
+
 Usage:
     python scripts/counterexample_scan.py --m 5 --points 13
 """
@@ -19,7 +22,7 @@ import numpy as np
 from psdcone.cycle import (counterexample_det, counterexample_sigma,
                            cycle_membership)
 from psdcone.errors import NotPsd
-from psdcone.linalg import is_psd
+from psdcone.linalg import DEFAULT_TOL, is_psd
 
 
 def main() -> int:
@@ -36,6 +39,7 @@ def main() -> int:
     grid = np.linspace(lo - args.pad, hi + args.pad, args.points)
     print(f"# m={m}  PSD-but-non-member window: rho in ({lo:+.4f}, {hi:+.4f})")
     print(f"{'rho':>9} {'det(closed)':>13} {'min_eig':>10} {'slack':>10}  verdict")
+    wrong = 0
     for rho in grid:
         sig = counterexample_sigma(m, float(rho))
         det = counterexample_det(m, float(rho))
@@ -52,9 +56,13 @@ def main() -> int:
                 verdict = "not PSD"
                 slack = float("nan")
         min_eig = float(np.linalg.eigvalsh(dense.a)[0])
-        print(f"{rho:+9.4f} {det:13.6f} {min_eig:10.3e} "
-              f"{slack:10.4f}  {verdict}")
-    return 0
+        near_edge = min(abs(rho - lo), abs(rho - hi)) <= 2 * DEFAULT_TOL
+        if verdict != "not PSD" and not near_edge and (lo < rho < hi) == (verdict == "member"):
+            verdict += "  <- wrong"
+            wrong += 1
+        print(f"{rho:+9.4f} {det:13.3e} {min_eig:10.3e} "
+              f"{slack:10.3e}  {verdict}")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -62,8 +62,8 @@ def _cycle(m):
 
 # The "cli" workload: input files, then (op kind, m, argv) per call, at least
 # one per subcommand, with "{seed}" replaced by the seed and a .json name by
-# its file.  The cycle-fiber "boundary" inputs are just outside the image,
-# inside the cycle verdict's band.
+# its file.  The cycle-fiber "boundary" inputs are just outside the image:
+# non-members at the default tol, passing the pivot rule under --tol 1e-3.
 CLI_FILES = {
     "chain.json": {"m": 3, "facets": [[1, 2], [2, 3]]},
     "chain-params.json": {"values": [{"face": [1, 2], "vertex": 1, "gamma": 1.0},

@@ -203,17 +203,16 @@ def _correlation(sigma: CycleMatrix, tol: float) -> tuple[tuple, tuple, tuple]:
     return tuple(s), tuple([1.0 if x > 0.0 else 0.0 for x in d]), tuple(r)
 
 
-def _bordered_ldl(e, r, tol: float) -> tuple[float, float, float]:
-    """(smallest pivot, det, flip det) of the correlation form by LDL^T in vertex order.
+def _bordered_ldl(e, r, tol: float) -> tuple[float, float, float | None, float]:
+    """(smallest pivot, det, flip's last pivot, flip det) of R by LDL^T in vertex order.
 
-    ``e`` is the unit (or zero) diagonal and ``r`` the cycle entries.
+    ``e`` is the unit (or zero) diagonal and ``r`` the cycle entries of R.
     Eliminating vertex k < m - 2 touches only vertex k + 1 and the last row
     (the bordered tridiagonal), whose fill ``f`` carries the wrap entry along
     the path.  Negating the wrap entry negates every fill and leaves the
-    pivots of vertices 0..m-2 unchanged, so the flip determinant differs
-    only in the closing 2x2 block.  A pivot p <= tol goes through
-    ``zero_pivot``, the library's one rule for it: NotPsd, a zero column,
-    which contributes 0 to the determinants, or the pivot tol.
+    pivots of vertices 0..m-2, so only the last two steps of the flip are its
+    own.  A pivot p <= tol goes through ``zero_pivot``, the library's one rule:
+    NotPsd (on the flip, a last pivot None), a zero column, or the pivot tol.
     """
     m = len(r)
     p = e[0]
@@ -233,15 +232,23 @@ def _bordered_ldl(e, r, tol: float) -> tuple[float, float, float]:
         lead *= p
         corner -= f * f / p
         p, f = e[k + 1] - a * a / p, -a * f / p
-    g, g_flip = r[m - 2] + f, r[m - 2] - f
-    zero = p <= tol and zero_pivot(p, g * g, tol, f"vertex {m - 2}")
-    q = p if zero else max(p, tol)
-    det2 = q * corner - g * g
-    flip2 = q * corner - g_flip * g_flip
-    last = corner if zero else det2 / q
-    if not last > tol:
-        zero_pivot(last, 0.0, tol, f"vertex {m - 1}")
-    return min(lo, p, last), lead * det2, lead * flip2
+    g_flip = r[m - 2] - f
+    lasts = []
+    for g in (g_flip, r[m - 2] + f):  # entry (m-2, m-1) of the flip, then of R
+        try:
+            zero = p <= tol and zero_pivot(p, g * g, tol, f"vertex {m - 2}")
+            q = p if zero else max(p, tol)
+            last = corner if zero else (q * corner - g * g) / q
+            if not last > tol:
+                zero_pivot(last, 0.0, tol, f"vertex {m - 1}")
+        except NotPsd:
+            if lasts:
+                raise
+            last = None
+        lasts.append(last)
+    # both determinants close with R's q, which differs from the flip's only at p <= tol
+    return (min(lo, p, last), lead * (q * corner - g * g), lasts[0],
+            lead * (q * corner - g_flip * g_flip))
 
 
 def _agreement(tol: float, m: int) -> float:
@@ -253,15 +260,13 @@ def _agreement(tol: float, m: int) -> float:
 def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Membership of a PSD cycle-patterned matrix in the image cone, in O(m).
 
-    Operational test on the correlation form R: min(det R, det R with the
-    wrap edge negated) >= -tol, from one bordered-tridiagonal LDL^T.
-    Negating any other edge gives the same determinant (it only flips the
-    sign of the cyclic product), so one flip suffices.  The matching
-    expansion of R is evaluated independently and must agree; ties within
-    tolerance resolve to member with the boundary flag set.
+    The paper's test on the correlation form R: R stays PSD, by the rule that
+    decides R, with its wrap edge negated (negating another edge gives the same
+    determinant).  ``boundary`` marks a member with a pivot of R or of the flip
+    at most tol.  The matching expansion of R must agree with the pivot products.
     """
     s, e, r = _correlation(sigma, check_tol(tol))
-    min_pivot, det_r, flip_r = _bordered_ldl(e, r, tol)
+    min_pivot, det_r, flip_last, flip_r = _bordered_ldl(e, r, tol)
     slack_r = min(det_r, flip_r)
 
     slack_matching = matching_sum(CycleMatrix(e, r)) - 2.0 * abs(math.prod(r))
@@ -270,14 +275,9 @@ def cycle_membership(sigma: CycleMatrix, tol: float = DEFAULT_TOL) -> Membership
         raise InternalInconsistency(
             f"matching expansion {slack_matching!r} vs pivot product {slack_r!r}"
         )
-    member = slack_r >= -tol
-    if member != (slack_matching >= -tol) and min(abs(slack_matching), abs(slack_r)) > 2 * tol:
-        raise InternalInconsistency(
-            f"membership forms disagree: {slack_r!r} vs {slack_matching!r}"
-        )
     return MembershipVerdict(
-        member=member,
-        boundary=abs(slack_r) <= tol,
+        member=flip_last is not None,
+        boundary=flip_last is not None and min(min_pivot, flip_last) <= tol,
         slack_r=slack_r,
         det_r=det_r,
         flip_r=flip_r,

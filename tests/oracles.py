@@ -302,15 +302,17 @@ def exact_psd(arr, shift: float = 0.0) -> bool:
 
 
 def exact_cycle_verdict(sigma: CycleMatrix) -> tuple[bool, Fraction, Fraction | None]:
-    """(member, slack, correlation slack) of a cycle-patterned matrix, exactly.
+    """(member, slack, closing pivot) of a cycle-patterned matrix, exactly.
 
     Every float is a dyadic rational, so Fractions carry no rounding.  PSD-ness
     is ``exact_psd``'s.  The slack is the input form's matching expansion less
-    twice the absolute cyclic product, min(det, det with one edge negated); the
-    correlation slack is that over the diagonal product, None unless every
-    diagonal entry is positive.  Negating an edge keeps every proper principal
-    minor, so a PSD matrix stays PSD under it exactly when the slack is >= 0,
-    which is the paper's test for the image of the edge complex.
+    twice the absolute cyclic product, min(det, det with one edge negated).
+    The closing pivot is the correlation-form slack over the leading (m-1)
+    minor of the correlation form, the last LDL^T pivot of whichever form has
+    the smaller determinant; None unless every diagonal entry and that minor
+    are positive.  Negating an edge keeps every proper principal minor, so a
+    PSD matrix stays PSD under it exactly when the slack is >= 0, which is the
+    paper's test for the image of the edge complex.
     """
     d = [Fraction(x) for x in sigma.diag]
     w = [Fraction(x) ** 2 for x in sigma.cyc]
@@ -325,7 +327,9 @@ def exact_cycle_verdict(sigma: CycleMatrix) -> tuple[bool, Fraction, Fraction | 
     matching = path(d, w[: m - 1]) - w[m - 1] * path(d[1: m - 1], w[1: m - 2])
     slack = matching - 2 * abs(math.prod(Fraction(x) for x in sigma.cyc))
     member = slack >= 0 and exact_psd(sigma.to_array())
-    return member, slack, slack / math.prod(d) if min(d) > 0 else None
+    # slack_R / minor_R = (slack / prod d) / (lead / prod d[:m-1]) = slack / (d[m-1] lead)
+    lead = path(d[: m - 1], w[: m - 2])
+    return member, slack, slack / (d[m - 1] * lead) if min(d) > 0 and lead > 0 else None
 
 
 def chordal_fiber_by_array(g: Graph, sigma: SymmetricMatrix, ordering,

@@ -169,11 +169,21 @@ def test_cycle_fiber_and_certificate(files):
                                          (10, -1.0005, ["--tol", "1e-3"]),
                                          (20, -1.00002, [])])
 def test_cycle_fiber_rechecks_what_it_prints(files, m, rho, tol):
-    """Just outside the image, inside the verdict's band: the fiber solved is
-    a nearby boundary matrix's, whose representatives miss the input by more
-    than membership's 1e-8 re-check allows, so both commands exit 2."""
+    """Just outside the image.  At the default tol the flipped form fails the
+    pivot rule, so all three cycle commands call the input a non-member.
+    Under --tol 1e-3 it passes within that tol, and the fiber solved is a
+    nearby boundary matrix's, whose representatives miss the input by more
+    than the re-check's fixed 1e-8, which does not follow --tol: both fiber
+    commands exit 2."""
     matrix = files("s.json", counterexample_sigma(m, rho).to_symmetric().to_json_dict())
     graph = files("g.json", cycle_graph(m).to_json_dict())
+    if not tol:
+        assert run_cli(["cycle-check", "--matrix", matrix])[0] == 1
+        rc, out = run_cli(["cycle-fiber", "--matrix", matrix])
+        assert rc == 1 and json.loads(out)["error"]["code"] == "not_member"
+        rc, out = run_cli(["membership", "--matrix", matrix, "--graph", graph])
+        assert rc == 1 and json.loads(out)["member"] is False
+        return
     for argv in (["cycle-fiber", "--matrix", matrix],
                  ["membership", "--matrix", matrix, "--graph", graph]):
         rc, out = run_cli(argv + tol)

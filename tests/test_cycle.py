@@ -177,6 +177,25 @@ class TestCounterexampleFamily:
             assert counterexample_det(m, -rho) < 0
             assert not cycle_membership(sig).member
 
+    @pytest.mark.parametrize("m", range(3, 65))
+    def test_window_edges_across_the_documented_range(self, m):
+        """The family sits outside the image for every |rho| > 1: the window
+        midpoint and rho = +-(1 + k tol) for k = 2 and 8 are non-members (PSD
+        inside the window, not PSD on the other sign), while +-(1 - 2 tol) is
+        a member, at every m = 3..64."""
+        tol = 1e-9
+
+        def member(rho):
+            try:
+                return cycle_membership(counterexample_sigma(m, rho), tol).member
+            except NotPsd:
+                return False
+
+        assert not member(1 + 1 / (m - 1) if m % 2 else -1 - 1 / (m - 1))
+        for sign in (1.0, -1.0):
+            assert not member(sign * (1 + 2 * tol)) and not member(sign * (1 + 8 * tol))
+            assert member(sign * (1 - 2 * tol))
+
     def test_rho_one_boundary_against_slack(self):
         sig = counterexample_sigma(3, 1.0)
         v = cycle_membership(sig)

@@ -88,8 +88,8 @@ class TestZeroTolerance:
 
     def test_exact_zero_columns_stay_psd(self):
         assert is_psd(SymmetricMatrix(np.ones((3, 3))), 0.0)
-        _, det, flip = _bordered_ldl((1.0,) * 4, (1.0, 0.0, 1.0, 0.0), 0.0)
-        assert min(det, flip) >= 0.0
+        _, det, flip_last, flip = _bordered_ldl((1.0,) * 4, (1.0, 0.0, 1.0, 0.0), 0.0)
+        assert flip_last is not None and min(det, flip) >= 0.0
 
 
 # The PD 4-cycle with unit diagonal and 0.3 on its edges, and a triangle's
